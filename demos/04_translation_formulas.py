@@ -1,4 +1,4 @@
-"""Finite group actions on rigid complexes: five formulas, one answer.
+"""Finite group actions on rigid complexes: four formulas, one answer.
 
 The same invariant is computed stratum-wise over the orbit space, through
 an explicit inertia complex, and as a sum over conjugation classes of
@@ -15,7 +15,6 @@ from eulerchi import (
     chi_gamma_noniter,
     chi_gamma_strata,
     chi_order_ell,
-    chi_string_orb,
     coset_complex,
     cyclic_group,
     inertia_complex,
@@ -45,7 +44,7 @@ for p, name in [
         f" / classes {chi_gamma_noniter(p, pt)}"
     )
 
-print("  classical one-generator sum:", chi_string_orb(pt))
+print("  classical one-generator sum:", chi_order_ell(pt, 1))
 print("  order-ell tower:", [chi_order_ell(pt, ell) for ell in range(4)])
 
 # An order-two rotation of a circle: free action, quotient again a circle.

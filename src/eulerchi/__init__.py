@@ -87,7 +87,6 @@ from .translation import (
     chi_gamma_noniter,
     chi_gamma_strata,
     chi_order_ell,
-    chi_string_orb,
     coset_complex,
     fixed_subcomplex,
     inertia_complex,

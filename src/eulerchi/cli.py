@@ -128,18 +128,8 @@ def cmd_order_ell(args) -> int:
     report = Report("order-ell")
     report.add_input_file("complex", args.complex)
     x = jsonio.load_file(args.complex, jsonio.load_complex)
-    cap = args.cap
-    report.result = tr.chi_order_ell(x, args.ell, cap)
-    tree = []
-    level = [("", x)]
-    for depth in range(min(args.ell, 2)):
-        nxt = []
-        for label, cx in level:
-            for cls in groups.conjugacy_classes(cx.group):
-                sub = tr.fixed_subcomplex(cx, (cls.rep,))
-                nxt.append((f"{label}/{cls.rep}", sub))
-        level = nxt
-        tree.append({"depth": depth + 1, "branches": len(level)})
+    report.result, branches = tr._order_ell_walk(x, args.ell, args.cap)
+    tree = [{"depth": d + 1, "branches": b} for d, b in enumerate(branches[:2])]
     report.breakdown = {"ell": args.ell, "recursion": tree}
     return _emit(report, args)
 

@@ -1,9 +1,11 @@
 """Finite groups as multiplication tables and finitely presented groups.
 
 A finite group is an n x n table over 0..n-1 with the identity pinned at
-index 0; validation checks the identity row/column, that every row and
-column is a permutation, and associativity for every triple (skipped above
-order 256, far beyond anything this library is used for).
+index 0.  Every table from outside the program enters through
+``validate_group``, the one place a table is checked: the identity
+row/column, that every row and column is a permutation, and associativity,
+at every order.  Tables built here from valid groups (standard
+constructors, direct products, subgroups) are groups by construction.
 
 A presentation is a generator count plus relator words; a word is a list of
 nonzero signed integers, 1-based generator indices with sign meaning
@@ -17,9 +19,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -129,45 +130,74 @@ def _check_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     n = len(table)
     rows = []
     for i, row in enumerate(table):
-        row = tuple(row)
+        try:
+            row = tuple(row)
+        except TypeError:
+            raise ValidationError(f"table row {i} is not a list") from None
         if len(row) != n:
             raise ValidationError(f"table row {i} has length {len(row)}, expected {n}")
         rows.append(row)
-    arr = np.asarray(rows, dtype=np.int64)
-    if arr.min() < 0 or arr.max() >= n:
-        bad = np.argwhere((arr < 0) | (arr >= n))[0]
-        raise ValidationError(f"table entry at ({bad[0]},{bad[1]}) out of range 0..{n - 1}")
-    idx = np.arange(n)
-    if not np.array_equal(arr[0], idx):
+    elements = set(range(n))
+    # a row holding integers whose set is 0..n-1 is in range and a permutation
+    not_perm = [
+        i for i, row in enumerate(rows) if set(map(type, row)) != {int} or set(row) != elements
+    ]
+    for i in not_perm:
+        for j, v in enumerate(rows[i]):
+            if type(v) is not int or not 0 <= v < n:
+                raise ValidationError(f"table entry at ({i},{j}) out of range 0..{n - 1}")
+    if rows[0] != tuple(range(n)):
         raise ValidationError("identity failure: row 0 is not the identity permutation")
-    if not np.array_equal(arr[:, 0], idx):
+    if any(row[0] != i for i, row in enumerate(rows)):
         raise ValidationError("identity failure: column 0 is not the identity permutation")
-    row_ok = np.all(np.sort(arr, axis=1) == idx, axis=1)
-    if not row_ok.all():
-        raise ValidationError(f"row {int(np.argmin(row_ok))} is not a permutation")
-    col_ok = np.all(np.sort(arr, axis=0) == idx[:, None], axis=0)
-    if not col_ok.all():
-        raise ValidationError(f"column {int(np.argmin(col_ok))} is not a permutation")
-    if n <= 256:
-        small = arr.astype(np.int32)
-        left = small[small]            # left[a,b,c]  = (ab)c
-        right = small[:, small]        # right[a,b,c] = a(bc)
-        if not np.array_equal(left, right):
-            a, b, c = (int(v) for v in np.argwhere(left != right)[0])
-            raise ValidationError(
-                f"associativity failure at triple ({a},{b},{c}): "
-                f"({a}*{b})*{c} = {int(left[a, b, c])} but {a}*({b}*{c}) = {int(right[a, b, c])}"
-            )
+    if not_perm:
+        raise ValidationError(f"row {not_perm[0]} is not a permutation")
+    for j, column in enumerate(zip(*rows)):
+        if len(set(column)) != n:
+            raise ValidationError(f"column {j} is not a permutation")
+    # Light's test: the elements g with (x*g)*y == x*(g*y) for all x, y are
+    # closed under the product, so checking g over a generating set proves
+    # associativity in O(n^2 * |gens|) (Clifford & Preston 1961, section 1.2)
+    for g in _generators(rows):
+        times_g = itemgetter(*rows[g])  # row_x -> (x*(g*y) for y); n >= 2 here
+        for x, row_x in enumerate(rows):
+            left, right = rows[row_x[g]], times_g(row_x)
+            if left != right:
+                y = next(y for y in range(n) if left[y] != right[y])
+                raise ValidationError(
+                    f"associativity failure at triple ({x},{g},{y}): "
+                    f"({x}*{g})*{y} = {left[y]} but {x}*({g}*{y}) = {right[y]}"
+                )
     return tuple(rows)
 
 
+def _generators(rows: Sequence[Sequence[int]]) -> list[int]:
+    """A generating set, chosen greedily in index order: every element is
+    reached from 0 by right multiplication by generators."""
+    reached, gens = {0}, []
+    for a in range(1, len(rows)):
+        if a not in reached:
+            gens.append(a)
+            frontier = list(reached)
+            while frontier:
+                row = rows[frontier.pop()]
+                new = {row[g] for g in gens} - reached
+                reached |= new
+                frontier.extend(new)
+    return gens
+
+
 class FiniteGroup:
-    """A finite group given by its multiplication table; identity is 0."""
+    """A finite group given by its multiplication table; identity is 0.
+
+    The table is trusted, not checked: a table from outside the program
+    goes through ``validate_group``.
+    """
 
     __slots__ = ("order", "table", "_inv", "_conj")
 
     def __init__(self, table: Sequence[Sequence[int]]):
-        self.table = _check_table(table)
+        self.table = tuple(map(tuple, table))
         self.order = len(self.table)
         # a * a^-1 = 0: the inverse is the column holding 0 in row a
         self._inv = tuple(self.table[a].index(0) for a in range(self.order))
@@ -208,9 +238,10 @@ class FiniteGroup:
 
 
 def validate_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
-    """Validate a multiplication table; raises ValidationError naming the
-    failed axiom (with a witness triple for associativity)."""
-    return FiniteGroup(table)
+    """Validate a multiplication table at any order and wrap it: the one
+    place a table is checked.  Raises ValidationError naming the failed
+    axiom (with a witness triple for associativity)."""
+    return FiniteGroup(_check_table(table))
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +253,8 @@ def trivial_group() -> FiniteGroup:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
+    if n < 1:
+        raise ValidationError(f"cyclic order must be >= 1, got {n}")
     return FiniteGroup(tuple(tuple((a + b) % n for b in range(n)) for a in range(n)))
 
 
@@ -443,6 +476,10 @@ def subgroup_group(g: FiniteGroup, elements: Sequence[int]) -> tuple[FiniteGroup
     is the minimal element of any subgroup).
     """
     elems = sorted(set(elements))
+    if not elems or elems[0] < 0 or elems[-1] >= g.order:
+        raise ValidationError(
+            f"subgroup_group: expected a non-empty set of elements in 0..{g.order - 1}"
+        )
     pos = {e: i for i, e in enumerate(elems)}
     try:
         table = tuple(tuple(pos[g.mul(a, b)] for b in elems) for a in elems)

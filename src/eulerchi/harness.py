@@ -239,8 +239,11 @@ def _case_checks(
     skew_l = 1 if inject_fault == "lambda_plus_one" else 0
     skew_n = -1 if inject_fault == "noniter_minus_one" else 0
 
+    # the anchor map's source is the inertia orbit space, so its chi is
+    # lambda_chi(p, x) without building the inertia complex twice
+    anchor = tr.anchor_map(p, x)
     strata_v = tr.chi_gamma_strata(p, x)
-    lambda_v = tr.lambda_chi(p, x) + skew_l
+    lambda_v = cells.chi(anchor.source) + skew_l
     noniter_v = tr.chi_gamma_noniter(p, x) + skew_n
     rec("three_way_strata_vs_lambda", strata_v, lambda_v)
     rec("three_way_strata_vs_noniter", strata_v, noniter_v)
@@ -255,7 +258,6 @@ def _case_checks(
             tr.chi_order_ell(x, ell),
             tr.chi_gamma_noniter(Presentation.free_abelian(ell), x))
 
-    anchor = tr.anchor_map(p, x)
     pushed = pushforward(anchor, ConstructibleFunction.constant(anchor.source, 1))
     rec("anchor_fubini", integrate(pushed), lambda_v - skew_l)
     if collect is not None:

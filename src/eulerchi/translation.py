@@ -9,7 +9,7 @@ the fixed-point formulas below correct.  Complexes that are not rigid
 (e.g. a reflection stabilizing an edge while flipping it) must be
 subdivided before being encoded.
 
-Five routes to the same integers live here and are cross-validated by the
+Four routes to the same integers live here and are cross-validated by the
 test suite and the ``verify`` harness:
 
 * ``chi_gamma_strata`` -- integrate homomorphism-quotient chi over the
@@ -18,10 +18,9 @@ test suite and the ``verify`` harness:
   labels explicitly and take chi of its orbit space;
 * ``chi_gamma_noniter`` -- sum fixed-set orbit-space chi over conjugation
   classes of homomorphism tuples;
-* ``chi_string_orb`` -- the classical one-generator case, summing over
-  conjugacy classes of the group;
 * ``chi_order_ell`` -- the recursive order-ell characteristic over
-  iterated centralizer actions on fixed sets.
+  iterated centralizer actions on fixed sets; order 1 is the classical
+  one-generator sum over conjugacy classes of the group.
 """
 
 from __future__ import annotations
@@ -237,38 +236,40 @@ def fixed_subcomplex(x: RigidGComplex, t: HomTuple) -> RigidGComplex:
     return RigidGComplex(cgroup, space, action, check="closure")
 
 
-def chi_string_orb(x: RigidGComplex) -> int:
-    """Sum over conjugacy classes of chi of the centralizer quotient of the
-    class representative's fixed set."""
-    from .cells import chi
-
-    total = 0
-    for cls in groups.conjugacy_classes(x.group):
-        total += chi(orbit_space(fixed_subcomplex(x, (cls.rep,))))
-    return total
-
-
 def chi_order_ell(
     x: RigidGComplex, ell: int, cap: int = DEFAULT_RECURSION_CAP
 ) -> int:
     """Order-ell characteristic, recursing over conjugacy classes.
 
-    Order 0 is chi of the orbit space; order 1 equals ``chi_string_orb``.
-    The recursion cap (default 4) bounds the cost, which grows as products
-    of class counts.
+    Order 0 is chi of the orbit space; order 1 is the classical
+    one-generator sum, over conjugacy classes, of chi of the centralizer
+    quotient of the class representative's fixed set.  The recursion cap
+    (default 4) bounds the cost, which grows as products of class counts.
     """
+    return _order_ell_walk(x, ell, cap)[0]
+
+
+def _order_ell_walk(x: RigidGComplex, ell: int, cap: int) -> tuple[int, list[int]]:
+    """``chi_order_ell`` and the number of branches, one fixed subcomplex
+    each, at every depth 1..ell of its recursion."""
     from .cells import chi
 
     if ell < 0:
         raise ValidationError("ell must be >= 0")
     if ell > cap:
         raise RecursionCapExceeded(ell, cap)
-    if ell == 0:
-        return chi(orbit_space(x))
-    total = 0
-    for cls in groups.conjugacy_classes(x.group):
-        total += chi_order_ell(fixed_subcomplex(x, (cls.rep,)), ell - 1, cap)
-    return total
+    branches = [0] * ell
+
+    def walk(y: RigidGComplex, depth: int) -> int:
+        if depth == ell:
+            return chi(orbit_space(y))
+        total = 0
+        for cls in groups.conjugacy_classes(y.group):
+            branches[depth] += 1
+            total += walk(fixed_subcomplex(y, (cls.rep,)), depth + 1)
+        return total
+
+    return walk(x, 0), branches
 
 
 class InertiaComplex(RigidGComplex):
@@ -331,8 +332,8 @@ def chi_gamma_noniter(p: Presentation, x: RigidGComplex) -> int:
     """Sum over conjugation classes of homomorphism tuples of chi of the
     centralizer quotient of the tuple's fixed set.
 
-    Specializes to ``chi_string_orb`` for the one-generator free case and
-    to ``chi_order_ell(x, ell)`` for the free abelian case of rank ell.
+    Specializes to ``chi_order_ell(x, ell)`` for the free abelian case of
+    rank ell, the one-generator free case being ell = 1.
     """
     from .cells import chi
 

@@ -21,6 +21,16 @@ def run_cli(*argv, env_extra=None, cwd=None):
     )
 
 
+def test_cli_import_leaves_numpy_out():
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, eulerchi.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
 def test_chi_bundled_interval():
     r = run_cli("chi", str(DATA / "closed_interval.json"))
     assert r.returncode == 0
@@ -87,7 +97,12 @@ def test_translation_single_method():
 
 def test_order_ell():
     r = run_cli("--report", "json", "order-ell", str(DATA / "s3_point.json"), "--ell", "2")
-    assert json.loads(r.stdout)["result"] == 8
+    report = json.loads(r.stdout)
+    assert report["result"] == 8
+    assert report["breakdown"]["recursion"] == [
+        {"depth": 1, "branches": 3},
+        {"depth": 2, "branches": 8},
+    ]
     r = run_cli("--report", "json", "order-ell", str(DATA / "q8_point.json"), "--ell", "1")
     assert json.loads(r.stdout)["result"] == 5
     r = run_cli("--report", "json", "order-ell", str(DATA / "s3_point.json"), "--ell", "0")

@@ -1,10 +1,11 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from eulerchi import groups
+from eulerchi import groups, harness
 from eulerchi.errors import ValidationError
 from eulerchi.groups import (
     FiniteGroup,
@@ -89,17 +90,38 @@ def test_identity_not_first():
         validate_group([[1, 0], [0, 1]])
 
 
+# rows/columns are latin but the magma is not associative
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def assert_witness_fails(table, message):
+    a, b, c = (int(v) for v in re.search(r"triple \((\d+),(\d+),(\d+)\)", message).groups())
+    assert table[table[a][b]][c] != table[a][table[b][c]]
+
+
 def test_associativity_witness():
-    # rows/columns are latin but the magma is not associative
+    with pytest.raises(ValidationError, match="associativity failure at triple") as err:
+        validate_group(LOOP5)
+    assert_witness_fails(LOOP5, str(err.value))
+
+
+def test_associativity_checked_above_order_256():
+    # LOOP5 times C60, indexed as in direct_product: order 300
+    c60 = cyclic_group(60)
     table = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
+        [LOOP5[a1][a2] * 60 + c60.mul(b1, b2) for a2 in range(5) for b2 in range(60)]
+        for a1 in range(5)
+        for b1 in range(60)
     ]
-    with pytest.raises(ValidationError, match="associativity failure at triple"):
+    with pytest.raises(ValidationError, match="associativity failure at triple") as err:
         validate_group(table)
+    assert_witness_fails(table, str(err.value))
 
 
 def test_s3_from_permutation_composition():
@@ -116,6 +138,52 @@ def test_s3_from_permutation_composition():
 def test_empty_table_rejected():
     with pytest.raises(ValidationError, match="order must be >= 1"):
         validate_group([])
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([[0, 1], [1, 2]], r"entry at \(1,1\) out of range"),
+        ([[0, 1], [1, "1"]], r"entry at \(1,1\) out of range"),
+        ([[0, 1], [1, True]], r"entry at \(1,1\) out of range"),
+        ([[0, 1], 1], "row 1 is not a list"),
+        ([[0, 1], [1]], "row 1 has length 1"),
+        ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "column 0 is not the identity"),
+        ([[0, 1, 2], [1, 2, 0], [2, 2, 1]], "row 2 is not a permutation"),
+        ([[0, 1, 2], [1, 0, 0], [2, 2, 1]], "row 1 is not a permutation"),
+        ([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 1, 0]], "column 2 is not a permutation"),
+    ],
+)
+def test_malformed_tables_rejected(table, message):
+    with pytest.raises(ValidationError, match=message):
+        validate_group(table)
+
+
+STANDARD_GROUPS = (
+    [trivial_group(), quaternion_group()]
+    + [cyclic_group(n) for n in (1, 2, 5, 12)]
+    + [symmetric_group(n) for n in range(0, 6)]
+    + [dihedral_group(n) for n in range(1, 7)]
+    + [direct_product(symmetric_group(3), dihedral_group(4))]
+    + [build() for build in harness._GROUP_BUILDERS.values()]
+)
+
+
+@pytest.mark.parametrize("g", STANDARD_GROUPS, ids=repr)
+def test_trusted_constructions_are_valid_groups(g):
+    assert validate_group(g.table) == g
+    for a in g.elements():
+        sub, _ = subgroup_group(g, centralizer(g, (a,)))
+        assert validate_group(sub.table) == sub
+
+
+def test_argument_checks_without_table_validation():
+    with pytest.raises(ValidationError, match="cyclic order"):
+        cyclic_group(0)
+    with pytest.raises(ValidationError, match="non-empty"):
+        subgroup_group(S3, [])
+    with pytest.raises(ValidationError, match="non-empty set of elements in 0..1"):
+        subgroup_group(cyclic_group(2), [-1, 0, 1])
 
 
 # --- presentations ----------------------------------------------------------

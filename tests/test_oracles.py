@@ -26,7 +26,6 @@ from eulerchi.translation import (
     chi_gamma_noniter,
     chi_gamma_strata,
     chi_order_ell,
-    chi_string_orb,
     lambda_chi,
     orbit_groupoid,
     orbit_space,
@@ -130,7 +129,7 @@ def test_square_boundary_one_generator_value_by_hand():
     the edge reflections fix two opposite midpoints, again one orbit (1).
     Total 3."""
     x = subdivided_square_boundary()
-    assert chi_string_orb(x) == 3
+    assert chi_order_ell(x, 1) == 3
     assert lambda_chi(Z, x) == 3
     assert chi_gamma_strata(Z, x) == 3
     assert chi_gamma_noniter(Z, x) == 3

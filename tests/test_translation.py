@@ -15,7 +15,6 @@ from eulerchi.translation import (
     chi_gamma_noniter,
     chi_gamma_strata,
     chi_order_ell,
-    chi_string_orb,
     coset_complex,
     fixed_subcomplex,
     inertia_complex,
@@ -140,23 +139,23 @@ def test_fixed_swap_endpoints_empty():
 
 def test_string_orb_trivial_group():
     x = point_complex(cyclic_group(1))
-    assert chi_string_orb(x) == 1
+    assert chi_order_ell(x, 1) == 1
     y = free_circle()
     # trivial-group route: chi of the space itself
     trivial_y = RigidGComplex(
         cyclic_group(1), y.space, {0: {c: c for c in y.space.ids()}}
     )
-    assert chi_string_orb(trivial_y) == chi(y.space)
+    assert chi_order_ell(trivial_y, 1) == chi(y.space)
 
 
 def test_string_orb_point():
-    assert chi_string_orb(point_complex(S3)) == 3
-    assert chi_string_orb(point_complex(quaternion_group())) == 5
+    assert chi_order_ell(point_complex(S3), 1) == 3
+    assert chi_order_ell(point_complex(quaternion_group()), 1) == 5
 
 
 def test_string_orb_is_order_one():
     for x in (point_complex(S3), free_circle(), coset_complex(S3, [0, 1], dim=2)):
-        assert chi_string_orb(x) == chi_order_ell(x, 1) == lambda_chi(Z, x)
+        assert chi_order_ell(x, 1) == lambda_chi(Z, x)
 
 
 # --- order-ell recursion -----------------------------------------------------------
@@ -218,7 +217,7 @@ def test_strata_route_examples():
 
 def test_noniter_reduces_to_string_orb():
     for x in (point_complex(S3), free_circle(), swap_points()):
-        assert chi_gamma_noniter(Z, x) == chi_string_orb(x)
+        assert chi_gamma_noniter(Z, x) == chi_order_ell(x, 1)
 
 
 @pytest.mark.parametrize(
