@@ -88,6 +88,7 @@ from .translation import (
     chi_gamma_strata,
     chi_order_ell,
     coset_complex,
+    fixed_orbit_chi,
     fixed_subcomplex,
     inertia_complex,
     iterate_inertia,

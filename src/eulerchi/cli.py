@@ -188,6 +188,14 @@ def cmd_extension(args) -> int:
 def cmd_verify(args) -> int:
     report = Report("verify")
     fault = os.environ.get("EULERCHI_INJECT_FAULT") or None
+    if args.cases < 1:
+        raise ValidationError(f"--cases must be >= 1, got {args.cases}")
+    if args.max_group < 1:
+        raise ValidationError(f"--max-group must be >= 1, got {args.max_group}")
+    if fault is not None and fault not in harness.FAULTS:
+        raise ValidationError(
+            f"EULERCHI_INJECT_FAULT: unknown fault {fault!r}; known: {', '.join(harness.FAULTS)}"
+        )
     result = harness.run_suite(
         seed=args.seed,
         cases=args.cases,

@@ -473,13 +473,16 @@ def subgroup_group(g: FiniteGroup, elements: Sequence[int]) -> tuple[FiniteGroup
 
     Returns the group together with the sorted element list; position i of
     the list is element i of the new group (identity lands at 0 because 0
-    is the minimal element of any subgroup).
+    is the minimal element of any subgroup).  The whole group reindexes to
+    itself, so ``g`` is returned as it is.
     """
     elems = sorted(set(elements))
     if not elems or elems[0] < 0 or elems[-1] >= g.order:
         raise ValidationError(
             f"subgroup_group: expected a non-empty set of elements in 0..{g.order - 1}"
         )
+    if len(elems) == g.order:
+        return g, elems
     pos = {e: i for i, e in enumerate(elems)}
     try:
         table = tuple(tuple(pos[g.mul(a, b)] for b in elems) for a in elems)

@@ -227,13 +227,19 @@ def load_complex(obj: Any, base: Path | None = None) -> translation.RigidGComple
     if not isinstance(raw_action, dict):
         raise ValidationError("action: expected an object keyed by element index")
     action: dict[int, dict[str, str]] = {}
+    key_of: dict[int, str] = {}
     for key, mapping in raw_action.items():
         try:
             g = int(key)
         except (TypeError, ValueError):
             raise ValidationError(f"action key {key!r} is not an element index") from None
+        if g in key_of:
+            raise ValidationError(
+                f"action keys {key_of[g]!r} and {key!r} both name element {g}"
+            )
         if not isinstance(mapping, dict):
             raise ValidationError(f"action[{key!r}]: expected an object")
+        key_of[g] = key
         action[g] = mapping
     return translation.RigidGComplex(group, space, action, check="full")
 

@@ -21,6 +21,13 @@ test suite and the ``verify`` harness:
 * ``chi_order_ell`` -- the recursive order-ell characteristic over
   iterated centralizer actions on fixed sets; order 1 is the classical
   one-generator sum over conjugacy classes of the group.
+
+The terms of the last two routes, chi of a fixed set modulo its
+centralizer, are counted in place by ``fixed_orbit_chi``: the centralizer's
+orbits on the fixed cells are walked in the parent complex's own indices.
+``fixed_subcomplex`` builds the fixed set as a complex over the reindexed
+centralizer only where a group of its own is needed, at the inner levels of
+the order-ell recursion.
 """
 
 from __future__ import annotations
@@ -219,14 +226,19 @@ def product_complex(x: RigidGComplex, y: RigidGComplex) -> RigidGComplex:
     return RigidGComplex(group, space, action, check="closure")
 
 
+def _fixed_ids(x: RigidGComplex, t: HomTuple, where: str) -> list[str]:
+    """Ids of the cells fixed by every image of the tuple, in cell order."""
+    for e in t:
+        if not 0 <= e < x.group.order:
+            raise ValidationError(f"{where}: element {e} out of range")
+    stabs = x.stabilizer_sets()
+    return [cid for cid in x.space.ids() if all(e in stabs[cid] for e in t)]
+
+
 def fixed_subcomplex(x: RigidGComplex, t: HomTuple) -> RigidGComplex:
     """Cells fixed by every image of the tuple, as a complex over the
     centralizer of the tuple (reindexed into its own group)."""
-    for e in t:
-        if not 0 <= e < x.group.order:
-            raise ValidationError(f"fixed_subcomplex: element {e} out of range")
-    stabs = x.stabilizer_sets()
-    fixed = [cid for cid in x.space.ids() if all(e in stabs[cid] for e in t)]
+    fixed = _fixed_ids(x, t, "fixed_subcomplex")
     cent = groups.centralizer(x.group, t)
     cgroup, elems = groups.subgroup_group(x.group, cent)
     space = CellSpace(tuple(c for c in x.space.cells if c.id in set(fixed)))
@@ -234,6 +246,28 @@ def fixed_subcomplex(x: RigidGComplex, t: HomTuple) -> RigidGComplex:
         i: {cid: x.action[e][cid] for cid in fixed} for i, e in enumerate(elems)
     }
     return RigidGComplex(cgroup, space, action, check="closure")
+
+
+def fixed_orbit_chi(x: RigidGComplex, t: HomTuple) -> int:
+    """chi of the quotient of the tuple's fixed set by its centralizer.
+
+    Equal to ``chi(orbit_space(fixed_subcomplex(x, t)))``, but the orbits
+    are counted in x's own indices: the centralizer maps the fixed set to
+    itself, so each orbit is the set of images of one fixed cell under the
+    centralizer's elements, and it adds (-1)^dim.  No group, cell space or
+    complex is built.
+    """
+    fixed = _fixed_ids(x, t, "fixed_orbit_chi")
+    if not fixed:
+        return 0
+    maps = [x.action[e] for e in groups.centralizer(x.group, t)]
+    seen: set[str] = set()
+    total = 0
+    for cid in fixed:
+        if cid not in seen:
+            seen.update(m[cid] for m in maps)
+            total += -1 if x.space.dim_of(cid) % 2 else 1
+    return total
 
 
 def chi_order_ell(
@@ -250,23 +284,34 @@ def chi_order_ell(
 
 
 def _order_ell_walk(x: RigidGComplex, ell: int, cap: int) -> tuple[int, list[int]]:
-    """``chi_order_ell`` and the number of branches, one fixed subcomplex
-    each, at every depth 1..ell of its recursion."""
+    """``chi_order_ell`` and the number of branches, one per conjugacy
+    class, at every depth 1..ell of its recursion.
+
+    A branch at an inner depth builds the class representative's fixed
+    subcomplex, because the next depth needs the centralizer as a group of
+    its own to take its conjugacy classes.  A branch at the last depth only
+    counts the centralizer's orbits on the fixed cells in place
+    (``fixed_orbit_chi``), so ``sum(branches[:ell - 1])`` fixed
+    subcomplexes are built in all.
+    """
     from .cells import chi
 
     if ell < 0:
         raise ValidationError("ell must be >= 0")
     if ell > cap:
         raise RecursionCapExceeded(ell, cap)
+    if ell == 0:
+        return chi(orbit_space(x)), []
     branches = [0] * ell
 
     def walk(y: RigidGComplex, depth: int) -> int:
-        if depth == ell:
-            return chi(orbit_space(y))
         total = 0
         for cls in groups.conjugacy_classes(y.group):
             branches[depth] += 1
-            total += walk(fixed_subcomplex(y, (cls.rep,)), depth + 1)
+            if depth + 1 == ell:
+                total += fixed_orbit_chi(y, (cls.rep,))
+            else:
+                total += walk(fixed_subcomplex(y, (cls.rep,)), depth + 1)
         return total
 
     return walk(x, 0), branches
@@ -333,16 +378,13 @@ def chi_gamma_noniter(p: Presentation, x: RigidGComplex) -> int:
     centralizer quotient of the tuple's fixed set.
 
     Specializes to ``chi_order_ell(x, ell)`` for the free abelian case of
-    rank ell, the one-generator free case being ell = 1.
+    rank ell, the one-generator free case being ell = 1.  Each term counts
+    the centralizer's orbits on the fixed cells in place
+    (``fixed_orbit_chi``); no fixed subcomplex is built.
     """
-    from .cells import chi
-
     homs = groups.hom_enumerate(p, x.group)
     orbits = groups.conj_orbit_count(homs, x.group)
-    total = 0
-    for t in orbits.reps:
-        total += chi(orbit_space(fixed_subcomplex(x, t)))
-    return total
+    return sum(fixed_orbit_chi(x, t) for t in orbits.reps)
 
 
 def anchor_map(p: Presentation, x: RigidGComplex) -> CellMap:

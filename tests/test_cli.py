@@ -5,6 +5,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 DATA = Path(str(resources.files("eulerchi") / "data"))
 
 
@@ -192,6 +194,24 @@ def test_verify_fault_injection_exits_3(tmp_path):
     assert dump.exists()
     payload = json.loads(dump.read_text())
     assert "instance" in payload and "check" in payload
+
+
+@pytest.mark.parametrize(
+    "argv,env,message",
+    [
+        (("--cases", "-5"), None, "--cases must be >= 1"),
+        (("--cases", "0"), None, "--cases must be >= 1"),
+        (("--max-group", "0"), None, "--max-group must be >= 1"),
+        ((), {"EULERCHI_INJECT_FAULT": "gremlins"}, "unknown fault 'gremlins'"),
+    ],
+)
+def test_verify_refuses_bad_arguments(argv, env, message):
+    r = run_cli("verify", "--cases", "1", *argv, env_extra=env)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("eulerchi: invalid input: ")
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_report_out_file(tmp_path):

@@ -419,6 +419,12 @@ def test_subgroup_group_reindexes():
     assert sub.order == 3 and elems[0] == 0
 
 
+@pytest.mark.parametrize("g", SMALL_GROUPS)
+def test_subgroup_group_of_whole_group_is_the_group(g):
+    sub, elems = subgroup_group(g, list(reversed(g.elements())) + [0])
+    assert sub is g and elems == list(g.elements())
+
+
 # --- class equation for commuting pairs -------------------------------------
 
 @pytest.mark.parametrize("g", SMALL_GROUPS)

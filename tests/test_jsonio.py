@@ -135,6 +135,18 @@ def test_complex_action_diagnostics():
         jsonio.load_complex({**base, "action": {"1": {"a": "a"}, "7": {"a": "a"}}})
 
 
+def test_complex_action_keys_naming_one_element_refused():
+    obj = {
+        "group": {"order": 2, "table": [[0, 1], [1, 0]]},
+        "cells": [{"id": "a", "dim": 0}, {"id": "b", "dim": 0}],
+        "action": {"1": {"a": "b", "b": "a"}, "01": {"a": "a", "b": "b"}},
+    }
+    with pytest.raises(ValidationError, match="keys '1' and '01' both name element 1"):
+        jsonio.load_complex(obj)
+    del obj["action"]["01"]
+    assert jsonio.load_complex(obj).act(1, "a") == "b"
+
+
 def test_product_dump_not_reloadable():
     from eulerchi.cells import CellSpace, product
 

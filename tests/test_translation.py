@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerchi import groups
+from eulerchi import groups, translation
 from eulerchi.catalog import FiniteIsotropy
 from eulerchi.cells import CellSpace, ConstructibleFunction, chi, fiber_chi, integrate, pushforward
 from eulerchi.errors import RecursionCapExceeded, ValidationError
@@ -16,6 +16,7 @@ from eulerchi.translation import (
     chi_gamma_strata,
     chi_order_ell,
     coset_complex,
+    fixed_orbit_chi,
     fixed_subcomplex,
     inertia_complex,
     iterate_inertia,
@@ -133,6 +134,65 @@ def test_fixed_nonidentity_free_action_empty():
 def test_fixed_swap_endpoints_empty():
     x = swap_points()
     assert len(fixed_subcomplex(x, (1,)).space) == 0
+
+
+def _generated_complexes(n: int = 30):
+    from eulerchi.harness import build_complex, random_case
+
+    return [build_complex(random_case(random.Random(seed), 12, 20)) for seed in range(n)]
+
+
+def test_fixed_orbit_chi_matches_fixed_subcomplex():
+    empty = 0
+    for x in [free_circle(), swap_points(), point_complex(S3)] + _generated_complexes():
+        elems = x.group.elements()
+        tuples = [()] + [(a,) for a in elems] + [(a, b) for a in elems for b in elems]
+        for t in tuples:
+            fixed = fixed_subcomplex(x, t)
+            empty += len(fixed.space) == 0
+            assert fixed_orbit_chi(x, t) == chi(orbit_space(fixed)), t
+    assert empty > 0
+
+
+def test_fixed_orbit_chi_element_out_of_range():
+    x = free_circle()
+    for t in [(2,), (0, -1)]:
+        with pytest.raises(ValidationError, match="out of range"):
+            fixed_subcomplex(x, t)
+        with pytest.raises(ValidationError, match="out of range"):
+            fixed_orbit_chi(x, t)
+
+
+def _count_builds(monkeypatch) -> dict[str, int]:
+    counts = {"fixed_subcomplex": 0, "subgroup_group": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(translation, "fixed_subcomplex")
+    counting(groups, "subgroup_group")
+    return counts
+
+
+def test_noniter_and_order_ell_leaves_build_no_fixed_subcomplex(monkeypatch):
+    xs = [point_complex(S3), free_circle(), swap_points()] + _generated_complexes(5)
+    counts = _count_builds(monkeypatch)
+    for x in xs:
+        chi_gamma_noniter(Presentation.free_abelian(2), x)
+    assert counts == {"fixed_subcomplex": 0, "subgroup_group": 0}
+    for x in xs:
+        for ell in range(4):
+            counts["fixed_subcomplex"] = 0
+            _, branches = translation._order_ell_walk(x, ell, 4)
+            assert counts["fixed_subcomplex"] == sum(branches[:ell - 1])
+    value, branches = translation._order_ell_walk(point_complex(S3), 2, 4)
+    assert (value, branches) == (8, [3, 8])
 
 
 # --- the classical one-generator sum ----------------------------------------------
