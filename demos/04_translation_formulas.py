@@ -9,7 +9,6 @@ centralizers.
 from eulerchi import (
     CellSpace,
     Presentation,
-    RigidGComplex,
     Z,
     anchor_map,
     chi_gamma_noniter,
@@ -23,6 +22,7 @@ from eulerchi import (
     point_complex,
     subgroup_closure,
     symmetric_group,
+    validate_complex,
 )
 from eulerchi.cells import ConstructibleFunction, chi, integrate, pushforward
 
@@ -50,7 +50,7 @@ print("  order-ell tower:", [chi_order_ell(pt, ell) for ell in range(4)])
 # An order-two rotation of a circle: free action, quotient again a circle.
 circle = CellSpace.from_dims({"v0": 0, "v1": 0, "e0": 1, "e1": 1})
 rotate = {"v0": "v1", "v1": "v0", "e0": "e1", "e1": "e0"}
-free = RigidGComplex(cyclic_group(2), circle, {1: rotate})
+free = validate_complex(cyclic_group(2), circle, {1: rotate})
 print("\nfree rotation of a circle:")
 print("  orbit space chi:", chi(orbit_space(free)))
 print("  one free generator:", lambda_chi(Z, free))

@@ -99,6 +99,7 @@ from .translation import (
     product_complex,
     restrict_complex,
     stabilizer,
+    validate_complex,
 )
 
 __version__ = "0.1.0"

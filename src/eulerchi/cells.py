@@ -60,7 +60,7 @@ class CellSpace:
             if c.id in seen:
                 raise ValidationError(f"cells[{i}].id: duplicate id {c.id!r} (first at index {seen[c.id]})")
             seen[c.id] = i
-        object.__setattr__(self, "_dims", {c.id: c.dim for c in cells})
+        object.__setattr__(self, "_index", seen)
 
     @classmethod
     def from_dims(cls, dims: Mapping[str, int]) -> "CellSpace":
@@ -69,14 +69,17 @@ class CellSpace:
     def ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.cells)
 
-    def dim_of(self, cell_id: str) -> int:
+    def index(self, cell_id: str) -> int:
         try:
-            return self._dims[cell_id]  # type: ignore[attr-defined]
+            return self._index[cell_id]  # type: ignore[attr-defined]
         except KeyError:
             raise ValidationError(f"unknown cell id {cell_id!r}") from None
 
+    def dim_of(self, cell_id: str) -> int:
+        return self.cells[self.index(cell_id)].dim
+
     def has_cell(self, cell_id: str) -> bool:
-        return cell_id in self._dims  # type: ignore[attr-defined]
+        return cell_id in self._index  # type: ignore[attr-defined]
 
     def __len__(self) -> int:
         return len(self.cells)

@@ -192,6 +192,8 @@ def cmd_verify(args) -> int:
         raise ValidationError(f"--cases must be >= 1, got {args.cases}")
     if args.max_group < 1:
         raise ValidationError(f"--max-group must be >= 1, got {args.max_group}")
+    if args.max_cells < 1:
+        raise ValidationError(f"--max-cells must be >= 1, got {args.max_cells}")
     if fault is not None and fault not in harness.FAULTS:
         raise ValidationError(
             f"EULERCHI_INJECT_FAULT: unknown fault {fault!r}; known: {', '.join(harness.FAULTS)}"

@@ -98,16 +98,14 @@ def build_complex(spec: CaseSpec) -> tr.RigidGComplex:
     """
     g = group_by_key(spec.group_key)
     all_cells: list[cells.Cell] = []
-    action: dict[int, dict[str, str]] = {e: {} for e in g.elements()}
+    perms: list[tuple[int, ...]] = [() for _ in g.elements()]
     for k, (sub, dim) in enumerate(spec.strata):
         ca = groups.coset_action(g, sub)
-        ids = [f"s{k}c{i}" for i in range(len(ca.reps))]
-        all_cells.extend(cells.Cell(cid, dim) for cid in ids)
-        for e in g.elements():
-            perm = ca.perms[e]
-            for i, cid in enumerate(ids):
-                action[e][cid] = ids[perm[i]]
-    return tr.RigidGComplex(g, CellSpace(tuple(all_cells)), action, check="closure")
+        offset = len(all_cells)
+        all_cells.extend(cells.Cell(f"s{k}c{i}", dim) for i in range(len(ca.reps)))
+        for e, perm in enumerate(ca.perms):
+            perms[e] += tuple(offset + j for j in perm)
+    return tr.RigidGComplex(g, CellSpace(tuple(all_cells)), tuple(perms))
 
 
 def random_subgroup(rng: random.Random, g: FiniteGroup) -> list[int]:

@@ -241,14 +241,15 @@ def load_complex(obj: Any, base: Path | None = None) -> translation.RigidGComple
             raise ValidationError(f"action[{key!r}]: expected an object")
         key_of[g] = key
         action[g] = mapping
-    return translation.RigidGComplex(group, space, action, check="full")
+    return translation.validate_complex(group, space, action)
 
 
 def dump_complex(x: translation.RigidGComplex) -> dict:
+    ids = x.space.ids()
     return {
         "group": dump_group(x.group),
         "cells": [{"id": c.id, "dim": c.dim} for c in x.space.cells],
-        "action": {str(g): dict(x.action[g]) for g in x.group.elements()},
+        "action": {str(g): dict(zip(ids, (ids[j] for j in p))) for g, p in enumerate(x.perms)},
     }
 
 

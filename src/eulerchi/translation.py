@@ -9,6 +9,12 @@ the fixed-point formulas below correct.  Complexes that are not rigid
 (e.g. a reflection stabilizing an edge while flipping it) must be
 subdivided before being encoded.
 
+The core works on integers: each element acts by a permutation tuple of
+the cell indices 0..n-1, and each stabilizer is a bitmask over the
+elements.  ``validate_complex`` checks a string-keyed action where it
+enters (``jsonio.load_complex``); complexes derived here are trusted.  Cell
+ids remain in the cell space, in returned values and in generated ids.
+
 Four routes to the same integers live here and are cross-validated by the
 test suite and the ``verify`` harness:
 
@@ -49,91 +55,100 @@ _SEP = "⊗"
 
 
 class RigidGComplex:
-    """A finite group acting cellwise on a cell space.
+    """A finite group acting cellwise on a cell space: element g sends the
+    cell at index i of ``space.cells`` to the one at ``perms[g][i]``.  The
+    arguments are trusted; a string-keyed action from outside goes through
+    ``validate_complex``."""
 
-    ``action[g]`` maps cell ids to cell ids; the identity entry may be
-    omitted and defaults to the identity map.  Construction checks that
-    each element acts by a dimension-preserving bijection and, for
-    ``check="full"``, that the assignment is a homomorphism on every pair
-    of elements.  Internally derived complexes (inertia complexes, fixed
-    subcomplexes) are homomorphisms by construction and use
-    ``check="closure"`` to skip the quadratic pair sweep.
-    """
+    __slots__ = ("group", "space", "perms", "_stab")
 
-    __slots__ = ("group", "space", "action", "_stab")
-
-    def __init__(
-        self,
-        group: FiniteGroup,
-        space: CellSpace,
-        action: Mapping[int, Mapping[str, str]],
-        check: str = "full",
-    ):
-        if check not in ("full", "closure"):
-            raise ValidationError(f"unknown check mode {check!r}")
+    def __init__(self, group: FiniteGroup, space: CellSpace, perms: Sequence[Sequence[int]]):
         self.group = group
         self.space = space
-        ids = space.ids()
-        idset = set(ids)
-        identity = {cid: cid for cid in ids}
-        act: dict[int, dict[str, str]] = {}
-        for g in group.elements():
-            if g in action:
-                m = dict(action[g])
-            elif g == 0:
-                m = dict(identity)
-            else:
-                raise ValidationError(f"action: missing entry for element {g}")
-            if set(m) != idset:
-                bad = sorted(set(m) ^ idset)
-                raise ValidationError(f"action[{g}]: cell set mismatch at {bad}")
-            if set(m.values()) != idset:
-                raise ValidationError(f"action[{g}] is not a bijection of cells")
-            for cid, img in m.items():
-                if space.dim_of(cid) != space.dim_of(img):
-                    raise ValidationError(
-                        f"action[{g}] maps {cid!r} (dim {space.dim_of(cid)}) "
-                        f"to {img!r} (dim {space.dim_of(img)})"
-                    )
-            act[g] = m
-        extra = set(action) - set(group.elements())
-        if extra:
-            raise ValidationError(f"action: entries for non-elements {sorted(extra)}")
-        if act[0] != identity:
-            bad = next(c for c in ids if act[0][c] != c)
-            raise ValidationError(f"action[0] must be the identity map (moves {bad!r})")
-        if check == "full":
-            for g in group.elements():
-                for h in group.elements():
-                    gh = group.mul(g, h)
-                    mg, mh, mgh = act[g], act[h], act[gh]
-                    for cid in ids:
-                        if mg[mh[cid]] != mgh[cid]:
-                            raise ValidationError(
-                                f"action is not a homomorphism: "
-                                f"({g}*{h}) and composition disagree at cell {cid!r}"
-                            )
-        self.action = act
-        self._stab: dict[str, frozenset[int]] | None = None
+        self.perms = perms
+        self._stab: list[int] | None = None
 
     def act(self, g: int, cell_id: str) -> str:
-        return self.action[g][cell_id]
+        if not 0 <= g < self.group.order:
+            raise ValidationError(f"act: element {g} out of range")
+        return self.space.cells[self.perms[g][self.space.index(cell_id)]].id
 
-    def stabilizer_sets(self) -> dict[str, frozenset[int]]:
+    def stabilizer_masks(self) -> list[int]:
+        """Per cell index, the stabilizer as a bitmask over the elements."""
         if self._stab is None:
-            self._stab = {
-                cid: frozenset(g for g in self.group.elements() if self.action[g][cid] == cid)
-                for cid in self.space.ids()
-            }
+            self._stab = [
+                sum(1 << g for g, perm in enumerate(self.perms) if perm[i] == i)
+                for i in range(len(self.space))
+            ]
         return self._stab
+
+
+def validate_complex(
+    group: FiniteGroup, space: CellSpace, action: Mapping[int, Mapping[str, str]]
+) -> RigidGComplex:
+    """Check a string-keyed action and return it as a ``RigidGComplex``.
+
+    ``action[g]`` maps cell ids to cell ids; the identity entry may be
+    omitted and defaults to the identity map.  Each element must act by a
+    dimension-preserving bijection of the cells, and the assignment must
+    be a homomorphism on every pair of elements.
+    """
+    ids = space.ids()
+    idset = set(ids)
+    perms = []
+    for g in group.elements():
+        if g in action:
+            m = dict(action[g])
+        elif g == 0:
+            m = {cid: cid for cid in ids}
+        else:
+            raise ValidationError(f"action: missing entry for element {g}")
+        if set(m) != idset:
+            bad = sorted(set(m) ^ idset)
+            raise ValidationError(f"action[{g}]: cell set mismatch at {bad}")
+        if set(m.values()) != idset:
+            raise ValidationError(f"action[{g}] is not a bijection of cells")
+        for cid, img in m.items():
+            if space.dim_of(cid) != space.dim_of(img):
+                raise ValidationError(
+                    f"action[{g}] maps {cid!r} (dim {space.dim_of(cid)}) "
+                    f"to {img!r} (dim {space.dim_of(img)})"
+                )
+        perms.append(tuple(space.index(m[cid]) for cid in ids))
+    extra = set(action) - set(group.elements())
+    if extra:
+        raise ValidationError(f"action: entries for non-elements {sorted(extra)}")
+    moved = [cid for i, cid in enumerate(ids) if perms[0][i] != i]
+    if moved:
+        raise ValidationError(f"action[0] must be the identity map (moves {moved[0]!r})")
+    for g in group.elements():
+        for h in group.elements():
+            pg, ph, pgh = perms[g], perms[h], perms[group.mul(g, h)]
+            for i, cid in enumerate(ids):
+                if pg[ph[i]] != pgh[i]:
+                    raise ValidationError(
+                        f"action is not a homomorphism: "
+                        f"({g}*{h}) and composition disagree at cell {cid!r}"
+                    )
+    return RigidGComplex(group, space, tuple(perms))
+
+
+def _restrict(
+    x: RigidGComplex, keep: Sequence[int], group: FiniteGroup, elems: Sequence[int]
+) -> RigidGComplex:
+    """The cells at indices ``keep`` (in cell order, invariant under
+    ``elems``) as a complex over ``group``, whose element i acts as
+    ``elems[i]`` does in x."""
+    pos = {i: k for k, i in enumerate(keep)}
+    space = CellSpace(tuple(x.space.cells[i] for i in keep))
+    perms = tuple(tuple(pos[x.perms[e][i]] for i in keep) for e in elems)
+    return RigidGComplex(group, space, perms)
 
 
 def point_complex(group: FiniteGroup, cell_id: str = "pt") -> RigidGComplex:
     """The group acting (necessarily trivially) on a single point."""
     space = CellSpace((Cell(cell_id, 0),))
-    return RigidGComplex(
-        group, space, {g: {cell_id: cell_id} for g in group.elements()}, check="closure"
-    )
+    return RigidGComplex(group, space, ((0,),) * group.order)
 
 
 def coset_complex(
@@ -142,30 +157,25 @@ def coset_complex(
     """The left translation action on cosets of a subgroup, one cell per
     coset, all of the given dimension."""
     ca = groups.coset_action(group, subgroup)
-    ids = [f"{prefix}{i}" for i in range(len(ca.reps))]
-    space = CellSpace(tuple(Cell(cid, dim) for cid in ids))
-    action = {
-        g: {ids[i]: ids[ca.perms[g][i]] for i in range(len(ids))}
-        for g in group.elements()
-    }
-    return RigidGComplex(group, space, action, check="closure")
+    space = CellSpace(tuple(Cell(f"{prefix}{i}", dim) for i in range(len(ca.reps))))
+    return RigidGComplex(group, space, ca.perms)
 
 
 def stabilizer(x: RigidGComplex, cell_id: str) -> list[int]:
     """Sorted list of elements mapping the cell to itself."""
-    if not x.space.has_cell(cell_id):
-        raise ValidationError(f"unknown cell id {cell_id!r}")
-    return sorted(x.stabilizer_sets()[cell_id])
+    mask = x.stabilizer_masks()[x.space.index(cell_id)]
+    return [g for g in x.group.elements() if mask >> g & 1]
 
 
 def cell_orbits(x: RigidGComplex) -> tuple[tuple[str, ...], dict[str, str]]:
     """Orbits of cells: (sorted minimal representatives, cell -> rep map)."""
+    ids = x.space.ids()
     rep_of: dict[str, str] = {}
     reps = []
-    for cid in x.space.ids():
+    for i, cid in enumerate(ids):
         if cid in rep_of:
             continue
-        orbit = {x.action[g][cid] for g in x.group.elements()}
+        orbit = {ids[p[i]] for p in x.perms}
         rep = min(orbit)
         reps.append(rep)
         for member in orbit:
@@ -181,13 +191,10 @@ def orbit_space(x: RigidGComplex) -> CellSpace:
 
 def orbit_groupoid(x: RigidGComplex) -> OrbitGroupoid:
     """Orbit space with each representative labeled by its stabilizer."""
-    reps, _ = cell_orbits(x)
-    space = CellSpace(tuple(Cell(r, x.space.dim_of(r)) for r in reps))
-    stabs = x.stabilizer_sets()
+    space = orbit_space(x)
     iso = {}
-    for r in reps:
-        sub, _ = groups.subgroup_group(x.group, sorted(stabs[r]))
-        iso[r] = FiniteIsotropy(sub)
+    for r in space.ids():
+        iso[r] = FiniteIsotropy(groups.subgroup_group(x.group, stabilizer(x, r))[0])
     return OrbitGroupoid(space, iso)
 
 
@@ -197,15 +204,11 @@ def restrict_complex(x: RigidGComplex, keep: Iterable[str]) -> RigidGComplex:
     unknown = keep - set(x.space.ids())
     if unknown:
         raise ValidationError(f"restrict_complex: unknown cell ids {sorted(unknown)}")
-    for g in x.group.elements():
-        moved = {x.action[g][cid] for cid in keep}
-        if moved != keep:
+    idx = [i for i, c in enumerate(x.space.cells) if c.id in keep]
+    for perm in x.perms:
+        if {perm[i] for i in idx} != set(idx):
             raise ValidationError("restrict_complex: cell set is not invariant")
-    space = CellSpace(tuple(c for c in x.space.cells if c.id in keep))
-    action = {
-        g: {cid: x.action[g][cid] for cid in keep} for g in x.group.elements()
-    }
-    return RigidGComplex(x.group, space, action, check="closure")
+    return _restrict(x, idx, x.group, x.group.elements())
 
 
 def product_complex(x: RigidGComplex, y: RigidGComplex) -> RigidGComplex:
@@ -214,38 +217,33 @@ def product_complex(x: RigidGComplex, y: RigidGComplex) -> RigidGComplex:
 
     group = groups.direct_product(x.group, y.group)
     space = space_product(x.space, y.space)
-    m = y.group.order
-    action = {}
-    for a in x.group.elements():
-        for b in y.group.elements():
-            action[a * m + b] = {
-                f"{cx}{_SEP}{cy}": f"{x.action[a][cx]}{_SEP}{y.action[b][cy]}"
-                for cx in x.space.ids()
-                for cy in y.space.ids()
-            }
-    return RigidGComplex(group, space, action, check="closure")
+    n = len(y.space)
+    # cell (i, j) of the product sits at index i * n + j, and element
+    # (a, b) at index a * |y.group| + b
+    perms = tuple(
+        tuple(pa[i] * n + pb[j] for i in range(len(x.space)) for j in range(n))
+        for pa in x.perms
+        for pb in y.perms
+    )
+    return RigidGComplex(group, space, perms)
 
 
-def _fixed_ids(x: RigidGComplex, t: HomTuple, where: str) -> list[str]:
-    """Ids of the cells fixed by every image of the tuple, in cell order."""
+def _fixed_ids(x: RigidGComplex, t: HomTuple, where: str) -> list[int]:
+    """Indices of the cells fixed by every image of the tuple, in cell order."""
+    need = 0
     for e in t:
         if not 0 <= e < x.group.order:
             raise ValidationError(f"{where}: element {e} out of range")
-    stabs = x.stabilizer_sets()
-    return [cid for cid in x.space.ids() if all(e in stabs[cid] for e in t)]
+        need |= 1 << e
+    return [i for i, mask in enumerate(x.stabilizer_masks()) if mask & need == need]
 
 
 def fixed_subcomplex(x: RigidGComplex, t: HomTuple) -> RigidGComplex:
     """Cells fixed by every image of the tuple, as a complex over the
     centralizer of the tuple (reindexed into its own group)."""
     fixed = _fixed_ids(x, t, "fixed_subcomplex")
-    cent = groups.centralizer(x.group, t)
-    cgroup, elems = groups.subgroup_group(x.group, cent)
-    space = CellSpace(tuple(c for c in x.space.cells if c.id in set(fixed)))
-    action = {
-        i: {cid: x.action[e][cid] for cid in fixed} for i, e in enumerate(elems)
-    }
-    return RigidGComplex(cgroup, space, action, check="closure")
+    cgroup, elems = groups.subgroup_group(x.group, groups.centralizer(x.group, t))
+    return _restrict(x, fixed, cgroup, elems)
 
 
 def fixed_orbit_chi(x: RigidGComplex, t: HomTuple) -> int:
@@ -260,13 +258,13 @@ def fixed_orbit_chi(x: RigidGComplex, t: HomTuple) -> int:
     fixed = _fixed_ids(x, t, "fixed_orbit_chi")
     if not fixed:
         return 0
-    maps = [x.action[e] for e in groups.centralizer(x.group, t)]
-    seen: set[str] = set()
+    perms = [x.perms[e] for e in groups.centralizer(x.group, t)]
+    seen: set[int] = set()
     total = 0
-    for cid in fixed:
-        if cid not in seen:
-            seen.update(m[cid] for m in maps)
-            total += -1 if x.space.dim_of(cid) % 2 else 1
+    for i in fixed:
+        if i not in seen:
+            seen.update(p[i] for p in perms)
+            total += -1 if x.space.cells[i].dim % 2 else 1
     return total
 
 
@@ -332,25 +330,22 @@ class InertiaComplex(RigidGComplex):
     def __init__(self, p: Presentation, x: RigidGComplex):
         homs = groups.hom_enumerate(p, x.group)
         index = {t: i for i, t in enumerate(homs)}
-        stabs = x.stabilizer_sets()
-        pairs: dict[str, tuple[HomTuple, str]] = {}
-        for c in x.space.cells:
-            stab = stabs[c.id]
-            for i, t in enumerate(homs):
-                if all(e in stab for e in t):
-                    pairs[f"{i}{_SEP}{c.id}"] = (t, c.id)
-        space = CellSpace(
-            tuple(Cell(pid, x.space.dim_of(cid)) for pid, (_, cid) in pairs.items())
-        )
-        action: dict[int, dict[str, str]] = {}
-        for g in x.group.elements():
-            m = {}
-            for pid, (t, cid) in pairs.items():
-                # conjugate tuples stay homomorphisms and stabilize the
-                # translated cell, so the lookups below cannot miss
-                m[pid] = f"{index[x.group.conj_tuple(g, t)]}{_SEP}{x.action[g][cid]}"
-            action[g] = m
-        super().__init__(x.group, space, action, check="closure")
+        needs = [sum(1 << e for e in set(t)) for t in homs]
+        masks = x.stabilizer_masks()
+        # (tuple index, cell index) of every pair, in cell order
+        keys = [(i, c) for c, m in enumerate(masks) for i, n in enumerate(needs) if m & n == n]
+        pos = {key: k for k, key in enumerate(keys)}
+        cells = x.space.cells
+        pairs = {f"{i}{_SEP}{cells[c].id}": (homs[i], cells[c].id) for i, c in keys}
+        space = CellSpace(tuple(Cell(pid, cells[c].dim) for pid, (_, c) in zip(pairs, keys)))
+        used = sorted({i for i, _ in keys})
+        perms = []
+        for g, perm in enumerate(x.perms):
+            conj = {i: index[x.group.conj_tuple(g, homs[i])] for i in used}
+            # conjugate tuples stay homomorphisms and stabilize the
+            # translated cell, so the lookups below cannot miss
+            perms.append(tuple(pos[conj[i], perm[c]] for i, c in keys))
+        super().__init__(x.group, space, tuple(perms))
         self.presentation = p
         self.base = x
         self.tuples = homs

@@ -203,6 +203,7 @@ def test_verify_fault_injection_exits_3(tmp_path):
         (("--cases", "0"), None, "--cases must be >= 1"),
         (("--max-group", "0"), None, "--max-group must be >= 1"),
         ((), {"EULERCHI_INJECT_FAULT": "gremlins"}, "unknown fault 'gremlins'"),
+        (("--max-cells", "-5"), None, "--max-cells must be >= 1"),
     ],
 )
 def test_verify_refuses_bad_arguments(argv, env, message):

@@ -164,9 +164,9 @@ def test_atlas_matches_whole_complex_decomposition():
     # saturated pieces of a disjoint union against the union itself
     cells = list(x.space.cells) + list(y.space.cells)
     action = {
-        g: {**x.action[g], **y.action[g]} for g in s3.elements()
+        g: {c: z.act(g, c) for z in (x, y) for c in z.space.ids()} for g in s3.elements()
     }
-    whole = tr.RigidGComplex(s3, CellSpace(tuple(cells)), action)
+    whole = tr.validate_complex(s3, CellSpace(tuple(cells)), action)
     p = Presentation.free_abelian(2)
     assert chi_gamma_atlas([x, y], p) == tr.chi_gamma_strata(p, whole)
 

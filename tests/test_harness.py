@@ -56,7 +56,7 @@ def test_case_specs_rebuild_identically():
         x1 = harness.build_complex(spec)
         x2 = harness.build_complex(spec)
         assert x1.space == x2.space
-        assert x1.action == x2.action
+        assert x1.perms == x2.perms
         assert x1.group.order <= 24
         assert len(x1.space) <= 60
 

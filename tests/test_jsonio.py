@@ -1,4 +1,6 @@
 import json
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +147,21 @@ def test_complex_action_keys_naming_one_element_refused():
         jsonio.load_complex(obj)
     del obj["action"]["01"]
     assert jsonio.load_complex(obj).act(1, "a") == "b"
+
+
+def test_bundled_complexes_roundtrip_to_the_same_perms():
+    data = Path(str(resources.files("eulerchi") / "data"))
+    xs = []
+    for path in sorted(data.glob("*.json")):
+        obj = json.loads(path.read_text())
+        if "action" in obj:
+            xs.append(jsonio.load_file(path, jsonio.load_complex))
+        elif "complex" in obj:
+            xs.append(jsonio.load_file(path, jsonio.load_extension)["complex"])
+    assert len(xs) == 3
+    for x in xs:
+        y = jsonio.load_complex(jsonio.dump_complex(x))
+        assert (y.group, y.space, y.perms) == (x.group, x.space, x.perms)
 
 
 def test_product_dump_not_reloadable():

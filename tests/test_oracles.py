@@ -29,6 +29,7 @@ from eulerchi.translation import (
     lambda_chi,
     orbit_groupoid,
     orbit_space,
+    validate_complex,
 )
 
 
@@ -103,7 +104,7 @@ def subdivided_square_boundary() -> RigidGComplex:
     action = {
         e: {cid: act(e, cid) for cid in space.ids()} for e in d4.elements()
     }
-    return RigidGComplex(d4, space, action)
+    return validate_complex(d4, space, action)
 
 
 def test_square_boundary_encoding_is_a_valid_action():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerchi import groups, translation
+from eulerchi import groups, harness, jsonio, translation
 from eulerchi.catalog import FiniteIsotropy
 from eulerchi.cells import CellSpace, ConstructibleFunction, chi, fiber_chi, integrate, pushforward
 from eulerchi.errors import RecursionCapExceeded, ValidationError
@@ -27,6 +27,7 @@ from eulerchi.translation import (
     product_complex,
     restrict_complex,
     stabilizer,
+    validate_complex,
 )
 
 S3 = symmetric_group(3)
@@ -35,14 +36,14 @@ Z2 = cyclic_group(2)
 
 def swap_points() -> RigidGComplex:
     space = CellSpace.from_dims({"a": 0, "b": 0})
-    return RigidGComplex(Z2, space, {0: {"a": "a", "b": "b"}, 1: {"a": "b", "b": "a"}})
+    return validate_complex(Z2, space, {0: {"a": "a", "b": "b"}, 1: {"a": "b", "b": "a"}})
 
 
 def free_circle() -> RigidGComplex:
     """Order-two rotation of a circle with two vertices and two edges."""
     space = CellSpace.from_dims({"v0": 0, "v1": 0, "e0": 1, "e1": 1})
     flip = {"v0": "v1", "v1": "v0", "e0": "e1", "e1": "e0"}
-    return RigidGComplex(Z2, space, {0: {c: c for c in space.ids()}, 1: flip})
+    return validate_complex(Z2, space, {0: {c: c for c in space.ids()}, 1: flip})
 
 
 # --- validation -------------------------------------------------------------
@@ -56,27 +57,87 @@ def test_action_must_be_homomorphism():
         2: {"a": "c", "b": "a", "c": "b"},
     }
     with pytest.raises(ValidationError, match="homomorphism"):
-        RigidGComplex(z3, space, bad)
+        validate_complex(z3, space, bad)
 
 
 def test_action_must_preserve_dimension():
     space = CellSpace.from_dims({"a": 0, "b": 1})
     with pytest.raises(ValidationError, match="dim"):
-        RigidGComplex(Z2, space, {1: {"a": "b", "b": "a"}})
+        validate_complex(Z2, space, {1: {"a": "b", "b": "a"}})
 
 
 def test_identity_entry_optional_and_checked():
     space = CellSpace.from_dims({"a": 0, "b": 0})
-    x = RigidGComplex(Z2, space, {1: {"a": "b", "b": "a"}})
+    x = validate_complex(Z2, space, {1: {"a": "b", "b": "a"}})
     assert x.act(0, "a") == "a"
     with pytest.raises(ValidationError, match="identity"):
-        RigidGComplex(Z2, space, {0: {"a": "b", "b": "a"}, 1: {"a": "b", "b": "a"}})
+        validate_complex(Z2, space, {0: {"a": "b", "b": "a"}, 1: {"a": "b", "b": "a"}})
 
 
 def test_missing_element_entry():
     space = CellSpace.from_dims({"a": 0})
     with pytest.raises(ValidationError, match="missing entry"):
-        RigidGComplex(cyclic_group(3), space, {1: {"a": "a"}})
+        validate_complex(cyclic_group(3), space, {1: {"a": "a"}})
+
+
+def test_unknown_cell_and_element_refused():
+    x = swap_points()
+    with pytest.raises(ValidationError, match="unknown cell id 'nope'"):
+        x.act(1, "nope")
+    with pytest.raises(ValidationError, match="unknown cell id 'nope'"):
+        stabilizer(x, "nope")
+    for g in (2, -1):
+        with pytest.raises(ValidationError, match=f"element {g} out of range"):
+            x.act(g, "a")
+
+
+def _revalidated_perms(x: RigidGComplex):
+    action = jsonio.dump_complex(x)["action"]
+    return validate_complex(x.group, x.space, {int(g): m for g, m in action.items()}).perms
+
+
+def test_derived_complexes_are_valid_actions():
+    """The constructors that build permutations without a check give valid
+    actions: rebuilt from their own string maps through
+    ``validate_complex``, they give the same permutations."""
+    generated = _generated_complexes()
+    cosets = coset_complex(S3, groups.subgroup_closure(S3, [1]), dim=1)
+    derived = [
+        point_complex(S3),
+        cosets,
+        product_complex(cosets, swap_points()),
+        product_complex(point_complex(Z2), free_circle()),
+        restrict_complex(product_complex(cosets, swap_points()), []),
+    ] + generated
+    for x in generated + [cosets, free_circle()]:
+        reps, rep_of = cell_orbits(x)
+        derived.append(restrict_complex(x, [c for c in x.space.ids() if rep_of[c] in reps[::2]]))
+        derived += [fixed_subcomplex(x, (e,)) for e in x.group.elements()]
+        derived += [inertia_complex(p, x) for p in (Z, Presentation.free_abelian(2))]
+    for x in derived:
+        assert _revalidated_perms(x) == x.perms
+
+
+def test_validate_complex_runs_only_at_the_edge(monkeypatch):
+    xs = [free_circle(), coset_complex(S3, [0, 1])] + _generated_complexes(5)
+    calls = []
+    original = translation.validate_complex
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(translation, "validate_complex", counting)
+    harness.run_suite(seed=3, cases=5)
+    for x in xs:
+        for p in (Z, Presentation.free_abelian(2)):
+            chi_gamma_strata(p, x)
+            lambda_chi(p, x)
+            chi_gamma_noniter(p, x)
+        chi_order_ell(x, 2)
+    assert calls == []
+    jsonio.load_complex(jsonio.dump_complex(xs[1]))
+    assert len(calls) == 1
 
 
 # --- stabilizers and orbits ----------------------------------------------------
@@ -202,7 +263,7 @@ def test_string_orb_trivial_group():
     assert chi_order_ell(x, 1) == 1
     y = free_circle()
     # trivial-group route: chi of the space itself
-    trivial_y = RigidGComplex(
+    trivial_y = validate_complex(
         cyclic_group(1), y.space, {0: {c: c for c in y.space.ids()}}
     )
     assert chi_order_ell(trivial_y, 1) == chi(y.space)
@@ -394,8 +455,8 @@ def test_restrict_complex_additivity():
     x = coset_complex(S3, groups.subgroup_closure(S3, [1]), dim=1)
     y = point_complex(S3)
     cells = list(x.space.cells) + list(y.space.cells)
-    action = {g: {**x.action[g], **y.action[g]} for g in S3.elements()}
-    whole = RigidGComplex(S3, CellSpace(tuple(cells)), action)
+    action = {g: {c: z.act(g, c) for z in (x, y) for c in z.space.ids()} for g in S3.elements()}
+    whole = validate_complex(S3, CellSpace(tuple(cells)), action)
     p = Presentation.cyclic(2)
     total = chi_gamma_strata(p, whole)
     part1 = chi_gamma_strata(p, restrict_complex(whole, x.space.ids()))
