@@ -1,9 +1,9 @@
 """Finite group actions on rigid complexes: four formulas, one answer.
 
 The same invariant is computed stratum-wise over the orbit space, through
-an explicit inertia complex, and as a sum over conjugation classes of
-labels; the free-abelian cases also fall out of a recursion over
-centralizers.
+an explicit inertia complex, and as a Burnside count over labels (the sum
+over conjugation classes of labels, taken without walking any orbit); the
+free-abelian cases also fall out of a recursion over centralizers.
 """
 
 from eulerchi import (

@@ -89,7 +89,7 @@ def cmd_gamma_chi(args) -> int:
     g = jsonio.load_file(args.groupoid, jsonio.load_groupoid)
     p = _gamma(report, args.gamma)
     f = groupoid.integrand(g, p)
-    report.result = groupoid.chi_gamma(g, p)
+    report.result = cells.integrate(f)
     report.breakdown = [
         {
             "stratum": c.id,
@@ -140,12 +140,12 @@ def cmd_inertia(args) -> int:
     x = jsonio.load_file(args.complex, jsonio.load_complex)
     p = _gamma(report, args.gamma)
     ic = tr.inertia_complex(p, x)
-    reps, _ = tr.cell_orbits(ic)
-    report.result = cells.chi(tr.orbit_space(ic))
+    orbits = tr.orbit_space(ic)
+    report.result = cells.chi(orbits)
     report.breakdown = {
         "labels": len(ic.tuples),
         "cells": len(ic.space),
-        "orbit_cells": len(reps),
+        "orbit_cells": len(orbits),
     }
     return _emit(report, args)
 

@@ -39,7 +39,7 @@ class Presentation:
     relators: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.generators, int) or self.generators < 0:
+        if type(self.generators) is not int or self.generators < 0:
             raise ValidationError(f"generators: expected a non-negative integer, got {self.generators!r}")
         rels = tuple(tuple(w) for w in self.relators)
         for i, w in enumerate(rels):
@@ -56,14 +56,14 @@ class Presentation:
 
     @classmethod
     def cyclic(cls, k: int) -> "Presentation":
-        if k < 1:
-            raise ValidationError(f"cyclic order must be >= 1, got {k}")
+        if type(k) is not int or k < 1:
+            raise ValidationError(f"cyclic order must be an integer >= 1, got {k!r}")
         return cls(1, ((1,) * k,))
 
     @classmethod
     def free_abelian(cls, rank: int) -> "Presentation":
-        if rank < 0:
-            raise ValidationError(f"free abelian rank must be >= 0, got {rank}")
+        if type(rank) is not int or rank < 0:
+            raise ValidationError(f"free abelian rank must be an integer >= 0, got {rank!r}")
         rels = tuple(
             (i + 1, j + 1, -(i + 1), -(j + 1))
             for i in range(rank)
@@ -362,12 +362,6 @@ def hom_enumerate(p: Presentation, g: FiniteGroup) -> list[HomTuple]:
 
     descend(0)
     return out
-
-
-def is_homomorphism(p: Presentation, g: FiniteGroup, t: HomTuple) -> bool:
-    if len(t) != p.generators or any(not 0 <= e < g.order for e in t):
-        return False
-    return all(evaluate_word(w, t, g) == 0 for w in p.relators)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@
 deterministically from a seed and checks, per instance:
 
 * three-way agreement of the stratum-wise, inertia-space, and
-  conjugation-class routes;
-* the order-ell recursion against the free-abelian non-iterative route;
+  Burnside-count routes;
+* the order-ell recursion against the Burnside count for Z^ell, with
+  which it shares no orbit or centralizer code;
 * the forgetful-map pushforward identity (its integral equals the inertia
   chi);
 * additivity across an invariant bipartition of cells;

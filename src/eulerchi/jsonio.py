@@ -111,7 +111,7 @@ def load_group(obj: Any, base: Path | None = None) -> groups.FiniteGroup:
     obj, _ = _resolve(obj, base)
     order = _require(obj, "order", "group")
     table = _require(obj, "table", "group")
-    if not isinstance(table, list) or not isinstance(order, int):
+    if not isinstance(table, list) or not isinstance(order, int) or isinstance(order, bool):
         raise ValidationError("group: 'order' must be an integer and 'table' a list")
     if len(table) != order:
         raise ValidationError(f"group: order {order} does not match table size {len(table)}")

@@ -22,13 +22,13 @@ test suite and the ``verify`` harness:
   orbit space, stratum by stratum;
 * ``lambda_chi`` -- build the inertia complex of commuting-with-relations
   labels explicitly and take chi of its orbit space;
-* ``chi_gamma_noniter`` -- sum fixed-set orbit-space chi over conjugation
-  classes of homomorphism tuples;
+* ``chi_gamma_noniter`` -- a Burnside count over homomorphism tuples and
+  the cells they fix, from bitmasks alone: it walks no orbits;
 * ``chi_order_ell`` -- the recursive order-ell characteristic over
   iterated centralizer actions on fixed sets; order 1 is the classical
   one-generator sum over conjugacy classes of the group.
 
-The terms of the last two routes, chi of a fixed set modulo its
+The terms of the order-ell route, chi of a fixed set modulo its
 centralizer, are counted in place by ``fixed_orbit_chi``: the centralizer's
 orbits on the fixed cells are walked in the parent complex's own indices.
 ``fixed_subcomplex`` builds the fixed set as a complex over the reindexed
@@ -43,7 +43,7 @@ from typing import Iterable, Mapping, Sequence
 from . import groups
 from .catalog import FiniteIsotropy
 from .cells import Cell, CellMap, CellSpace
-from .errors import RecursionCapExceeded, ValidationError
+from .errors import CrossCheckError, RecursionCapExceeded, ValidationError
 from .groupoid import OrbitGroupoid, chi_gamma
 from .groups import FiniteGroup, HomTuple, Presentation
 
@@ -185,7 +185,11 @@ def cell_orbits(x: RigidGComplex) -> tuple[tuple[str, ...], dict[str, str]]:
 
 def orbit_space(x: RigidGComplex) -> CellSpace:
     """Cell space of orbit representatives (dimension is preserved)."""
-    reps, _ = cell_orbits(x)
+    return _space_of(x, cell_orbits(x)[0])
+
+
+def _space_of(x: RigidGComplex, reps: Sequence[str]) -> CellSpace:
+    """The cells ``reps`` of x, with their dimensions, as a cell space."""
     return CellSpace(tuple(Cell(r, x.space.dim_of(r)) for r in reps))
 
 
@@ -369,17 +373,30 @@ def chi_gamma_strata(p: Presentation, x: RigidGComplex) -> int:
 
 
 def chi_gamma_noniter(p: Presentation, x: RigidGComplex) -> int:
-    """Sum over conjugation classes of homomorphism tuples of chi of the
-    centralizer quotient of the tuple's fixed set.
-
-    Specializes to ``chi_order_ell(x, ell)`` for the free abelian case of
-    rank ell, the one-generator free case being ell = 1.  Each term counts
-    the centralizer's orbits on the fixed cells in place
-    (``fixed_orbit_chi``); no fixed subcomplex is built.
+    """Sum over conjugation classes [t] of homomorphism tuples of chi of
+    the centralizer quotient of the tuple's fixed set, by Burnside's lemma:
+    (1/|G|) times the sum over every tuple t and every cell i it fixes of
+    (-1)^dim_i |C(t) & Stab_i| (Atiyah-Segal 1989; Hirzebruch-Hoefer 1990),
+    from stabilizer and centralizer bitmasks.  A sum not divisible by |G|
+    means x is not an action (``CrossCheckError``).  The free abelian case
+    of rank ell is ``chi_order_ell(x, ell)``.
     """
-    homs = groups.hom_enumerate(p, x.group)
-    orbits = groups.conj_orbit_count(homs, x.group)
-    return sum(fixed_orbit_chi(x, t) for t in orbits.reps)
+    g, table = x.group, x.group.table
+    weight: dict[int, int] = {}  # signed cell count per stabilizer bitmask
+    for mask, c in zip(x.stabilizer_masks(), x.space.cells):
+        weight[mask] = weight.get(mask, 0) + (-1 if c.dim % 2 else 1)
+    cent: dict[int, int] = {}  # element -> its centralizer bitmask, built on first use
+    total = 0
+    for t in groups.hom_enumerate(p, g):
+        need, c = 0, (1 << g.order) - 1
+        for e in t:
+            if e not in cent:
+                cent[e] = sum(1 << a for a, row in enumerate(table) if row[e] == table[e][a])
+            need, c = need | 1 << e, c & cent[e]
+        total += sum(w * (m & c).bit_count() for m, w in weight.items() if m & need == need)
+    if total % g.order:
+        raise CrossCheckError(f"chi_gamma_noniter: Burnside sum {total} is not divisible by |G| = {g.order}")
+    return total // g.order
 
 
 def anchor_map(p: Presentation, x: RigidGComplex) -> CellMap:
@@ -390,12 +407,9 @@ def anchor_map(p: Presentation, x: RigidGComplex) -> CellMap:
     forward along this map integrates to ``lambda_chi(p, x)``.
     """
     ic = inertia_complex(p, x)
-    _, base_rep = cell_orbits(x)
-    base_space = orbit_space(x)
-    reps, _ = cell_orbits(ic)
-    source = CellSpace(tuple(Cell(r, ic.space.dim_of(r)) for r in reps))
-    assign = {r: base_rep[ic.pairs[r][1]] for r in reps}
-    return CellMap(source, base_space, assign)
+    reps, rep_of = cell_orbits(x)
+    source = orbit_space(ic)
+    return CellMap(source, _space_of(x, reps), {r: rep_of[ic.pairs[r][1]] for r in source.ids()})
 
 
 def iterate_inertia(

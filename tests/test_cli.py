@@ -215,6 +215,24 @@ def test_verify_refuses_bad_arguments(argv, env, message):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize(
+    "gamma,message",
+    [
+        ('{"kind":"cyclic","order":2.5}', "cyclic order must be an integer >= 1, got 2.5"),
+        ('{"kind":"cyclic","order":true}', "cyclic order must be an integer >= 1, got True"),
+        ('{"kind":"free_abelian","rank":"2"}', "free abelian rank must be an integer >= 0, got '2'"),
+        ('{"kind":"presentation","generators":true}', "generators: expected a non-negative integer, got True"),
+    ],
+)
+def test_gamma_refuses_non_integer_fields(gamma, message):
+    r = run_cli("translation", str(DATA / "s3_point.json"), "--gamma", gamma)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("eulerchi: invalid input: ")
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_report_out_file(tmp_path):
     out = tmp_path / "report.json"
     r = run_cli("--report", "json", "--out", str(out), "chi", str(DATA / "closed_interval.json"))

@@ -92,6 +92,29 @@ def test_group_order_mismatch():
         jsonio.load_group({"order": 3, "table": [[0, 1], [1, 0]]})
 
 
+@pytest.mark.parametrize("order", [True, 2.0, "2"])
+def test_group_order_must_be_an_integer(order):
+    with pytest.raises(ValidationError, match="'order' must be an integer"):
+        jsonio.load_group({"order": order, "table": [[0]] if order is True else [[0, 1], [1, 0]]})
+
+
+@pytest.mark.parametrize(
+    "obj,message",
+    [
+        ({"kind": "cyclic", "order": 2.5}, "cyclic order must be an integer >= 1, got 2.5"),
+        ({"kind": "cyclic", "order": True}, "cyclic order must be an integer >= 1, got True"),
+        ({"kind": "free_abelian", "rank": "2"}, "free abelian rank must be an integer >= 0, got '2'"),
+        ({"kind": "free_abelian", "rank": True}, "free abelian rank must be an integer >= 0, got True"),
+        ({"kind": "presentation", "generators": 2.0}, "generators: expected a non-negative integer, got 2.0"),
+        ({"kind": "presentation", "generators": False}, "generators: expected a non-negative integer, got False"),
+    ],
+)
+def test_presentation_counts_must_be_integers(obj, message):
+    with pytest.raises(ValidationError) as exc:
+        jsonio.load_presentation(obj)
+    assert str(exc.value) == message
+
+
 def test_groupoid_loader():
     g = jsonio.load_groupoid(
         {

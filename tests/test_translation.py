@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from eulerchi import groups, harness, jsonio, translation
 from eulerchi.catalog import FiniteIsotropy
 from eulerchi.cells import CellSpace, ConstructibleFunction, chi, fiber_chi, integrate, pushforward
-from eulerchi.errors import RecursionCapExceeded, ValidationError
+from eulerchi.errors import CrossCheckError, RecursionCapExceeded, ValidationError
 from eulerchi.groups import Presentation, Z, cyclic_group, quaternion_group, symmetric_group
 from eulerchi.translation import (
     RigidGComplex,
@@ -224,8 +224,8 @@ def test_fixed_orbit_chi_element_out_of_range():
             fixed_orbit_chi(x, t)
 
 
-def _count_builds(monkeypatch) -> dict[str, int]:
-    counts = {"fixed_subcomplex": 0, "subgroup_group": 0}
+def _count_calls(monkeypatch, targets) -> dict[str, int]:
+    counts = {name: 0 for _, name in targets}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -236,24 +236,71 @@ def _count_builds(monkeypatch) -> dict[str, int]:
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(translation, "fixed_subcomplex")
-    counting(groups, "subgroup_group")
+    for module, name in targets:
+        counting(module, name)
     return counts
 
 
 def test_noniter_and_order_ell_leaves_build_no_fixed_subcomplex(monkeypatch):
+    """The Burnside count and the order-ell walk share no orbit or
+    centralizer helper.  The count enumerates homomorphisms and builds
+    nothing; the walk enumerates none, its leaves count orbits in place,
+    and only its inner levels build fixed subcomplexes."""
     xs = [point_complex(S3), free_circle(), swap_points()] + _generated_complexes(5)
-    counts = _count_builds(monkeypatch)
+    counts = _count_calls(
+        monkeypatch,
+        [(translation, name) for name in ("fixed_subcomplex", "fixed_orbit_chi", "CellSpace", "RigidGComplex")]
+        + [(groups, name) for name in
+           ("subgroup_group", "conj_orbit_count", "centralizer", "conjugacy_classes", "hom_enumerate")],
+    )
     for x in xs:
-        chi_gamma_noniter(Presentation.free_abelian(2), x)
-    assert counts == {"fixed_subcomplex": 0, "subgroup_group": 0}
+        for p in (Presentation.trivial(), Z, Presentation.free_abelian(2), Presentation.cyclic(3)):
+            chi_gamma_noniter(p, x)
+    assert {k: v for k, v in counts.items() if v} == {"hom_enumerate": 4 * len(xs)}
     for x in xs:
         for ell in range(4):
-            counts["fixed_subcomplex"] = 0
+            counts.update(dict.fromkeys(counts, 0))
             _, branches = translation._order_ell_walk(x, ell, 4)
+            assert counts["hom_enumerate"] == counts["conj_orbit_count"] == 0
             assert counts["fixed_subcomplex"] == sum(branches[:ell - 1])
     value, branches = translation._order_ell_walk(point_complex(S3), 2, 4)
     assert (value, branches) == (8, [3, 8])
+
+
+def _class_sum(p: Presentation, x: RigidGComplex) -> int:
+    """The conjugation-class form of ``chi_gamma_noniter``: chi of each
+    class representative's fixed set modulo its centralizer."""
+    homs = groups.hom_enumerate(p, x.group)
+    return sum(fixed_orbit_chi(x, t) for t in groups.conj_orbit_count(homs, x.group).reps)
+
+
+def test_burnside_noniter_matches_class_sum():
+    rng = random.Random(7)
+    presentations = [
+        Presentation.trivial(),
+        Z,
+        Presentation.free_abelian(2),
+        Presentation.cyclic(3),
+    ]
+    xs = [free_circle(), swap_points(), point_complex(S3)] + _generated_complexes()
+    for x in xs:
+        words = [
+            tuple(rng.choice([1, -1]) * rng.randint(1, 2) for _ in range(rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 2))
+        ]
+        for p in presentations + [Presentation(2, tuple(words))]:
+            assert chi_gamma_noniter(p, x) == _class_sum(p, x), (p, x.perms)
+
+
+def test_burnside_noniter_refuses_a_non_action():
+    # trusted, not validated: element 1 acts by an involution, which no
+    # element of C3 can; the Burnside sum is 2 + 2 + 3 = 7
+    x = RigidGComplex(
+        cyclic_group(3), CellSpace.from_dims({"a": 0, "b": 0, "c": 0}),
+        ((0, 1, 2), (1, 0, 2), (0, 1, 2)),
+    )
+    with pytest.raises(CrossCheckError, match="7 is not divisible by"):
+        chi_gamma_noniter(Presentation.trivial(), x)
 
 
 # --- the classical one-generator sum ----------------------------------------------
