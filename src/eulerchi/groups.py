@@ -9,17 +9,20 @@ constructors, direct products, subgroups) are groups by construction.
 
 A presentation is a generator count plus relator words; a word is a list of
 nonzero signed integers, 1-based generator indices with sign meaning
-inverse.  Homomorphisms into a finite group are enumerated as tuples of
-generator images satisfying every relator, via depth-first assignment with
-relator pruning; the output is defined to equal the brute-force filter of
-the full tuple space and is emitted in lexicographic order.
+inverse, and the empty word (the identity) is dropped.  Homomorphisms into
+a finite group are enumerated as tuples of generator images satisfying
+every relator, via depth-first assignment: relators are compiled once and
+evaluated from table lookups, and a commutator of two generators narrows
+the later one's candidates to a centralizer bitmask instead of being
+evaluated.  The output is defined to equal the brute-force filter of the
+full tuple space and is emitted in lexicographic order.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -41,14 +44,19 @@ class Presentation:
     def __post_init__(self):
         if type(self.generators) is not int or self.generators < 0:
             raise ValidationError(f"generators: expected a non-negative integer, got {self.generators!r}")
-        rels = tuple(tuple(w) for w in self.relators)
+        rels = tuple(self.relators)
         for i, w in enumerate(rels):
+            if not isinstance(w, (list, tuple)):
+                raise ValidationError(f"relators[{i}]: expected a list of letters, got {w!r}")
             for letter in w:
-                if not isinstance(letter, int) or letter == 0 or abs(letter) > self.generators:
+                if type(letter) is not int:
+                    raise ValidationError(f"relators[{i}]: letter {letter!r} is not an integer")
+                if letter == 0 or abs(letter) > self.generators:
                     raise ValidationError(
                         f"relators[{i}]: letter {letter!r} out of range for {self.generators} generators"
                     )
-        object.__setattr__(self, "relators", rels)
+        # the empty word is the identity and imposes nothing
+        object.__setattr__(self, "relators", tuple(tuple(w) for w in rels if w))
 
     @classmethod
     def trivial(cls) -> "Presentation":
@@ -194,7 +202,7 @@ class FiniteGroup:
     goes through ``validate_group``.
     """
 
-    __slots__ = ("order", "table", "_inv", "_conj")
+    __slots__ = ("order", "table", "_inv", "_conj", "_cent")
 
     def __init__(self, table: Sequence[Sequence[int]]):
         self.table = tuple(map(tuple, table))
@@ -202,6 +210,7 @@ class FiniteGroup:
         # a * a^-1 = 0: the inverse is the column holding 0 in row a
         self._inv = tuple(self.table[a].index(0) for a in range(self.order))
         self._conj: tuple[tuple[int, ...], ...] | None = None
+        self._cent: tuple[int, ...] | None = None
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -219,6 +228,18 @@ class FiniteGroup:
                 conj.append(tuple(self.table[row_g[x]][gi] for x in range(self.order)))
             self._conj = tuple(conj)
         return self._conj[a]
+
+    def centralizer_mask(self, a: int) -> int:
+        """The centralizer of a as a bitmask over the elements, from a
+        cached table of every element's mask."""
+        if self._cent is None:
+            bits = [1 << b for b in range(self.order)]
+            # b commutes with a where row a and column a of the table agree
+            self._cent = tuple(
+                sum(itertools.compress(bits, map(eq, row, col)))
+                for row, col in zip(self.table, zip(*self.table))
+            )
+        return self._cent[a]
 
     def conj_tuple(self, a: int, t: HomTuple) -> HomTuple:
         perm = self.conj_perm(a)
@@ -326,7 +347,11 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 
 
 def evaluate_word(word: Iterable[int], images: Sequence[int], g: FiniteGroup) -> int:
-    """Substitute generator images into a relator word, left to right."""
+    """Substitute generator images into a relator word, left to right.
+
+    The plain evaluator, for checking a tuple by hand; ``hom_enumerate``
+    does not use it.
+    """
     acc = 0
     for letter in word:
         e = images[letter - 1] if letter > 0 else g.inv(images[-letter - 1])
@@ -334,33 +359,69 @@ def evaluate_word(word: Iterable[int], images: Sequence[int], g: FiniteGroup) ->
     return acc
 
 
+def _is_commutator(w: tuple[int, ...]) -> bool:
+    """Whether w is u v u^-1 v^-1 with u, v powers (+-1) of two distinct
+    generators, in any rotation and with any signs; it holds exactly when
+    those generators' images commute."""
+    return len(w) == 4 and w[2] == -w[0] and w[3] == -w[1] and abs(w[0]) != abs(w[1])
+
+
 def hom_enumerate(p: Presentation, g: FiniteGroup) -> list[HomTuple]:
     """All homomorphisms p -> g as tuples of generator images, in
     lexicographic order.
 
-    Depth-first assignment; a relator is checked as soon as its last-needed
-    generator receives an image, which prunes without changing the output:
-    the result equals filtering all of g^ell by every relator.
+    Depth-first assignment, generator by generator in increasing image
+    order.  Each relator is compiled once to (generator index, inverted)
+    pairs and checked from table lookups as soon as its last-needed
+    generator receives an image.  A commutator [x_i, x_d] with i < d is
+    never evaluated: the candidates for x_d are the AND of the centralizer
+    bitmasks of its partners' images, walked low bit first.  The result
+    equals filtering all of g^ell by every relator.
     """
     ell = p.generators
     if ell == 0:
         return [()]
-    by_depth: list[list[tuple[int, ...]]] = [[] for _ in range(ell + 1)]
+    table, inv, n = g.table, g._inv, g.order
+    partners: list[list[int]] = [[] for _ in range(ell)]
+    words: list[list[tuple[tuple[int, bool], ...]]] = [[] for _ in range(ell)]
     for w in p.relators:
-        by_depth[max(abs(l) for l in w)].append(w)
+        if _is_commutator(w):
+            i, d = sorted((abs(w[0]) - 1, abs(w[1]) - 1))
+            partners[d].append(i)
+        else:
+            words[max(map(abs, w)) - 1].append(tuple((abs(l) - 1, l < 0) for l in w))
+    everything = (1 << n) - 1
     out: list[HomTuple] = []
-    images = [0] * ell
 
-    def descend(depth: int) -> None:
-        if depth == ell:
-            out.append(tuple(images))
-            return
-        for e in range(g.order):
-            images[depth] = e
-            if all(evaluate_word(w, images, g) == 0 for w in by_depth[depth + 1]):
-                descend(depth + 1)
+    def descend(prefix: HomTuple) -> None:
+        d = len(prefix)
+        mask = everything
+        for i in partners[d]:
+            mask &= g.centralizer_mask(prefix[i])
+        if mask == everything:
+            candidates: Iterable[int] = range(n)
+        else:
+            candidates = []
+            while mask:
+                low = mask & -mask
+                candidates.append(low.bit_length() - 1)
+                mask ^= low
+        rels, last = words[d], d + 1 == ell
+        for e in candidates:
+            t = prefix + (e,)
+            for w in rels:
+                acc = 0
+                for j, flip in w:
+                    acc = table[acc][inv[t[j]] if flip else t[j]]
+                if acc:
+                    break
+            else:
+                if last:
+                    out.append(t)
+                else:
+                    descend(t)
 
-    descend(0)
+    descend(())
     return out
 
 

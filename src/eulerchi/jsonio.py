@@ -136,7 +136,7 @@ def load_presentation(obj: Any, base: Path | None = None) -> groups.Presentation
         rels = obj.get("relators", [])
         if not isinstance(rels, list):
             raise ValidationError("relators: expected a list of words")
-        return groups.Presentation(gens, tuple(tuple(w) for w in rels))
+        return groups.Presentation(gens, tuple(rels))
     raise ValidationError(f"presentation: unknown kind {kind!r}")
 
 

@@ -381,18 +381,15 @@ def chi_gamma_noniter(p: Presentation, x: RigidGComplex) -> int:
     means x is not an action (``CrossCheckError``).  The free abelian case
     of rank ell is ``chi_order_ell(x, ell)``.
     """
-    g, table = x.group, x.group.table
+    g = x.group
     weight: dict[int, int] = {}  # signed cell count per stabilizer bitmask
     for mask, c in zip(x.stabilizer_masks(), x.space.cells):
         weight[mask] = weight.get(mask, 0) + (-1 if c.dim % 2 else 1)
-    cent: dict[int, int] = {}  # element -> its centralizer bitmask, built on first use
     total = 0
     for t in groups.hom_enumerate(p, g):
         need, c = 0, (1 << g.order) - 1
         for e in t:
-            if e not in cent:
-                cent[e] = sum(1 << a for a, row in enumerate(table) if row[e] == table[e][a])
-            need, c = need | 1 << e, c & cent[e]
+            need, c = need | 1 << e, c & g.centralizer_mask(e)
         total += sum(w * (m & c).bit_count() for m, w in weight.items() if m & need == need)
     if total % g.order:
         raise CrossCheckError(f"chi_gamma_noniter: Burnside sum {total} is not divisible by |G| = {g.order}")

@@ -233,6 +233,33 @@ def test_gamma_refuses_non_integer_fields(gamma, message):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize(
+    "relators,message",
+    [
+        ("[[true,true]]", "relators[0]: letter True is not an integer"),
+        ("[1,2]", "relators[0]: expected a list of letters, got 1"),
+    ],
+)
+def test_gamma_refuses_bad_relators(relators, message):
+    gamma = '{"kind":"presentation","generators":2,"relators":%s}' % relators
+    r = run_cli("translation", str(DATA / "s3_point.json"), "--gamma", gamma)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == f"eulerchi: invalid input: {message}\n"
+
+
+def test_gamma_empty_relator_is_the_relator_left_out():
+    runs = [
+        run_cli("--report", "json", "translation", str(DATA / "s3_point.json"), "--gamma",
+                '{"kind":"presentation","generators":2%s}' % extra)
+        for extra in (',"relators":[[]]', "")
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert "Traceback" not in runs[0].stderr
+    results = [json.loads(r.stdout)["result"] for r in runs]
+    assert results[0] == results[1] == {"inertia": 11, "noniter": 11, "strata": 11}
+
+
 def test_report_out_file(tmp_path):
     out = tmp_path / "report.json"
     r = run_cli("--report", "json", "--out", str(out), "chi", str(DATA / "closed_interval.json"))

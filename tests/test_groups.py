@@ -202,6 +202,17 @@ def test_relator_letters_validated():
         Presentation(1, ((2,),))
     with pytest.raises(ValidationError, match="out of range"):
         Presentation(1, ((0,),))
+    with pytest.raises(ValidationError, match=re.escape("relators[1]: letter True is not an integer")):
+        Presentation(2, ((1,), (True, True)))
+    with pytest.raises(ValidationError, match=re.escape("relators[0]: expected a list of letters, got 1")):
+        Presentation(2, (1, 2))
+
+
+def test_empty_relator_imposes_nothing():
+    assert Presentation(1, ((),)).relators == ()
+    assert presentation_class(Presentation(1, ((),))) == "Z"
+    assert Presentation(2, ((), (1, 1), ())) == Presentation(2, ((1, 1),))
+    assert hom_enumerate(Presentation(2, ((),)), S3) == hom_enumerate(Presentation.free(2), S3)
 
 
 # --- hom enumeration ---------------------------------------------------------
@@ -235,6 +246,49 @@ def test_hom_free_abelian2_s3_count():
 )
 def test_hom_enumerate_equals_brute_force(g, p):
     assert hom_enumerate(p, g) == brute_homs(p, g)
+
+
+def _random_word(rng: random.Random, gens: int) -> tuple[int, ...]:
+    """A relator of one of the shapes ``hom_enumerate`` treats apart."""
+    a, b = rng.randint(1, gens), rng.randint(1, gens)
+    sa, sb = rng.choice((1, -1)), rng.choice((1, -1))
+    roll = rng.random()
+    if roll < 0.4:  # [x_a^sa, x_b^sb] in a random rotation; a > b puts the later generator first
+        w = (sa * a, sb * b, -sa * a, -sb * b)
+        r = rng.randrange(4)
+        return w[r:] + w[:r]
+    if roll < 0.55:  # the commutator shape on a single generator
+        return rng.choice(((a, -a, -a, a), (a, a, -a, -a), (-a, a, a, -a), (sa * a, sb * a, -sa * a, -sb * a)))
+    if roll < 0.7:  # a power relator
+        return (sa * a,) * rng.randint(1, 4)
+    if roll < 0.75:
+        return ()
+    return tuple(rng.choice((1, -1)) * rng.randint(1, gens) for _ in range(rng.randint(1, 5)))
+
+
+def _random_presentation(rng: random.Random) -> Presentation:
+    gens = rng.randint(1, 3)
+    words = [_random_word(rng, gens) for _ in range(rng.randint(0, 4))]
+    if words and rng.random() < 0.3:
+        words.append(rng.choice(words))  # a repeated relator
+    p = Presentation(gens, tuple(words))
+    if rng.random() < 0.3:
+        p = product_presentation(p, _random_presentation(rng))
+    return p
+
+
+def test_hom_enumerate_equals_brute_force_on_random_presentations():
+    """Commutators in every spelling, their one-generator look-alikes,
+    repeats, powers, empty words and direct products, against the
+    brute-force filter, order included."""
+    rng = random.Random(6)
+    pool = SMALL_GROUPS + [symmetric_group(4), direct_product(cyclic_group(2), S3)]
+    checked = 0
+    while checked < 300:
+        g, p = rng.choice(pool), _random_presentation(rng)
+        if g.order ** p.generators <= 15000:
+            assert hom_enumerate(p, g) == brute_homs(p, g), (g, p)
+            checked += 1
 
 
 def test_hom_output_is_lexicographic():

@@ -115,6 +115,26 @@ def test_presentation_counts_must_be_integers(obj, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "relators,message",
+    [
+        ([[True, True]], "relators[0]: letter True is not an integer"),
+        ([[1], [1.0]], "relators[1]: letter 1.0 is not an integer"),
+        ([1, 2], "relators[0]: expected a list of letters, got 1"),
+        ([[1], "12"], "relators[1]: expected a list of letters, got '12'"),
+    ],
+)
+def test_relator_words_and_letters_checked(relators, message):
+    with pytest.raises(ValidationError) as exc:
+        jsonio.load_presentation({"kind": "presentation", "generators": 2, "relators": relators})
+    assert str(exc.value) == message
+
+
+def test_empty_relator_is_dropped():
+    p = jsonio.load_presentation({"kind": "presentation", "generators": 2, "relators": [[], [1, 1]]})
+    assert p == Presentation(2, ((1, 1),))
+
+
 def test_groupoid_loader():
     g = jsonio.load_groupoid(
         {

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -244,8 +245,9 @@ def _count_calls(monkeypatch, targets) -> dict[str, int]:
 def test_noniter_and_order_ell_leaves_build_no_fixed_subcomplex(monkeypatch):
     """The Burnside count and the order-ell walk share no orbit or
     centralizer helper.  The count enumerates homomorphisms and builds
-    nothing; the walk enumerates none, its leaves count orbits in place,
-    and only its inner levels build fixed subcomplexes."""
+    nothing; the walk enumerates none and takes no centralizer bitmask,
+    its leaves count orbits in place, and only its inner levels build
+    fixed subcomplexes."""
     xs = [point_complex(S3), free_circle(), swap_points()] + _generated_complexes(5)
     counts = _count_calls(
         monkeypatch,
@@ -257,12 +259,15 @@ def test_noniter_and_order_ell_leaves_build_no_fixed_subcomplex(monkeypatch):
         for p in (Presentation.trivial(), Z, Presentation.free_abelian(2), Presentation.cyclic(3)):
             chi_gamma_noniter(p, x)
     assert {k: v for k, v in counts.items() if v} == {"hom_enumerate": 4 * len(xs)}
+    masks = _count_calls(monkeypatch, [(groups.FiniteGroup, "centralizer_mask")])
     for x in xs:
         for ell in range(4):
             counts.update(dict.fromkeys(counts, 0))
             _, branches = translation._order_ell_walk(x, ell, 4)
-            assert counts["hom_enumerate"] == counts["conj_orbit_count"] == 0
+            assert counts["hom_enumerate"] == counts["conj_orbit_count"] == masks["centralizer_mask"] == 0
             assert counts["fixed_subcomplex"] == sum(branches[:ell - 1])
+    chi_gamma_noniter(Z, point_complex(S3))
+    assert masks["centralizer_mask"] > 0  # the counter sees the count's bitmasks
     value, branches = translation._order_ell_walk(point_complex(S3), 2, 4)
     assert (value, branches) == (8, [3, 8])
 
@@ -415,6 +420,65 @@ def test_three_way_agreement(p, make):
     b = lambda_chi(p, x)
     c = chi_gamma_noniter(p, x)
     assert a == b == c
+
+
+def _bryan_fulman(n: int, ell: int) -> int:
+    """Conjugation orbits of commuting ell-tuples in S_n, which equals
+    |Hom(Z^(ell+1), S_n)| / n! (Bryan & Fulman, Ann. Comb. 2, 1998).
+
+    With m = ell + 1 and s(k) the number of index-k subgroups of Z^m, the
+    exponential formula sum_n h_n q^n / n! = exp(sum_k s(k) q^k / k) gives
+    h_n = sum_k s(k) (n-1)!/(n-k)! h_(n-k), all in integers.
+    """
+    m = ell + 1
+    # s(k) = sum over d_1 d_2 ... d_m = k of d_2 d_3^2 ... d_m^(m-1)
+    # (Hermite normal forms), built one coordinate at a time
+    s = [0] + [1] * n
+    for j in range(1, m):
+        s = [0] + [sum(s[k // d] * d ** j for d in range(1, k + 1) if k % d == 0) for k in range(1, n + 1)]
+    h = [1]
+    for j in range(1, n + 1):
+        h.append(sum(s[k] * math.perm(j - 1, k - 1) * h[j - k] for k in range(1, j + 1)))
+    orbits, rest = divmod(h[n], math.factorial(n))
+    assert rest == 0
+    return orbits
+
+
+@pytest.fixture(scope="module")
+def symmetric_points():
+    return {n: point_complex(symmetric_group(n)) for n in (5, 6)}
+
+
+@pytest.mark.parametrize("n,ell,expected", [(5, 2, 39), (5, 3, 206), (6, 1, 11), (6, 2, 92), (6, 3, 717)])
+def test_bryan_fulman_anchors(symmetric_points, n, ell, expected):
+    x = symmetric_points[n]
+    assert _bryan_fulman(n, ell) == expected
+    assert chi_gamma_noniter(Presentation.free_abelian(ell), x) == expected
+    assert chi_order_ell(x, ell) == expected
+
+
+def test_free_abelian_rank_three_on_s6_is_bryan_fulman(symmetric_points):
+    g = symmetric_points[6].group
+    assert len(groups.hom_enumerate(Presentation.free_abelian(3), g)) == 720 * _bryan_fulman(6, 2) == 66240
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+@pytest.mark.parametrize("make", [lambda: symmetric_group(4), quaternion_group, lambda: groups.dihedral_group(6)])
+def test_cyclic_on_a_point_counts_classes_of_k_torsion(make, k):
+    """Z/k on a point: the conjugacy classes whose elements satisfy g^k = 1,
+    with powers and classes read from the table itself."""
+    g = make()
+    t = g.table
+    classes = {frozenset(t[t[b][a]][g.inv(b)] for b in range(g.order)) for a in range(g.order)}
+
+    def power(a: int) -> int:
+        acc = 0
+        for _ in range(k):
+            acc = t[acc][a]
+        return acc
+
+    expected = sum(1 for c in classes if power(min(c)) == 0)
+    assert chi_gamma_noniter(Presentation.cyclic(k), point_complex(g)) == expected
 
 
 def test_order_ell_equals_free_abelian_noniter():
