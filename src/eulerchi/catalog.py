@@ -45,7 +45,7 @@ class TorusIsotropy:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise ValidationError(f"torus dimension must be a positive integer, got {self.n!r}")
 
 

@@ -42,10 +42,11 @@ def _emit(report: Report, args) -> int:
 
 
 def _gamma(report: Report, arg: str) -> groups.Presentation:
-    p = jsonio.load_presentation_arg(arg)
-    if Path(arg).exists():
+    if jsonio.names_file(arg):
+        p = jsonio.load_file(arg, jsonio.load_presentation)
         report.add_input_file("gamma", arg)
     else:
+        p = jsonio.load_presentation_text(arg)
         report.add_input_text("gamma", arg)
     return p
 

@@ -146,11 +146,8 @@ def abelian_extension_chi(
         raise ValidationError("ell must be >= 0")
     if isinstance(bundle_fiber, catalog.FiniteIsotropy):
         b = bundle_fiber.group
-        if any(
-            b.mul(i, j) != b.mul(j, i)
-            for i in b.elements()
-            for j in b.elements()
-        ):
+        # abelian exactly when the table is its own transpose
+        if b.table != tuple(zip(*b.table)):
             raise ValidationError("abelian_extension_chi: finite fiber is not abelian")
         factor_b = b.order ** ell
     elif isinstance(bundle_fiber, catalog.TorusIsotropy):

@@ -16,6 +16,9 @@ evaluated from table lookups, and a commutator of two generators narrows
 the later one's candidates to a centralizer bitmask instead of being
 evaluated.  The output is defined to equal the brute-force filter of the
 full tuple space and is emitted in lexicographic order.
+
+Conjugates, conjugacy classes and centralizers are read from the table as
+they are needed; no group keeps a table of conjugates.
 """
 
 from __future__ import annotations
@@ -199,17 +202,17 @@ class FiniteGroup:
     """A finite group given by its multiplication table; identity is 0.
 
     The table is trusted, not checked: a table from outside the program
-    goes through ``validate_group``.
+    goes through ``validate_group``.  Besides the table and its inverses
+    a group keeps only the enumeration's centralizer bitmasks.
     """
 
-    __slots__ = ("order", "table", "_inv", "_conj", "_cent")
+    __slots__ = ("order", "table", "_inv", "_cent")
 
     def __init__(self, table: Sequence[Sequence[int]]):
         self.table = tuple(map(tuple, table))
         self.order = len(self.table)
         # a * a^-1 = 0: the inverse is the column holding 0 in row a
         self._inv = tuple(self.table[a].index(0) for a in range(self.order))
-        self._conj: tuple[tuple[int, ...], ...] | None = None
         self._cent: tuple[int, ...] | None = None
 
     def mul(self, a: int, b: int) -> int:
@@ -217,17 +220,6 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         return self._inv[a]
-
-    def conj_perm(self, a: int) -> tuple[int, ...]:
-        """The permutation x -> a x a^-1, as a row of the cached table."""
-        if self._conj is None:
-            conj = []
-            for g in range(self.order):
-                gi = self._inv[g]
-                row_g = self.table[g]
-                conj.append(tuple(self.table[row_g[x]][gi] for x in range(self.order)))
-            self._conj = tuple(conj)
-        return self._conj[a]
 
     def centralizer_mask(self, a: int) -> int:
         """The centralizer of a as a bitmask over the elements, from a
@@ -242,8 +234,8 @@ class FiniteGroup:
         return self._cent[a]
 
     def conj_tuple(self, a: int, t: HomTuple) -> HomTuple:
-        perm = self.conj_perm(a)
-        return tuple(perm[x] for x in t)
+        table, row, ai = self.table, self.table[a], self._inv[a]
+        return tuple(table[row[x]][ai] for x in t)
 
     def elements(self) -> range:
         return range(self.order)
@@ -463,14 +455,12 @@ def conj_orbit_count(tuples: Sequence[HomTuple], g: FiniteGroup) -> ConjOrbits:
 
 def centralizer(g: FiniteGroup, t: HomTuple) -> list[int]:
     """Sorted elements commuting with every image of the tuple."""
+    table, cent = g.table, list(g.elements())
     for e in t:
         if not 0 <= e < g.order:
             raise ValidationError(f"centralizer: element {e} out of range")
-    return [
-        a
-        for a in g.elements()
-        if all(g.mul(a, e) == g.mul(e, a) for e in t)
-    ]
+        cent = [a for a in cent if table[a][e] == table[e][a]]
+    return cent
 
 
 @dataclass(frozen=True)
@@ -481,12 +471,13 @@ class ConjugacyClass:
 
 def conjugacy_classes(g: FiniteGroup) -> list[ConjugacyClass]:
     """Conjugacy classes with minimal-index representatives, ordered by rep."""
+    table, inv = g.table, g._inv
     out = []
     seen: set[int] = set()
     for a in g.elements():
         if a in seen:
             continue
-        orbit = {g.conj_perm(b)[a] for b in g.elements()}
+        orbit = {table[row[a]][inv[b]] for b, row in enumerate(table)}
         seen |= orbit
         out.append(ConjugacyClass(min(orbit), len(orbit)))
     return out

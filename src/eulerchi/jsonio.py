@@ -148,11 +148,21 @@ def dump_presentation(p: groups.Presentation) -> dict:
     }
 
 
+def names_file(arg: str) -> bool:
+    """Whether arg is an existing path; a string too long to be one is not."""
+    try:
+        return Path(arg).exists()
+    except OSError:
+        return False
+
+
 def load_presentation_arg(arg: str) -> groups.Presentation:
     """A --gamma argument: a file path if one exists there, else inline JSON."""
-    path = Path(arg)
-    if path.exists():
-        return load_presentation(str(path), Path.cwd())
+    return load_file(arg, load_presentation) if names_file(arg) else load_presentation_text(arg)
+
+
+def load_presentation_text(arg: str) -> groups.Presentation:
+    """A --gamma argument that names no file, parsed as inline JSON."""
     try:
         obj = json.loads(arg)
     except json.JSONDecodeError:
@@ -191,9 +201,9 @@ def load_isotropy(obj: Any, base: Path | None = None) -> catalog.IsotropyModel:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValidationError(f"isotropy chi[{k!r}]: expected an integer")
         models = obj.get("cell_models", {})
-        cm = tuple(
-            (k, load_cell_space(v, base)) for k, v in models.items()
-        )
+        if not isinstance(models, dict):
+            raise ValidationError("isotropy: 'cell_models' must be an object")
+        cm = tuple((k, load_cell_space(v, base)) for k, v in models.items())
         return catalog.CustomIsotropy(name, tuple(sorted(chi_table.items())), cm)
     raise ValidationError(f"isotropy: unknown kind {kind!r}")
 

@@ -300,6 +300,8 @@ def _order_ell_walk(x: RigidGComplex, ell: int, cap: int) -> tuple[int, list[int
 
     if ell < 0:
         raise ValidationError("ell must be >= 0")
+    if cap < 0:
+        raise ValidationError(f"recursion cap must be >= 0, got {cap}")
     if ell > cap:
         raise RecursionCapExceeded(ell, cap)
     if ell == 0:
@@ -329,7 +331,7 @@ class InertiaComplex(RigidGComplex):
     its (tuple, base cell) pair.
     """
 
-    __slots__ = ("presentation", "base", "tuples", "pairs")
+    __slots__ = ("tuples", "pairs")
 
     def __init__(self, p: Presentation, x: RigidGComplex):
         homs = groups.hom_enumerate(p, x.group)
@@ -350,8 +352,6 @@ class InertiaComplex(RigidGComplex):
             # translated cell, so the lookups below cannot miss
             perms.append(tuple(pos[conj[i], perm[c]] for i, c in keys))
         super().__init__(x.group, space, tuple(perms))
-        self.presentation = p
-        self.base = x
         self.tuples = homs
         self.pairs = pairs
 

@@ -121,6 +121,28 @@ def test_order_ell_cap_exit_2():
     assert r.returncode == 0
 
 
+def test_negative_recursion_cap_is_invalid_input():
+    r = run_cli("order-ell", str(DATA / "s3_point.json"), "--ell", "0", "--cap", "-1")
+    assert r.returncode == 1
+    assert "recursion cap must be >= 0, got -1" in r.stderr
+    r = run_cli(
+        "order-ell", str(DATA / "s3_point.json"), "--ell", "0",
+        env_extra={"EULERCHI_RECURSION_CAP": "-2"},
+    )
+    assert r.returncode == 1
+    assert "recursion cap must be >= 0, got -2" in r.stderr
+
+
+def test_long_inline_gamma_is_not_a_file_name():
+    gamma = json.dumps({"kind": "presentation", "generators": 2, "relators": [[1, 2, -1, -2]] * 30})
+    assert len(gamma) > 255 and "/" not in gamma
+    r = run_cli("--report", "json", "translation", str(DATA / "s3_point.json"), "--gamma", gamma)
+    assert r.returncode == 0, r.stderr
+    report = json.loads(r.stdout)
+    assert report["result"] == {"strata": 8, "inertia": 8, "noniter": 8}
+    assert report["inputs"]["gamma"]["inline"] == gamma
+
+
 def test_pushforward_fubini():
     r = run_cli(
         "--report", "json",

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -481,10 +482,42 @@ def test_subgroup_group_of_whole_group_is_the_group(g):
 
 # --- class equation for commuting pairs -------------------------------------
 
-@pytest.mark.parametrize("g", SMALL_GROUPS)
+@pytest.mark.parametrize(
+    "g",
+    SMALL_GROUPS
+    + [symmetric_group(5)]
+    + [build() for build in harness._GROUP_BUILDERS.values()],
+)
 def test_commuting_pairs_class_equation(g):
+    # classes and centralizers against a brute force by mul and inv
+    classes, seen = [], set()
+    for a in g.elements():
+        if a not in seen:
+            orbit = {g.mul(g.mul(b, a), g.inv(b)) for b in g.elements()}
+            seen |= orbit
+            classes.append((min(orbit), len(orbit)))
+    assert [(cls.rep, cls.size) for cls in conjugacy_classes(g)] == classes
+    for a in g.elements():
+        assert centralizer(g, (a,)) == [b for b in g.elements() if g.mul(a, b) == g.mul(b, a)]
     pairs = hom_enumerate(Presentation.free_abelian(2), g)
     by_centralizer = sum(
         len(centralizer(g, (cls.rep,))) * cls.size for cls in conjugacy_classes(g)
     )
     assert len(pairs) == by_centralizer
+
+
+@pytest.mark.parametrize(
+    "count",
+    [conjugacy_classes, lambda g: conj_orbit_count(hom_enumerate(Presentation.free(1), g), g)],
+    ids=["conjugacy_classes", "conj_orbit_count"],
+)
+def test_conjugation_builds_no_order_squared_table(count):
+    # a table of all |S6|^2 conjugates would take over 4 MB
+    g = symmetric_group(6)
+    tracemalloc.start()
+    try:
+        count(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -69,6 +69,13 @@ def test_presentation_arg_inline_and_file(tmp_path):
         jsonio.load_presentation_arg("no/such/file.json")
 
 
+def test_presentation_arg_longer_than_a_file_name_is_inline():
+    arg = json.dumps({"kind": "presentation", "generators": 1, "relators": [[1] * 200]})
+    assert len(arg) > 255 and "/" not in arg
+    assert not jsonio.names_file(arg)
+    assert jsonio.load_presentation_arg(arg) == Presentation(1, ((1,) * 200,))
+
+
 def test_isotropy_kinds():
     assert isinstance(jsonio.load_isotropy({"kind": "SO3"}), SO3Isotropy)
     assert isinstance(jsonio.load_isotropy({"kind": "O2"}), O2Isotropy)
@@ -112,6 +119,24 @@ def test_group_order_must_be_an_integer(order):
 def test_presentation_counts_must_be_integers(obj, message):
     with pytest.raises(ValidationError) as exc:
         jsonio.load_presentation(obj)
+    assert str(exc.value) == message
+
+
+
+@pytest.mark.parametrize(
+    "obj,message",
+    [
+        ({"kind": "torus", "n": True}, "torus dimension must be a positive integer, got True"),
+        ({"kind": "torus", "n": 1.0}, "torus dimension must be a positive integer, got 1.0"),
+        (
+            {"kind": "custom", "name": "pin", "chi": {"Z": 4}, "cell_models": [1]},
+            "isotropy: 'cell_models' must be an object",
+        ),
+    ],
+)
+def test_isotropy_fields_checked(obj, message):
+    with pytest.raises(ValidationError) as exc:
+        jsonio.load_isotropy(obj)
     assert str(exc.value) == message
 
 

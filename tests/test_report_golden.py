@@ -35,6 +35,11 @@ GAMMAS = [
 ]
 
 CASES = {
+    "chi": [["chi", f] for f in FILES],
+    "integrate": [["integrate", f] for f in FILES],
+    "pushforward": [["pushforward", f, "ones_on_square.json"] for f in FILES],
+    "atlas": [["atlas", f, f, "--gamma", g] for f in FILES for g in GAMMAS],
+    "extension": [["extension", f] for f in FILES],
     "order_ell": [["order-ell", f, "--ell", str(ell)] for f in FILES for ell in (0, 1, 2, 3, 5)],
     "translation": [["translation", f, "--gamma", g] for f in FILES for g in GAMMAS],
     "inertia": [["inertia", f, "--gamma", g] for f in FILES for g in GAMMAS],

@@ -352,6 +352,8 @@ def test_order_ell_cap():
     with pytest.raises(RecursionCapExceeded):
         chi_order_ell(point_complex(Z2), 5)
     assert chi_order_ell(point_complex(Z2), 5, cap=5) == 2 ** 5
+    with pytest.raises(ValidationError, match="recursion cap must be >= 0, got -1"):
+        chi_order_ell(point_complex(Z2), 0, cap=-1)
 
 
 # --- inertia complexes ---------------------------------------------------------------
