@@ -19,6 +19,9 @@ from .cells import (
     product,
     pushforward,
     restrict,
+    validate_function,
+    validate_map,
+    validate_space,
 )
 from .catalog import (
     CustomIsotropy,
@@ -52,6 +55,7 @@ from .groupoid import (
     chi_z,
     product_groupoid,
     restrict_groupoid,
+    validate_groupoid,
 )
 from .groups import (
     ConjOrbits,

@@ -20,6 +20,10 @@ trivialized-fiber semantics: the fiber over a point of a target cell c
 meets a source cell s assigned to c in a single open cell of dimension
 dim(s) - dim(c).  That convention makes the Fubini identity
 ``integrate(pushforward(m, f)) == integrate(f)`` exact on the nose.
+
+Constructors only store their arguments: values from outside are checked
+once, as they enter, by ``validate_space``, ``validate_function`` and
+``validate_map``, and values built here are trusted.
 """
 
 from __future__ import annotations
@@ -47,20 +51,8 @@ class CellSpace:
     cells: tuple[Cell, ...] = ()
 
     def __post_init__(self):
-        cells = tuple(self.cells)
-        object.__setattr__(self, "cells", cells)
-        seen: dict[str, int] = {}
-        for i, c in enumerate(cells):
-            if not isinstance(c, Cell):
-                raise ValidationError(f"cells[{i}]: expected a Cell, got {type(c).__name__}")
-            if not c.id:
-                raise ValidationError(f"cells[{i}].id: empty id")
-            if not isinstance(c.dim, int) or isinstance(c.dim, bool) or c.dim < 0:
-                raise ValidationError(f"cells[{i}].dim: expected a non-negative integer, got {c.dim!r}")
-            if c.id in seen:
-                raise ValidationError(f"cells[{i}].id: duplicate id {c.id!r} (first at index {seen[c.id]})")
-            seen[c.id] = i
-        object.__setattr__(self, "_index", seen)
+        object.__setattr__(self, "cells", tuple(self.cells))
+        object.__setattr__(self, "_index", {c.id: i for i, c in enumerate(self.cells)})
 
     @classmethod
     def from_dims(cls, dims: Mapping[str, int]) -> "CellSpace":
@@ -85,6 +77,23 @@ class CellSpace:
         return len(self.cells)
 
 
+def validate_space(cells: Iterable[Cell]) -> CellSpace:
+    """Check cells from outside: non-empty ids, none twice, dims >= 0."""
+    cells = tuple(cells)
+    seen: dict[str, int] = {}
+    for i, c in enumerate(cells):
+        if not isinstance(c, Cell):
+            raise ValidationError(f"cells[{i}]: expected a Cell, got {type(c).__name__}")
+        if not c.id:
+            raise ValidationError(f"cells[{i}].id: empty id")
+        if not isinstance(c.dim, int) or isinstance(c.dim, bool) or c.dim < 0:
+            raise ValidationError(f"cells[{i}].dim: expected a non-negative integer, got {c.dim!r}")
+        if c.id in seen:
+            raise ValidationError(f"cells[{i}].id: duplicate id {c.id!r} (first at index {seen[c.id]})")
+        seen[c.id] = i
+    return CellSpace(cells)
+
+
 def chi(space: CellSpace) -> int:
     """Euler characteristic: the signed count sum((-1)^dim) over cells."""
     return sum(-1 if c.dim % 2 else 1 for c in space.cells)
@@ -97,24 +106,26 @@ class ConstructibleFunction:
     space: CellSpace
     values: Mapping[str, int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        vals = dict(self.values)
-        for cid, v in vals.items():
-            if not self.space.has_cell(cid):
-                raise ValidationError(f"values: {cid!r} is not a cell of the space")
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValidationError(f"values[{cid!r}]: expected an integer, got {v!r}")
-        missing = [c.id for c in self.space.cells if c.id not in vals]
-        if missing:
-            raise ValidationError(f"values: missing cells {missing}")
-        object.__setattr__(self, "values", vals)
-
     def __call__(self, cell_id: str) -> int:
         return self.values[cell_id]
 
     @classmethod
     def constant(cls, space: CellSpace, c: int) -> "ConstructibleFunction":
         return cls(space, {cid: c for cid in space.ids()})
+
+
+def validate_function(space: CellSpace, values: Mapping[str, int]) -> ConstructibleFunction:
+    """Check values from outside: one integer per cell."""
+    vals = dict(values)
+    for cid, v in vals.items():
+        if not space.has_cell(cid):
+            raise ValidationError(f"values: {cid!r} is not a cell of the space")
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValidationError(f"values[{cid!r}]: expected an integer, got {v!r}")
+    missing = [c.id for c in space.cells if c.id not in vals]
+    if missing:
+        raise ValidationError(f"values: missing cells {missing}")
+    return ConstructibleFunction(space, vals)
 
 
 def integrate(f: ConstructibleFunction) -> int:
@@ -193,33 +204,34 @@ class CellMap:
     its own.  The fiber over a point of target cell c meets source cell s
     (with assign(s) = c) in one open cell of dimension dim(s) - dim(c);
     maps violating the dimension inequality cannot arise that way and are
-    rejected at construction.
+    rejected by ``validate_map``.
     """
 
     source: CellSpace
     target: CellSpace
     assign: Mapping[str, str] = field(default_factory=dict)
 
-    def __post_init__(self):
-        assign = dict(self.assign)
-        for sid, tid in assign.items():
-            if not self.source.has_cell(sid):
-                raise ValidationError(f"assign: {sid!r} is not a cell of the source")
-            if not self.target.has_cell(tid):
-                raise ValidationError(f"assign[{sid!r}]: {tid!r} is not a cell of the target")
-            if self.source.dim_of(sid) < self.target.dim_of(tid):
-                raise ValidationError(
-                    f"assign[{sid!r}]: dimension {self.source.dim_of(sid)} "
-                    f"maps onto higher dimension {self.target.dim_of(tid)}"
-                )
-        missing = [c.id for c in self.source.cells if c.id not in assign]
-        if missing:
-            raise ValidationError(f"assign: missing source cells {missing}")
-        object.__setattr__(self, "assign", assign)
-
     @classmethod
     def identity(cls, space: CellSpace) -> "CellMap":
         return cls(space, space, {cid: cid for cid in space.ids()})
+
+
+def validate_map(source: CellSpace, target: CellSpace, assign: Mapping[str, str]) -> CellMap:
+    """Check an assignment from outside: each source cell to a cell of the
+    target of dimension at most its own."""
+    assign = dict(assign)
+    for sid, tid in assign.items():
+        if not source.has_cell(sid):
+            raise ValidationError(f"assign: {sid!r} is not a cell of the source")
+        if not target.has_cell(tid):
+            raise ValidationError(f"assign[{sid!r}]: {tid!r} is not a cell of the target")
+        sdim, tdim = source.dim_of(sid), target.dim_of(tid)
+        if sdim < tdim:
+            raise ValidationError(f"assign[{sid!r}]: dimension {sdim} maps onto higher dimension {tdim}")
+    missing = [c.id for c in source.cells if c.id not in assign]
+    if missing:
+        raise ValidationError(f"assign: missing source cells {missing}")
+    return CellMap(source, target, assign)
 
 
 def fiber_chi(m: CellMap, target_cell: str) -> int:

@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 input validation failure, 2 unsupported
 must agree.  Reports are deterministic for identical inputs and flags;
 ``--report json`` emits the machine-readable form.
 
-The recursion cap for the order-ell command can be overridden with the
-EULERCHI_RECURSION_CAP environment variable or ``--cap``.
+The order-ell command takes its recursion cap from ``--cap``, else from the
+EULERCHI_RECURSION_CAP environment variable, which no other command reads.
 """
 
 from __future__ import annotations
@@ -126,10 +126,17 @@ def cmd_translation(args) -> int:
 
 
 def cmd_order_ell(args) -> int:
+    cap = args.cap
+    if cap is None:
+        raw = os.environ.get("EULERCHI_RECURSION_CAP", "")
+        try:
+            cap = int(raw) if raw else tr.DEFAULT_RECURSION_CAP
+        except ValueError:
+            raise ValidationError(f"EULERCHI_RECURSION_CAP must be an integer, got {raw!r}") from None
     report = Report("order-ell")
     report.add_input_file("complex", args.complex)
     x = jsonio.load_file(args.complex, jsonio.load_complex)
-    report.result, branches = tr._order_ell_walk(x, args.ell, args.cap)
+    report.result, branches = tr._order_ell_walk(x, args.ell, cap)
     tree = [{"depth": d + 1, "branches": b} for d, b in enumerate(branches[:2])]
     report.breakdown = {"ell": args.ell, "recursion": tree}
     return _emit(report, args)
@@ -260,17 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--method", choices=("strata", "inertia", "noniter", "all"), default="all")
     s.set_defaults(func=cmd_translation)
 
-    raw_cap = os.environ.get("EULERCHI_RECURSION_CAP", "")
-    try:
-        cap_default = int(raw_cap) if raw_cap else tr.DEFAULT_RECURSION_CAP
-    except ValueError:
-        raise ValidationError(
-            f"EULERCHI_RECURSION_CAP must be an integer, got {raw_cap!r}"
-        ) from None
     s = sub.add_parser("order-ell", help="order-ell orbifold characteristic")
     s.add_argument("complex")
     s.add_argument("--ell", type=int, required=True)
-    s.add_argument("--cap", type=int, default=cap_default)
+    s.add_argument("--cap", type=int, default=None)
     s.set_defaults(func=cmd_order_ell)
 
     s = sub.add_parser("inertia", help="build the inertia complex and report its chi")
@@ -312,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     except CrossCheckError as exc:
         print(f"eulerchi: cross-check failure: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"eulerchi: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except EulerchiError as exc:

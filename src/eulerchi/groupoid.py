@@ -8,7 +8,8 @@ characteristic for a chosen finitely presented group.
 
 Labels are compared structurally, which refines the partition into
 isomorphism classes of isotropy; the integrals are computed per cell, so
-the refinement never changes a value.
+the refinement never changes a value.  Labels from outside are checked
+once, by ``validate_groupoid``; ``OrbitGroupoid`` only stores its arguments.
 """
 
 from __future__ import annotations
@@ -28,18 +29,20 @@ class OrbitGroupoid:
     space: CellSpace
     isotropy: Mapping[str, IsotropyModel]
 
-    def __post_init__(self):
-        iso = dict(self.isotropy)
-        for cid in iso:
-            if not self.space.has_cell(cid):
-                raise ValidationError(f"isotropy: {cid!r} is not a cell of the space")
-        missing = [cid for cid in self.space.ids() if cid not in iso]
-        if missing:
-            raise ValidationError(f"isotropy: unlabeled cells {missing}")
-        object.__setattr__(self, "isotropy", iso)
-
     def label(self, cell_id: str) -> IsotropyModel:
         return self.isotropy[cell_id]
+
+
+def validate_groupoid(space: CellSpace, isotropy: Mapping[str, IsotropyModel]) -> OrbitGroupoid:
+    """Check labels from outside: one per cell of the space."""
+    iso = dict(isotropy)
+    for cid in iso:
+        if not space.has_cell(cid):
+            raise ValidationError(f"isotropy: {cid!r} is not a cell of the space")
+    missing = [cid for cid in space.ids() if cid not in iso]
+    if missing:
+        raise ValidationError(f"isotropy: unlabeled cells {missing}")
+    return OrbitGroupoid(space, iso)
 
 
 def integrand(g: OrbitGroupoid, p: Presentation) -> ConstructibleFunction:
@@ -107,14 +110,7 @@ def chi_gamma_atlas(pieces: Sequence, p: Presentation) -> int:
     """
     from . import translation
 
-    total = 0
-    for i, piece in enumerate(pieces):
-        try:
-            total += translation.chi_gamma_strata(p, piece)
-        except UnsupportedCombination as exc:
-            where = f"piece {i}" + (f", {exc.cell_id}" if exc.cell_id else "")
-            raise UnsupportedCombination(exc.model, exc.presentation, where) from None
-    return total
+    return sum(translation.chi_gamma_strata(p, piece) for piece in pieces)
 
 
 @dataclass(frozen=True)

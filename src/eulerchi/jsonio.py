@@ -4,6 +4,8 @@ Loaders take either an already-parsed object or a file path; wherever a
 schema allows a nested value (a function's space, a map's source, a
 complex's group) the nested value may be given inline or as a path string,
 resolved relative to the referring file.  Errors name the offending field.
+A loader checks only the JSON shape and ends with the validator of what it
+builds (``validate_space`` and the like): the one check of an input.
 
 The id separator "⊗" is reserved for generated ids (products, inertia
 cells) and rejected in all input ids; a dumped product space is therefore
@@ -16,7 +18,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from . import catalog, groupoid, groups, translation
+from . import catalog, cells, groupoid, groups, translation
 from .cells import Cell, CellMap, CellSpace, ConstructibleFunction, RESERVED_SEPARATOR
 from .errors import ValidationError
 
@@ -70,11 +72,8 @@ def load_cell_space(obj: Any, base: Path | None = None) -> CellSpace:
     out = []
     for i, entry in enumerate(raw):
         cid = _check_input_id(_require(entry, "id", f"cells[{i}]"), f"cells[{i}].id")
-        dim = _require(entry, "dim", f"cells[{i}]")
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
-            raise ValidationError(f"cells[{i}].dim: expected a non-negative integer, got {dim!r}")
-        out.append(Cell(cid, dim))
-    return CellSpace(tuple(out))
+        out.append(Cell(cid, _require(entry, "dim", f"cells[{i}]")))
+    return cells.validate_space(out)
 
 
 def dump_cell_space(space: CellSpace) -> dict:
@@ -87,10 +86,7 @@ def load_function(obj: Any, base: Path | None = None) -> ConstructibleFunction:
     values = _require(obj, "values", "function")
     if not isinstance(values, dict):
         raise ValidationError("values: expected an object")
-    for k, v in values.items():
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValidationError(f"values[{k!r}]: expected an integer, got {v!r}")
-    return ConstructibleFunction(space, values)
+    return cells.validate_function(space, values)
 
 
 def load_cell_map(obj: Any, base: Path | None = None) -> CellMap:
@@ -100,7 +96,7 @@ def load_cell_map(obj: Any, base: Path | None = None) -> CellMap:
     assign = _require(obj, "assign", "map")
     if not isinstance(assign, dict):
         raise ValidationError("assign: expected an object")
-    return CellMap(source, target, assign)
+    return cells.validate_map(source, target, assign)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +152,6 @@ def names_file(arg: str) -> bool:
         return False
 
 
-def load_presentation_arg(arg: str) -> groups.Presentation:
-    """A --gamma argument: a file path if one exists there, else inline JSON."""
-    return load_file(arg, load_presentation) if names_file(arg) else load_presentation_text(arg)
-
-
 def load_presentation_text(arg: str) -> groups.Presentation:
     """A --gamma argument that names no file, parsed as inline JSON."""
     try:
@@ -213,16 +204,16 @@ def load_groupoid(obj: Any, base: Path | None = None) -> groupoid.OrbitGroupoid:
     strata = _require(obj, "strata", "groupoid")
     if not isinstance(strata, list):
         raise ValidationError("strata: expected a list")
-    cells = []
+    out = []
     iso = {}
     for i, entry in enumerate(strata):
         cid = _check_input_id(_require(entry, "id", f"strata[{i}]"), f"strata[{i}].id")
         dim = _require(entry, "dim", f"strata[{i}]")
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise ValidationError(f"strata[{i}].dim: expected a non-negative integer")
-        cells.append(Cell(cid, dim))
+        out.append(Cell(cid, dim))
         iso[cid] = load_isotropy(_require(entry, "isotropy", f"strata[{i}]"), base)
-    return groupoid.OrbitGroupoid(CellSpace(tuple(cells)), iso)
+    return groupoid.validate_groupoid(cells.validate_space(out), iso)
 
 
 # ---------------------------------------------------------------------------

@@ -42,16 +42,12 @@ from typing import Iterable, Mapping, Sequence
 
 from . import groups
 from .catalog import FiniteIsotropy
-from .cells import Cell, CellMap, CellSpace
+from .cells import Cell, CellMap, CellSpace, RESERVED_SEPARATOR
 from .errors import CrossCheckError, RecursionCapExceeded, ValidationError
 from .groupoid import OrbitGroupoid, chi_gamma
 from .groups import FiniteGroup, HomTuple, Presentation
 
 DEFAULT_RECURSION_CAP = 4
-
-# separator between the homomorphism index and the base cell id in
-# generated inertia cell ids; input ids can never contain it
-_SEP = "⊗"
 
 
 class RigidGComplex:
@@ -342,7 +338,7 @@ class InertiaComplex(RigidGComplex):
         keys = [(i, c) for c, m in enumerate(masks) for i, n in enumerate(needs) if m & n == n]
         pos = {key: k for k, key in enumerate(keys)}
         cells = x.space.cells
-        pairs = {f"{i}{_SEP}{cells[c].id}": (homs[i], cells[c].id) for i, c in keys}
+        pairs = {f"{i}{RESERVED_SEPARATOR}{cells[c].id}": (homs[i], cells[c].id) for i, c in keys}
         space = CellSpace(tuple(Cell(pid, cells[c].dim) for pid, (_, c) in zip(pairs, keys)))
         used = sorted({i for i, _ in keys})
         perms = []

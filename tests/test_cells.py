@@ -16,6 +16,9 @@ from eulerchi.cells import (
     product,
     pushforward,
     restrict,
+    validate_function,
+    validate_map,
+    validate_space,
 )
 from eulerchi.errors import ValidationError
 
@@ -67,12 +70,12 @@ def test_chi_basic(space, expected):
 
 def test_duplicate_ids_rejected():
     with pytest.raises(ValidationError, match="duplicate"):
-        CellSpace((Cell("a", 0), Cell("a", 1)))
+        validate_space((Cell("a", 0), Cell("a", 1)))
 
 
 def test_empty_id_rejected():
     with pytest.raises(ValidationError, match="empty id"):
-        CellSpace((Cell("", 0),))
+        validate_space((Cell("", 0),))
 
 
 @given(cell_spaces, st.randoms(use_true_random=False))
@@ -145,9 +148,9 @@ def test_integrate_additive_over_partition(f, rnd):
 
 def test_function_must_be_total():
     with pytest.raises(ValidationError, match="missing"):
-        ConstructibleFunction(CLOSED_INTERVAL, {"v0": 1})
+        validate_function(CLOSED_INTERVAL, {"v0": 1})
     with pytest.raises(ValidationError, match="not a cell"):
-        ConstructibleFunction(CIRCLE, {"v": 0, "e": 0, "ghost": 1})
+        validate_function(CIRCLE, {"v": 0, "e": 0, "ghost": 1})
 
 
 # --- product and restrict --------------------------------------------------
@@ -225,7 +228,7 @@ def test_map_rejects_dimension_increase():
     src = CellSpace.from_dims({"s": 0})
     tgt = CellSpace.from_dims({"t": 1})
     with pytest.raises(ValidationError, match="dimension"):
-        CellMap(src, tgt, {"s": "t"})
+        validate_map(src, tgt, {"s": "t"})
 
 
 def test_pushforward_identity():

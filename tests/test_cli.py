@@ -56,6 +56,21 @@ def test_chi_malformed_file_names_field(tmp_path):
 def test_chi_missing_file():
     r = run_cli("chi", "definitely/not/here.json")
     assert r.returncode == 1
+    assert r.stderr == "eulerchi: [Errno 2] No such file or directory: 'definitely/not/here.json'\n"
+
+
+def test_chi_of_a_directory_exits_1(tmp_path):
+    r = run_cli("chi", str(tmp_path))
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("eulerchi: [Errno 21] Is a directory")
+
+
+def test_out_to_a_directory_exits_1(tmp_path):
+    r = run_cli("--out", str(tmp_path), "chi", str(DATA / "closed_interval.json"))
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("eulerchi: [Errno 21] Is a directory")
 
 
 def test_gamma_chi_values():
@@ -131,6 +146,34 @@ def test_negative_recursion_cap_is_invalid_input():
     )
     assert r.returncode == 1
     assert "recursion cap must be >= 0, got -2" in r.stderr
+
+
+def test_bad_recursion_cap_variable_is_read_only_by_order_ell():
+    env = {"EULERCHI_RECURSION_CAP": "many"}
+    assert run_cli("--help", env_extra=env).returncode == 0
+    r = run_cli("chi", str(DATA / "closed_interval.json"), env_extra=env)
+    assert r.returncode == 0, r.stderr
+    r = run_cli("order-ell", str(DATA / "s3_point.json"), "--ell", "1", env_extra=env)
+    assert r.returncode == 1
+    assert "EULERCHI_RECURSION_CAP must be an integer, got 'many'" in r.stderr
+    r = run_cli("order-ell", str(DATA / "s3_point.json"), "--ell", "1", "--cap", "4", env_extra=env)
+    assert r.returncode == 0, r.stderr
+
+
+def test_gamma_file_path_is_read_as_a_file(tmp_path):
+    gamma = tmp_path / "gamma.json"
+    gamma.write_text(json.dumps({"kind": "free_abelian", "rank": 1}))
+    r = run_cli("--report", "json", "translation", str(DATA / "s3_point.json"), "--gamma", str(gamma))
+    assert r.returncode == 0, r.stderr
+    report = json.loads(r.stdout)
+    assert report["result"] == {"strata": 3, "inertia": 3, "noniter": 3}
+    assert report["inputs"]["gamma"]["path"] == str(gamma)
+
+
+def test_gamma_missing_path_is_refused():
+    r = run_cli("translation", str(DATA / "s3_point.json"), "--gamma", "no/such/file.json")
+    assert r.returncode == 1
+    assert "--gamma: 'no/such/file.json' is neither an existing file nor valid JSON" in r.stderr
 
 
 def test_long_inline_gamma_is_not_a_file_name():

@@ -13,6 +13,7 @@ from eulerchi.groupoid import (
     chi_z,
     product_groupoid,
     restrict_groupoid,
+    validate_groupoid,
 )
 from eulerchi.groups import Presentation, Z, cyclic_group, symmetric_group
 from eulerchi import translation as tr
@@ -36,9 +37,9 @@ def space_rotation_groupoid() -> OrbitGroupoid:
 def test_labels_must_cover_space():
     space = CellSpace.from_dims({"a": 0, "b": 1})
     with pytest.raises(ValidationError, match="unlabeled"):
-        OrbitGroupoid(space, {"a": T1})
+        validate_groupoid(space, {"a": T1})
     with pytest.raises(ValidationError, match="not a cell"):
-        OrbitGroupoid(space, {"a": T1, "b": T1, "ghost": T1})
+        validate_groupoid(space, {"a": T1, "b": T1, "ghost": T1})
 
 
 def test_sphere_free_abelian():

@@ -60,20 +60,11 @@ def test_presentation_kinds():
         jsonio.load_presentation({"kind": "braid"})
 
 
-def test_presentation_arg_inline_and_file(tmp_path):
-    assert jsonio.load_presentation_arg('{"kind":"cyclic","order":3}') == Presentation.cyclic(3)
-    path = tmp_path / "gamma.json"
-    path.write_text(json.dumps({"kind": "free_abelian", "rank": 1}))
-    assert jsonio.load_presentation_arg(str(path)) == Presentation.free_abelian(1)
-    with pytest.raises(ValidationError, match="neither"):
-        jsonio.load_presentation_arg("no/such/file.json")
-
-
 def test_presentation_arg_longer_than_a_file_name_is_inline():
     arg = json.dumps({"kind": "presentation", "generators": 1, "relators": [[1] * 200]})
     assert len(arg) > 255 and "/" not in arg
     assert not jsonio.names_file(arg)
-    assert jsonio.load_presentation_arg(arg) == Presentation(1, ((1,) * 200,))
+    assert jsonio.load_presentation_text(arg) == Presentation(1, ((1,) * 200,))
 
 
 def test_isotropy_kinds():

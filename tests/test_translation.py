@@ -4,10 +4,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerchi import groups, harness, jsonio, translation
+from eulerchi import cells, groupoid, groups, harness, jsonio, translation
 from eulerchi.catalog import FiniteIsotropy
-from eulerchi.cells import CellSpace, ConstructibleFunction, chi, fiber_chi, integrate, pushforward
+from eulerchi.cells import (
+    CellSpace,
+    ConstructibleFunction,
+    chi,
+    fiber_chi,
+    integrate,
+    integrate_levelset,
+    pushforward,
+)
 from eulerchi.errors import CrossCheckError, RecursionCapExceeded, ValidationError
+from eulerchi.groupoid import product_groupoid
 from eulerchi.groups import Presentation, Z, cyclic_group, quaternion_group, symmetric_group
 from eulerchi.translation import (
     RigidGComplex,
@@ -139,6 +148,96 @@ def test_validate_complex_runs_only_at_the_edge(monkeypatch):
     assert calls == []
     jsonio.load_complex(jsonio.dump_complex(xs[1]))
     assert len(calls) == 1
+
+
+def _harness_complexes():
+    return [free_circle(), coset_complex(S3, [0, 1])] + _generated_complexes(5)
+
+
+def _derived_cell_values():
+    """Spaces, functions, maps and groupoids the program builds itself, none
+    of them checked on construction."""
+    rng = random.Random(5)
+    for x in _harness_complexes():
+        og = orbit_groupoid(x)
+        yield x.space
+        yield og
+        yield product_groupoid(og, og)
+        yield harness.random_function(rng, x.space)
+        for p in (Z, Presentation.free_abelian(2)):
+            m = anchor_map(p, x)
+            yield m
+            yield pushforward(m, ConstructibleFunction.constant(m.source, 1))
+            yield inertia_complex(p, x).space
+
+
+def test_cell_validators_run_only_at_the_edge(monkeypatch):
+    calls = []
+    for module, name in (
+        (cells, "validate_space"),
+        (cells, "validate_function"),
+        (cells, "validate_map"),
+        (groupoid, "validate_groupoid"),
+    ):
+        def counting(*args, _original=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    harness.run_suite(seed=3, cases=5)
+    for x in _harness_complexes():
+        for p in (Z, Presentation.free_abelian(2)):
+            chi_gamma_strata(p, x)
+            lambda_chi(p, x)
+            chi_gamma_noniter(p, x)
+        chi_order_ell(x, 2)
+    for value in _derived_cell_values():
+        if isinstance(value, ConstructibleFunction):
+            integrate_levelset(value)
+    assert calls == []
+
+    space = {"cells": [{"id": "v", "dim": 0}, {"id": "e", "dim": 1}]}
+    loads = [
+        (jsonio.load_cell_space, space, ["validate_space"]),
+        (
+            jsonio.load_function,
+            {"space": space, "values": {"v": 1, "e": 2}},
+            ["validate_space", "validate_function"],
+        ),
+        (
+            jsonio.load_cell_map,
+            {"source": space, "target": {"cells": [{"id": "pt", "dim": 0}]},
+             "assign": {"v": "pt", "e": "pt"}},
+            ["validate_space", "validate_space", "validate_map"],
+        ),
+        (
+            jsonio.load_groupoid,
+            {"strata": [{"id": "pt", "dim": 0, "isotropy": {"kind": "torus", "n": 1}}]},
+            ["validate_space", "validate_groupoid"],
+        ),
+        (jsonio.load_complex, jsonio.dump_complex(coset_complex(S3, [0, 1])), ["validate_space"]),
+    ]
+    for load, obj, expected in loads:
+        calls.clear()
+        load(obj)
+        assert calls == expected, load.__name__
+
+
+def test_derived_cell_values_pass_the_validators():
+    """What the program builds without a check, the validators let in."""
+    for value in _derived_cell_values():
+        if isinstance(value, CellSpace):
+            cells.validate_space(value.cells)
+        elif isinstance(value, ConstructibleFunction):
+            cells.validate_space(value.space.cells)
+            cells.validate_function(value.space, value.values)
+        elif isinstance(value, cells.CellMap):
+            cells.validate_space(value.source.cells)
+            cells.validate_space(value.target.cells)
+            cells.validate_map(value.source, value.target, value.assign)
+        else:
+            cells.validate_space(value.space.cells)
+            groupoid.validate_groupoid(value.space, value.isotropy)
 
 
 # --- stabilizers and orbits ----------------------------------------------------
