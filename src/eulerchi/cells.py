@@ -106,9 +106,6 @@ class ConstructibleFunction:
     space: CellSpace
     values: Mapping[str, int] = field(default_factory=dict)
 
-    def __call__(self, cell_id: str) -> int:
-        return self.values[cell_id]
-
     @classmethod
     def constant(cls, space: CellSpace, c: int) -> "ConstructibleFunction":
         return cls(space, {cid: c for cid in space.ids()})

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 input validation failure, 2 unsupported
 (model, group) combination, 3 cross-check disagreement between routes that
 must agree.  Reports are deterministic for identical inputs and flags;
-``--report json`` emits the machine-readable form.
+``--report json`` emits the machine-readable form.  Input files are read
+only by ``jsonio``, once each; the report records what it read.
 
 The order-ell command takes its recursion cap from ``--cap``, else from the
 EULERCHI_RECURSION_CAP environment variable, which no other command reads.
@@ -17,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import catalog, cells, groupoid, groups, harness, jsonio, translation as tr
+from . import catalog, cells, groupoid, harness, jsonio, translation as tr
 from .errors import (
     CrossCheckError,
     EulerchiError,
@@ -41,20 +42,14 @@ def _emit(report: Report, args) -> int:
     return EXIT_OK if report.all_pass() else EXIT_CROSSCHECK
 
 
-def _gamma(report: Report, arg: str) -> groups.Presentation:
-    if jsonio.names_file(arg):
-        p = jsonio.load_file(arg, jsonio.load_presentation)
-        report.add_input_file("gamma", arg)
-    else:
-        p = jsonio.load_presentation_text(arg)
-        report.add_input_text("gamma", arg)
-    return p
+def _load(report: Report, label: str, path: str, loader):
+    value, report.inputs[label] = jsonio.load_file(path, loader)
+    return value
 
 
 def cmd_chi(args) -> int:
     report = Report("chi")
-    report.add_input_file("space", args.space)
-    space = jsonio.load_file(args.space, jsonio.load_cell_space)
+    space = _load(report, "space", args.space, jsonio.load_cell_space)
     report.result = cells.chi(space)
     report.breakdown = [
         {"cell": c.id, "dim": c.dim, "sign": -1 if c.dim % 2 else 1} for c in space.cells
@@ -64,8 +59,7 @@ def cmd_chi(args) -> int:
 
 def cmd_integrate(args) -> int:
     report = Report("integrate")
-    report.add_input_file("function", args.function)
-    f = jsonio.load_file(args.function, jsonio.load_function)
+    f = _load(report, "function", args.function, jsonio.load_function)
     value = cells.integrate(f)
     report.result = value
     report.check("levelset_formulation", value, cells.integrate_levelset(f))
@@ -74,10 +68,8 @@ def cmd_integrate(args) -> int:
 
 def cmd_pushforward(args) -> int:
     report = Report("pushforward")
-    report.add_input_file("map", args.map)
-    report.add_input_file("function", args.function)
-    m = jsonio.load_file(args.map, jsonio.load_cell_map)
-    f = jsonio.load_file(args.function, jsonio.load_function)
+    m = _load(report, "map", args.map, jsonio.load_cell_map)
+    f = _load(report, "function", args.function, jsonio.load_function)
     pushed = cells.pushforward(m, f)
     report.result = {cid: pushed.values[cid] for cid in sorted(pushed.values)}
     report.check("fubini", cells.integrate(pushed), cells.integrate(f))
@@ -86,9 +78,8 @@ def cmd_pushforward(args) -> int:
 
 def cmd_gamma_chi(args) -> int:
     report = Report("gamma-chi")
-    report.add_input_file("groupoid", args.groupoid)
-    g = jsonio.load_file(args.groupoid, jsonio.load_groupoid)
-    p = _gamma(report, args.gamma)
+    g = _load(report, "groupoid", args.groupoid, jsonio.load_groupoid)
+    p, report.inputs["gamma"] = jsonio.load_gamma(args.gamma)
     f = groupoid.integrand(g, p)
     report.result = cells.integrate(f)
     report.breakdown = [
@@ -108,9 +99,8 @@ def cmd_gamma_chi(args) -> int:
 
 def cmd_translation(args) -> int:
     report = Report("translation")
-    report.add_input_file("complex", args.complex)
-    x = jsonio.load_file(args.complex, jsonio.load_complex)
-    p = _gamma(report, args.gamma)
+    x = _load(report, "complex", args.complex, jsonio.load_complex)
+    p, report.inputs["gamma"] = jsonio.load_gamma(args.gamma)
     values = {}
     if args.method in ("strata", "all"):
         values["strata"] = tr.chi_gamma_strata(p, x)
@@ -134,8 +124,7 @@ def cmd_order_ell(args) -> int:
         except ValueError:
             raise ValidationError(f"EULERCHI_RECURSION_CAP must be an integer, got {raw!r}") from None
     report = Report("order-ell")
-    report.add_input_file("complex", args.complex)
-    x = jsonio.load_file(args.complex, jsonio.load_complex)
+    x = _load(report, "complex", args.complex, jsonio.load_complex)
     report.result, branches = tr._order_ell_walk(x, args.ell, cap)
     tree = [{"depth": d + 1, "branches": b} for d, b in enumerate(branches[:2])]
     report.breakdown = {"ell": args.ell, "recursion": tree}
@@ -144,9 +133,8 @@ def cmd_order_ell(args) -> int:
 
 def cmd_inertia(args) -> int:
     report = Report("inertia")
-    report.add_input_file("complex", args.complex)
-    x = jsonio.load_file(args.complex, jsonio.load_complex)
-    p = _gamma(report, args.gamma)
+    x = _load(report, "complex", args.complex, jsonio.load_complex)
+    p, report.inputs["gamma"] = jsonio.load_gamma(args.gamma)
     ic = tr.inertia_complex(p, x)
     orbits = tr.orbit_space(ic)
     report.result = cells.chi(orbits)
@@ -162,9 +150,8 @@ def cmd_atlas(args) -> int:
     report = Report("atlas")
     pieces = []
     for i, path in enumerate(args.pieces):
-        report.add_input_file(f"piece{i}", path)
-        pieces.append(jsonio.load_file(path, jsonio.load_complex))
-    p = _gamma(report, args.gamma)
+        pieces.append(_load(report, f"piece{i}", path, jsonio.load_complex))
+    p, report.inputs["gamma"] = jsonio.load_gamma(args.gamma)
     terms = [tr.chi_gamma_strata(p, piece) for piece in pieces]
     report.result = sum(terms)
     report.breakdown = [{"piece": i, "value": v} for i, v in enumerate(terms)]
@@ -176,8 +163,7 @@ def cmd_atlas(args) -> int:
 
 def cmd_extension(args) -> int:
     report = Report("extension")
-    report.add_input_file("extension", args.extension)
-    ext = jsonio.load_file(args.extension, jsonio.load_extension)
+    ext = _load(report, "extension", args.extension, jsonio.load_extension)
     pred = groupoid.abelian_extension_chi(
         ext["fiber"], ext["group"], ext["complex"], ext["ell"]
     )

@@ -1,11 +1,14 @@
 """JSON schemas for every value the library exchanges with files.
 
-Loaders take either an already-parsed object or a file path; wherever a
-schema allows a nested value (a function's space, a map's source, a
-complex's group) the nested value may be given inline or as a path string,
-resolved relative to the referring file.  Errors name the offending field.
-A loader checks only the JSON shape and ends with the validator of what it
-builds (``validate_space`` and the like): the one check of an input.
+This module is the one reader of input files.  ``load_file`` reads a file
+once and returns the loaded value with the report's record of its bytes;
+``load_gamma`` does the same for a ``--gamma`` file or inline JSON.  Wherever
+a schema allows a nested value (a function's space, a map's source, a
+complex's group) it may be given inline or as a path string, resolved
+relative to the referring file and decoded as a top-level file is.  Errors
+name the offending field.  A loader checks only the JSON shape and ends with
+the validator of what it builds (``validate_space`` and the like): the one
+check of an input.
 
 The id separator "⊗" is reserved for generated ids (products, inertia
 cells) and rejected in all input ids; a dumped product space is therefore
@@ -14,34 +17,51 @@ not re-loadable, by design.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import catalog, cells, groupoid, groups, translation
 from .cells import Cell, CellMap, CellSpace, ConstructibleFunction, RESERVED_SEPARATOR
 from .errors import ValidationError
 
 
-def _read_json(path: Path) -> Any:
+class _File(NamedTuple):
+    """A file's JSON value, taken as it is (a string is no further path),
+    and the directory its references are relative to."""
+
+    value: Any
+    base: Path
+
+
+def _decode(data: bytes, path: Path) -> _File:
+    """Parse a file's bytes as read_text(encoding="utf-8") would give them."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8: {exc}") from None
     try:
-        return json.loads(text)
+        return _File(json.loads(text), path.parent)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError(f"{path}: JSON nested too deeply") from None
 
 
 def _resolve(obj_or_path: Any, base: Path | None) -> tuple[Any, Path | None]:
-    """Return (parsed object, new base dir) for an inline value or path."""
+    """Return (parsed object, new base dir) for an inline value, a path
+    string or a file load_file has read."""
     if isinstance(obj_or_path, str):
         path = Path(obj_or_path)
         if base is not None and not path.is_absolute():
             path = base / path
-        return _read_json(path), path.parent
-    return obj_or_path, base
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise ValidationError(f"cannot read {path}: {exc}") from None
+        obj_or_path = _decode(data, path)
+    return obj_or_path if isinstance(obj_or_path, _File) else (obj_or_path, base)
 
 
 def _require(obj: Any, key: str, where: str) -> Any:
@@ -144,7 +164,7 @@ def dump_presentation(p: groups.Presentation) -> dict:
     }
 
 
-def names_file(arg: str) -> bool:
+def _names_file(arg: str) -> bool:
     """Whether arg is an existing path; a string too long to be one is not."""
     try:
         return Path(arg).exists()
@@ -152,15 +172,25 @@ def names_file(arg: str) -> bool:
         return False
 
 
-def load_presentation_text(arg: str) -> groups.Presentation:
-    """A --gamma argument that names no file, parsed as inline JSON."""
+def load_gamma(arg: str) -> tuple[groups.Presentation, dict]:
+    """A --gamma argument, a presentation file if it names an existing path
+    and inline JSON otherwise: (presentation, the report's input record)."""
+    if _names_file(arg):
+        return load_file(arg, load_presentation)
     try:
         obj = json.loads(arg)
     except json.JSONDecodeError:
         raise ValidationError(
             f"--gamma: {arg!r} is neither an existing file nor valid JSON"
         ) from None
-    return load_presentation(obj)
+    except RecursionError:
+        raise ValidationError("--gamma: JSON nested too deeply") from None
+    p = load_presentation(obj)
+    try:
+        data = arg.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError("--gamma: not UTF-8") from None
+    return p, {"inline": arg, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +298,10 @@ def load_extension(obj: Any, base: Path | None = None) -> dict:
     }
 
 
-def load_file(path: str | Path, loader) -> Any:
-    """Load a file with one of the load_* functions above."""
-    p = Path(path)
-    return loader(str(p), Path.cwd())
+def load_file(path: str | Path, loader) -> tuple[Any, dict]:
+    """Load a file with one of the load_* functions above, reading it once:
+    (value, the report's input record of the path and the bytes' digest).
+    A file that cannot be read raises its own OSError."""
+    data = Path(path).read_bytes()
+    value = loader(_decode(data, Path.cwd() / path))
+    return value, {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}

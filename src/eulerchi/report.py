@@ -3,15 +3,14 @@
 Reports are JSON-first with a plain-text renderer.  They are deterministic:
 no timestamps, no absolute paths, inputs identified by content digest, keys
 sorted on output.  A report's assertions all passing is equivalent to the
-CLI exiting 0.
+CLI exiting 0.  A report reads no files: its input records come from
+``jsonio.load_file`` and ``jsonio.load_gamma``, which read each input once.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 
@@ -31,14 +30,6 @@ class Report:
     breakdown: Any = None
     assertions: list[Assertion] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-
-    def add_input_file(self, label: str, path: str | Path) -> None:
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        self.inputs[label] = {"path": str(path), "sha256": digest}
-
-    def add_input_text(self, label: str, text: str) -> None:
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        self.inputs[label] = {"inline": text, "sha256": digest}
 
     def check(self, name: str, lhs: Any, rhs: Any) -> bool:
         ok = lhs == rhs

@@ -1,11 +1,17 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
 import pytest
+
+from eulerchi import cli
 
 DATA = Path(str(resources.files("eulerchi") / "data"))
 
@@ -351,3 +357,165 @@ def test_custom_catalog_entry_warns(tmp_path):
     out = json.loads(r.stdout)
     assert out["result"] == 7
     assert any("user-supplied" in w for w in out["warnings"])
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_crlf_file_with_invalid_json_counts_chars_after_newline_translation(tmp_path):
+    bad = tmp_path / "crlf.json"
+    bad.write_bytes(b'{\r\n  "cells": [\r\n    {"id": "a", "dim": 0},\r\n  ]\r\n}\r\n')
+    r = run_cli("chi", str(bad))
+    assert r.returncode == 1
+    assert r.stderr.startswith("eulerchi: invalid input: ")
+    assert r.stderr.endswith(": invalid JSON: Expecting value: line 4 column 3 (char 44)\n")
+
+
+def test_file_whose_json_is_a_string_is_not_followed(tmp_path):
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps({"cells": [{"id": "v", "dim": 0}]}))
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps(str(square)))
+    r = run_cli("chi", str(ref))
+    assert r.returncode == 1
+    assert r.stderr == "eulerchi: invalid input: cell space: expected an object, got str\n"
+
+
+def test_missing_nested_space_reference_names_the_resolved_path(tmp_path):
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"space": "nope.json", "values": {}}))
+    r = run_cli("integrate", str(fn))
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"eulerchi: invalid input: cannot read {tmp_path / 'nope.json'}: ")
+    assert r.stderr.count("\n") == 1
+
+
+def test_pushforward_inputs_name_each_file_and_its_digest():
+    map_path, fn_path = DATA / "square_to_interval.json", DATA / "ones_on_square.json"
+    r = run_cli("--report", "json", "pushforward", str(map_path), str(fn_path))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["inputs"] == {
+        "map": {"path": str(map_path), "sha256": _sha256(map_path)},
+        "function": {"path": str(fn_path), "sha256": _sha256(fn_path)},
+    }
+
+
+def test_gamma_file_input_names_the_file_and_its_digest(tmp_path):
+    gamma = tmp_path / "gamma.json"
+    gamma.write_text('{"kind": "trivial"}\n')
+    r = run_cli("--report", "json", "translation", str(DATA / "s3_point.json"), "--gamma", str(gamma))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["inputs"]["gamma"] == {"path": str(gamma), "sha256": _sha256(gamma)}
+
+
+NOT_UTF8 = bytes.fromhex("fffe7b7d")
+
+
+def _refused_once(r, path):
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("eulerchi: invalid input: ")
+    assert str(path) in r.stderr
+    assert r.stderr.count("\n") == 1
+    assert "Traceback" not in r.stderr
+
+
+def test_non_utf8_file_is_refused(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(NOT_UTF8)
+    _refused_once(run_cli("chi", str(bad)), bad)
+
+
+def test_non_utf8_gamma_file_is_refused(tmp_path):
+    bad = tmp_path / "gamma.json"
+    bad.write_bytes(NOT_UTF8)
+    _refused_once(run_cli("translation", str(DATA / "s3_point.json"), "--gamma", str(bad)), bad)
+
+
+def test_non_utf8_nested_reference_is_refused(tmp_path):
+    (tmp_path / "space.json").write_bytes(NOT_UTF8)
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"space": "space.json", "values": {}}))
+    _refused_once(run_cli("integrate", str(fn)), tmp_path / "space.json")
+
+
+def test_non_utf8_inline_gamma_is_refused():
+    r = subprocess.run(
+        [sys.executable, "-m", "eulerchi.cli", "translation", str(DATA / "s3_point.json"),
+         "--gamma", b'{"kind":"trivial","note":"\xff"}'],
+        capture_output=True,
+    )
+    assert r.returncode == 1
+    assert r.stderr == b"eulerchi: invalid input: --gamma: not UTF-8\n"
+
+
+def test_over_deep_json_file_is_refused(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    _refused_once(run_cli("chi", str(deep)), deep)
+
+
+def test_over_deep_inline_gamma_is_refused():
+    r = run_cli("translation", str(DATA / "s3_point.json"), "--gamma", "[" * 100_000)
+    assert r.returncode == 1
+    assert r.stderr == "eulerchi: invalid input: --gamma: JSON nested too deeply\n"
+
+
+# files each bundled file refers to by path, once per reference
+NESTED = {
+    "ones_on_square.json": ["square.json"],
+    "square_to_interval.json": ["square.json"],
+}
+
+
+def _read_counting_runs(gamma_file):
+    files = sorted(p.name for p in DATA.glob("*.json"))
+    z1 = '{"kind":"free_abelian","rank":1}'
+    for f in files:
+        yield ["chi", f]
+        yield ["integrate", f]
+        yield ["pushforward", f, "ones_on_square.json"]
+        yield ["gamma-chi", f, "--gamma", gamma_file]
+        yield ["translation", f, "--gamma", gamma_file]
+        yield ["order-ell", f, "--ell", "1"]
+        yield ["inertia", f, "--gamma", z1]
+        yield ["atlas", f, f, "--gamma", z1]
+        yield ["extension", f]
+    yield ["verify", "--seed", "1", "--cases", "2"]
+
+
+def test_each_input_file_is_read_once_and_only_by_jsonio(tmp_path, monkeypatch):
+    gamma_file = str(tmp_path / "gamma.json")
+    Path(gamma_file).write_text('{"kind":"free_abelian","rank":1}')
+    reads: Counter = Counter()
+    readers: set = set()
+
+    def counting(method):
+        def read(self, *args, **kwargs):
+            reads[self.resolve()] += 1
+            readers.add(sys._getframe(1).f_globals["__name__"])
+            return method(self, *args, **kwargs)
+        return read
+
+    monkeypatch.setattr(Path, "read_bytes", counting(Path.read_bytes))
+    monkeypatch.setattr(Path, "read_text", counting(Path.read_text))
+    monkeypatch.chdir(DATA)
+    ok = 0
+    for argv in _read_counting_runs(gamma_file):
+        reads.clear()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["--report", "json", *argv])
+        expected: Counter = Counter()
+        for arg in argv[1:]:
+            if arg.endswith(".json"):
+                expected[(DATA / arg).resolve()] += 1
+                for ref in NESTED.get(arg, []):
+                    expected[(DATA / ref).resolve()] += 1
+        if code == 0:
+            ok += 1
+            assert reads == expected, argv
+        else:  # a refusal stops at the first fault, before some reads
+            assert all(n <= expected[p] for p, n in reads.items()), argv
+    assert ok >= 10
+    assert readers == {"eulerchi.jsonio"}

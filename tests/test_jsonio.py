@@ -17,7 +17,7 @@ def test_cell_space_roundtrip(tmp_path):
     assert jsonio.dump_cell_space(space) == obj
     path = tmp_path / "s.json"
     path.write_text(json.dumps(obj))
-    assert jsonio.load_file(path, jsonio.load_cell_space) == space
+    assert jsonio.load_file(path, jsonio.load_cell_space)[0] == space
 
 
 @pytest.mark.parametrize(
@@ -42,7 +42,7 @@ def test_function_space_by_path(tmp_path):
     )
     fn_path = tmp_path / "fn.json"
     fn_path.write_text(json.dumps({"space": "space.json", "values": {"a": 7}}))
-    f = jsonio.load_file(fn_path, jsonio.load_function)
+    f, _ = jsonio.load_file(fn_path, jsonio.load_function)
     assert f.values == {"a": 7}
 
 
@@ -63,8 +63,9 @@ def test_presentation_kinds():
 def test_presentation_arg_longer_than_a_file_name_is_inline():
     arg = json.dumps({"kind": "presentation", "generators": 1, "relators": [[1] * 200]})
     assert len(arg) > 255 and "/" not in arg
-    assert not jsonio.names_file(arg)
-    assert jsonio.load_presentation_text(arg) == Presentation(1, ((1,) * 200,))
+    p, record = jsonio.load_gamma(arg)
+    assert p == Presentation(1, ((1,) * 200,))
+    assert record["inline"] == arg
 
 
 def test_isotropy_kinds():
@@ -175,7 +176,7 @@ def test_complex_roundtrip_and_group_by_path(tmp_path):
     }
     path = tmp_path / "cx.json"
     path.write_text(json.dumps(obj))
-    x = jsonio.load_file(path, jsonio.load_complex)
+    x, _ = jsonio.load_file(path, jsonio.load_complex)
     assert x.group.order == 2 and x.act(1, "a") == "b"
     redumped = jsonio.dump_complex(x)
     assert redumped["action"]["0"] == {"a": "a", "b": "b"}
@@ -214,9 +215,9 @@ def test_bundled_complexes_roundtrip_to_the_same_perms():
     for path in sorted(data.glob("*.json")):
         obj = json.loads(path.read_text())
         if "action" in obj:
-            xs.append(jsonio.load_file(path, jsonio.load_complex))
+            xs.append(jsonio.load_file(path, jsonio.load_complex)[0])
         elif "complex" in obj:
-            xs.append(jsonio.load_file(path, jsonio.load_extension)["complex"])
+            xs.append(jsonio.load_file(path, jsonio.load_extension)[0]["complex"])
     assert len(xs) == 3
     for x in xs:
         y = jsonio.load_complex(jsonio.dump_complex(x))
