@@ -43,7 +43,7 @@ def _decode(data: bytes, path: Path) -> _File:
         raise ValidationError(f"{path}: not UTF-8: {exc}") from None
     try:
         return _File(json.loads(text), path.parent)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
         raise ValidationError(f"{path}: JSON nested too deeply") from None
@@ -179,7 +179,7 @@ def load_gamma(arg: str) -> tuple[groups.Presentation, dict]:
         return load_file(arg, load_presentation)
     try:
         obj = json.loads(arg)
-    except json.JSONDecodeError:
+    except ValueError:
         raise ValidationError(
             f"--gamma: {arg!r} is neither an existing file nor valid JSON"
         ) from None
@@ -197,7 +197,20 @@ def load_gamma(arg: str) -> tuple[groups.Presentation, dict]:
 # isotropy models and groupoids
 
 
+# Products nest one Python call per level here and in the catalog, inline or
+# by file reference (a file may refer to itself): deeper inputs are refused.
+_MAX_PRODUCT_DEPTH = 100
+
+
+class _NestedTooDeep(ValidationError):
+    """Products nested past the bound; ``load_file`` names the file."""
+
+
 def load_isotropy(obj: Any, base: Path | None = None) -> catalog.IsotropyModel:
+    return _load_isotropy(obj, base, 0)
+
+
+def _load_isotropy(obj: Any, base: Path | None, depth: int) -> catalog.IsotropyModel:
     obj, base = _resolve(obj, base)
     kind = _require(obj, "kind", "isotropy")
     if kind == "finite":
@@ -212,7 +225,9 @@ def load_isotropy(obj: Any, base: Path | None = None) -> catalog.IsotropyModel:
         factors = _require(obj, "factors", "isotropy")
         if not isinstance(factors, list) or not factors:
             raise ValidationError("isotropy: 'factors' must be a non-empty list")
-        return catalog.ProductIsotropy(tuple(load_isotropy(f, base) for f in factors))
+        if depth == _MAX_PRODUCT_DEPTH:
+            raise _NestedTooDeep(f"isotropy: products nested more than {_MAX_PRODUCT_DEPTH} deep")
+        return catalog.ProductIsotropy(tuple(_load_isotropy(f, base, depth + 1) for f in factors))
     if kind == "custom":
         name = _require(obj, "name", "isotropy")
         chi_table = _require(obj, "chi", "isotropy")
@@ -302,6 +317,9 @@ def load_file(path: str | Path, loader) -> tuple[Any, dict]:
     """Load a file with one of the load_* functions above, reading it once:
     (value, the report's input record of the path and the bytes' digest).
     A file that cannot be read raises its own OSError."""
-    data = Path(path).read_bytes()
-    value = loader(_decode(data, Path.cwd() / path))
+    data, where = Path(path).read_bytes(), Path.cwd() / path
+    try:
+        value = loader(_decode(data, where))
+    except _NestedTooDeep as exc:
+        raise ValidationError(f"{where}: {exc}") from None
     return value, {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}

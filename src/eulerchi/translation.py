@@ -28,9 +28,10 @@ test suite and the ``verify`` harness:
   iterated centralizer actions on fixed sets; order 1 is the classical
   one-generator sum over conjugacy classes of the group.
 
-The terms of the order-ell route, chi of a fixed set modulo its
-centralizer, are counted in place by ``fixed_orbit_chi``: the centralizer's
-orbits on the fixed cells are walked in the parent complex's own indices.
+Every orbit of cells is walked on cell indices by ``_orbits``, and an
+orbit's representative is its first cell in cell order.  The order-ell
+route takes chi of a fixed set modulo its centralizer in place, in the
+parent complex's own indices (``fixed_orbit_chi``).
 ``fixed_subcomplex`` builds the fixed set as a complex over the reindexed
 centralizer only where a group of its own is needed, at the inner levels of
 the order-ell recursion.
@@ -163,39 +164,43 @@ def stabilizer(x: RigidGComplex, cell_id: str) -> list[int]:
     return [g for g in x.group.elements() if mask >> g & 1]
 
 
+def _orbits(perms: Sequence[Sequence[int]], cells: Iterable[int]) -> list[tuple[int, set[int]]]:
+    """The orbits of a group of permutations (given as all its elements) on
+    ``cells``, a set of cell indices it maps to itself, in increasing
+    order: (first cell, orbit) pairs, in cell order."""
+    seen: set[int] = set()
+    out = []
+    for i in cells:
+        if i not in seen:
+            orbit = {p[i] for p in perms}
+            seen |= orbit
+            out.append((i, orbit))
+    return out
+
+
 def cell_orbits(x: RigidGComplex) -> tuple[tuple[str, ...], dict[str, str]]:
-    """Orbits of cells: (sorted minimal representatives, cell -> rep map)."""
+    """Orbits of cells: (representatives, cell -> representative map),
+    each representative its orbit's first cell, in cell order."""
     ids = x.space.ids()
-    rep_of: dict[str, str] = {}
-    reps = []
-    for i, cid in enumerate(ids):
-        if cid in rep_of:
-            continue
-        orbit = {ids[p[i]] for p in x.perms}
-        rep = min(orbit)
-        reps.append(rep)
-        for member in orbit:
-            rep_of[member] = rep
-    return tuple(sorted(reps)), rep_of
+    orbits = _orbits(x.perms, range(len(ids)))
+    rep_of = {ids[j]: ids[i] for i, orbit in orbits for j in orbit}
+    return tuple(ids[i] for i, _ in orbits), rep_of
 
 
 def orbit_space(x: RigidGComplex) -> CellSpace:
-    """Cell space of orbit representatives (dimension is preserved)."""
-    return _space_of(x, cell_orbits(x)[0])
-
-
-def _space_of(x: RigidGComplex, reps: Sequence[str]) -> CellSpace:
-    """The cells ``reps`` of x, with their dimensions, as a cell space."""
-    return CellSpace(tuple(Cell(r, x.space.dim_of(r)) for r in reps))
+    """Cell space of orbit representatives, each orbit's first cell, in
+    cell order (dimension is preserved)."""
+    cells = x.space.cells
+    return CellSpace(tuple(cells[i] for i, _ in _orbits(x.perms, range(len(cells)))))
 
 
 def orbit_groupoid(x: RigidGComplex) -> OrbitGroupoid:
     """Orbit space with each representative labeled by its stabilizer."""
-    space = orbit_space(x)
-    iso = {}
-    for r in space.ids():
-        iso[r] = FiniteIsotropy(groups.subgroup_group(x.group, stabilizer(x, r))[0])
-    return OrbitGroupoid(space, iso)
+    cells, masks = x.space.cells, x.stabilizer_masks()
+    reps = [i for i, _ in _orbits(x.perms, range(len(cells)))]
+    stabs = {cells[i].id: [g for g in x.group.elements() if masks[i] >> g & 1] for i in reps}
+    iso = {r: FiniteIsotropy(groups.subgroup_group(x.group, s)[0]) for r, s in stabs.items()}
+    return OrbitGroupoid(CellSpace(tuple(cells[i] for i in reps)), iso)
 
 
 def restrict_complex(x: RigidGComplex, keep: Iterable[str]) -> RigidGComplex:
@@ -259,13 +264,7 @@ def fixed_orbit_chi(x: RigidGComplex, t: HomTuple) -> int:
     if not fixed:
         return 0
     perms = [x.perms[e] for e in groups.centralizer(x.group, t)]
-    seen: set[int] = set()
-    total = 0
-    for i in fixed:
-        if i not in seen:
-            seen.update(p[i] for p in perms)
-            total += -1 if x.space.cells[i].dim % 2 else 1
-    return total
+    return sum(-1 if x.space.cells[i].dim % 2 else 1 for i, _ in _orbits(perms, fixed))
 
 
 def chi_order_ell(
@@ -292,8 +291,6 @@ def _order_ell_walk(x: RigidGComplex, ell: int, cap: int) -> tuple[int, list[int
     (``fixed_orbit_chi``), so ``sum(branches[:ell - 1])`` fixed
     subcomplexes are built in all.
     """
-    from .cells import chi
-
     if ell < 0:
         raise ValidationError("ell must be >= 0")
     if cap < 0:
@@ -301,7 +298,7 @@ def _order_ell_walk(x: RigidGComplex, ell: int, cap: int) -> tuple[int, list[int
     if ell > cap:
         raise RecursionCapExceeded(ell, cap)
     if ell == 0:
-        return chi(orbit_space(x)), []
+        return fixed_orbit_chi(x, ()), []
     branches = [0] * ell
 
     def walk(y: RigidGComplex, depth: int) -> int:
@@ -323,8 +320,8 @@ class InertiaComplex(RigidGComplex):
     Cells are pairs (t, c) with every image of t stabilizing c; the pair
     inherits the dimension of c (the label factor is zero-dimensional for a
     finite group).  The group acts by simultaneous conjugation on t and the
-    original action on c.  ``pairs`` maps each generated cell id back to
-    its (tuple, base cell) pair.
+    original action on c.  ``pairs[k]`` is the cell at index k as its
+    (index into ``tuples``, base cell index) pair.
     """
 
     __slots__ = ("tuples", "pairs")
@@ -335,18 +332,19 @@ class InertiaComplex(RigidGComplex):
         needs = [sum(1 << e for e in set(t)) for t in homs]
         masks = x.stabilizer_masks()
         # (tuple index, cell index) of every pair, in cell order
-        keys = [(i, c) for c, m in enumerate(masks) for i, n in enumerate(needs) if m & n == n]
-        pos = {key: k for k, key in enumerate(keys)}
+        pairs = tuple((i, c) for c, m in enumerate(masks) for i, n in enumerate(needs) if m & n == n)
+        pos = {pair: k for k, pair in enumerate(pairs)}
         cells = x.space.cells
-        pairs = {f"{i}{RESERVED_SEPARATOR}{cells[c].id}": (homs[i], cells[c].id) for i, c in keys}
-        space = CellSpace(tuple(Cell(pid, cells[c].dim) for pid, (_, c) in zip(pairs, keys)))
-        used = sorted({i for i, _ in keys})
+        space = CellSpace(
+            tuple(Cell(f"{i}{RESERVED_SEPARATOR}{cells[c].id}", cells[c].dim) for i, c in pairs)
+        )
+        used = sorted({i for i, _ in pairs})
         perms = []
         for g, perm in enumerate(x.perms):
             conj = {i: index[x.group.conj_tuple(g, homs[i])] for i in used}
             # conjugate tuples stay homomorphisms and stabilize the
             # translated cell, so the lookups below cannot miss
-            perms.append(tuple(pos[conj[i], perm[c]] for i, c in keys))
+            perms.append(tuple(pos[conj[i], perm[c]] for i, c in pairs))
         super().__init__(x.group, space, tuple(perms))
         self.tuples = homs
         self.pairs = pairs
@@ -400,9 +398,12 @@ def anchor_map(p: Presentation, x: RigidGComplex) -> CellMap:
     forward along this map integrates to ``lambda_chi(p, x)``.
     """
     ic = inertia_complex(p, x)
-    reps, rep_of = cell_orbits(x)
-    source = orbit_space(ic)
-    return CellMap(source, _space_of(x, reps), {r: rep_of[ic.pairs[r][1]] for r in source.ids()})
+    cells = ic.space.cells
+    source = [k for k, _ in _orbits(ic.perms, range(len(cells)))]
+    # the pairs run in x's cell order, and an inertia orbit lies over a
+    # whole orbit of x, so its first cell lies over that orbit's first cell
+    assign = {cells[k].id: x.space.cells[ic.pairs[k][1]].id for k in source}
+    return CellMap(CellSpace(tuple(cells[k] for k in source)), orbit_space(x), assign)
 
 
 def iterate_inertia(

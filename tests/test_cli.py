@@ -462,6 +462,53 @@ def test_over_deep_inline_gamma_is_refused():
     assert r.stderr == "eulerchi: invalid input: --gamma: JSON nested too deeply\n"
 
 
+def _nested_product(depth: int) -> dict:
+    iso = {"kind": "torus", "n": 1}
+    for _ in range(depth):
+        iso = {"kind": "product", "factors": [iso]}
+    return iso
+
+
+def test_over_deep_isotropy_products_are_refused(tmp_path):
+    trivial = '{"kind":"trivial"}'
+    groupoid = tmp_path / "groupoid.json"
+    for depth, code in ((100, 0), (101, 1), (400, 1)):
+        groupoid.write_text(json.dumps({"strata": [{"id": "a", "dim": 0, "isotropy": _nested_product(depth)}]}))
+        r = run_cli("gamma-chi", str(groupoid), "--gamma", trivial)
+        if code:
+            _refused_once(r, groupoid)
+        else:
+            assert r.returncode == 0, r.stderr
+    ext = tmp_path / "extension.json"
+    ext.write_text(json.dumps({**json.loads((DATA / "o2_extension.json").read_text()), "fiber": _nested_product(400)}))
+    _refused_once(run_cli("extension", str(ext)), ext)
+    # a product that refers to its own file nests without end
+    (tmp_path / "iso.json").write_text('{"kind": "product", "factors": ["iso.json"]}')
+    groupoid.write_text('{"strata": [{"id": "a", "dim": 0, "isotropy": "iso.json"}]}')
+    _refused_once(run_cli("gamma-chi", str(groupoid), "--gamma", trivial), groupoid)
+
+
+BIG_INT = "1" * 5000  # past the interpreter's 4,300-digit int-string limit
+
+
+def test_integer_past_the_digit_limit_is_invalid_json(tmp_path):
+    space = tmp_path / "space.json"
+    space.write_text('{"cells": [{"id": "a", "dim": %s}]}' % BIG_INT)
+    r = run_cli("chi", str(space))
+    _refused_once(r, space)
+    assert "invalid JSON" in r.stderr
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"space": "space.json", "values": {}}))
+    r = run_cli("integrate", str(fn))
+    _refused_once(r, space)
+    assert "invalid JSON" in r.stderr
+    r = run_cli("translation", str(DATA / "s3_point.json"), "--gamma", '{"kind":"cyclic","order":%s}' % BIG_INT)
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr.startswith("eulerchi: invalid input: --gamma: ")
+    assert r.stderr.endswith(" is neither an existing file nor valid JSON\n")
+    assert r.stderr.count("\n") == 1
+
+
 # files each bundled file refers to by path, once per reference
 NESTED = {
     "ones_on_square.json": ["square.json"],

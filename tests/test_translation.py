@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from eulerchi import cells, groupoid, groups, harness, jsonio, translation
 from eulerchi.catalog import FiniteIsotropy
 from eulerchi.cells import (
+    RESERVED_SEPARATOR,
     CellSpace,
     ConstructibleFunction,
     chi,
@@ -303,6 +304,51 @@ def _generated_complexes(n: int = 30):
     return [build_complex(random_case(random.Random(seed), 12, 20)) for seed in range(n)]
 
 
+def _brute_orbits(x: RigidGComplex) -> list[list[str]]:
+    """The orbit partition of x's cells by union-find along the edges
+    c -> act(g, c): each orbit in cell order, orbits ordered by their first
+    cell."""
+    ids = x.space.ids()
+    parent = {c: c for c in ids}
+
+    def root(c: str) -> str:
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for g in x.group.elements():
+        for c in ids:
+            parent[root(x.act(g, c))] = root(c)
+    blocks: dict[str, list[str]] = {}
+    for c in ids:
+        blocks.setdefault(root(c), []).append(c)
+    return list(blocks.values())
+
+
+def test_orbit_walk_matches_a_brute_force_partition():
+    """``cell_orbits``, ``orbit_space`` and ``anchor_map`` give the
+    partition a union-find over ``act`` gives, with each representative
+    its orbit's first cell in cell order."""
+    for x in _generated_complexes():
+        inertias = {p: inertia_complex(p, x) for p in (Z, Presentation.free_abelian(2))}
+        fixed = [fixed_subcomplex(x, (a,)) for a in x.group.elements()]
+        for y in [x, *inertias.values(), *fixed]:
+            orbits = _brute_orbits(y)
+            reps, rep_of = cell_orbits(y)
+            assert reps == tuple(o[0] for o in orbits)
+            assert rep_of == {c: o[0] for o in orbits for c in o}
+            assert orbit_space(y).cells == tuple(y.space.cells[y.space.index(o[0])] for o in orbits)
+        base_orbits = _brute_orbits(x)
+        base_rep = {c: o[0] for o in base_orbits for c in o}
+        for p, ic in inertias.items():
+            m = anchor_map(p, x)
+            source = [o[0] for o in _brute_orbits(ic)]
+            assert m.source.ids() == tuple(source)
+            assert m.target.ids() == tuple(o[0] for o in base_orbits)
+            # an inertia cell's id is "<tuple index><separator><base cell id>"
+            assert m.assign == {s: base_rep[s.split(RESERVED_SEPARATOR, 1)[1]] for s in source}
+
+
 def test_fixed_orbit_chi_matches_fixed_subcomplex():
     empty = 0
     for x in [free_circle(), swap_points(), point_complex(S3)] + _generated_complexes():
@@ -346,11 +392,12 @@ def test_noniter_and_order_ell_leaves_build_no_fixed_subcomplex(monkeypatch):
     centralizer helper.  The count enumerates homomorphisms and builds
     nothing; the walk enumerates none and takes no centralizer bitmask,
     its leaves count orbits in place, and only its inner levels build
-    fixed subcomplexes."""
+    fixed subcomplexes.  Only the walk walks cell orbits."""
     xs = [point_complex(S3), free_circle(), swap_points()] + _generated_complexes(5)
     counts = _count_calls(
         monkeypatch,
-        [(translation, name) for name in ("fixed_subcomplex", "fixed_orbit_chi", "CellSpace", "RigidGComplex")]
+        [(translation, name) for name in
+         ("fixed_subcomplex", "fixed_orbit_chi", "_orbits", "CellSpace", "RigidGComplex")]
         + [(groups, name) for name in
            ("subgroup_group", "conj_orbit_count", "centralizer", "conjugacy_classes", "hom_enumerate")],
     )
@@ -365,6 +412,7 @@ def test_noniter_and_order_ell_leaves_build_no_fixed_subcomplex(monkeypatch):
             _, branches = translation._order_ell_walk(x, ell, 4)
             assert counts["hom_enumerate"] == counts["conj_orbit_count"] == masks["centralizer_mask"] == 0
             assert counts["fixed_subcomplex"] == sum(branches[:ell - 1])
+            assert counts["_orbits"] > 0  # the counter sees the walk's orbits
     chi_gamma_noniter(Z, point_complex(S3))
     assert masks["centralizer_mask"] > 0  # the counter sees the count's bitmasks
     value, branches = translation._order_ell_walk(point_complex(S3), 2, 4)
@@ -467,7 +515,7 @@ def test_inertia_trivial_presentation_mirrors_base():
 def test_inertia_free_action_identity_labels_only():
     x = free_circle()
     ic = inertia_complex(Z, x)
-    assert all(t == (0,) for t, _ in ic.pairs.values())
+    assert all(ic.tuples[i] == (0,) for i, _ in ic.pairs)
 
 
 def test_inertia_s3_point_counts():
