@@ -44,10 +44,6 @@ class FiniteIsotropy:
 class TorusIsotropy:
     n: int
 
-    def __post_init__(self):
-        if type(self.n) is not int or self.n < 1:
-            raise ValidationError(f"torus dimension must be a positive integer, got {self.n!r}")
-
 
 @dataclass(frozen=True)
 class SO3Isotropy:
@@ -62,12 +58,6 @@ class O2Isotropy:
 @dataclass(frozen=True)
 class ProductIsotropy:
     factors: tuple["IsotropyModel", ...]
-
-    def __post_init__(self):
-        factors = tuple(self.factors)
-        if not factors:
-            raise ValidationError("product isotropy needs at least one factor")
-        object.__setattr__(self, "factors", factors)
 
 
 @dataclass(frozen=True)

@@ -136,32 +136,37 @@ def integrate(f: ConstructibleFunction) -> int:
     )
 
 
-# the level-set route walks every k up to max |f|; refuse runaway inputs
+# The level-set route's cost does not grow with max |f|; the refusal stays
+# because dropping it would turn `eulerchi integrate`'s exit 1 on such values
+# into exit 0.
 LEVELSET_VALUE_BOUND = 10**6
 
 
 def integrate_levelset(f: ConstructibleFunction) -> int:
     """The same integral evaluated through level sets:
 
-        sum_{k >= 0} [ chi({f > k}) - chi({f < -k}) ]
+        sum_{k >= 1} [ chi({f >= k}) - chi({f <= -k}) ]
 
-    computed literally, one k at a time.  Always equals ``integrate(f)``;
-    kept as an independent route so the two can be checked against each
-    other.
+    Both level sets change only where k passes a value of |f|, so the sum
+    runs over the distinct nonzero |values| t in increasing order, each
+    term weighted by t minus the value before it.  Always equals
+    ``integrate(f)``; kept as an independent route so the two can be
+    checked against each other.
     """
     if not f.space.cells:
         return 0
     bound = max(abs(v) for v in f.values.values())
     if bound > LEVELSET_VALUE_BOUND:
         raise ValidationError(
-            f"level-set integration walks every value up to {bound}; "
+            f"level-set integration got a value of size {bound}; "
             f"values beyond {LEVELSET_VALUE_BOUND} are refused (use integrate)"
         )
-    total = 0
-    for k in range(bound):
-        above = [cid for cid, v in f.values.items() if v > k]
-        below = [cid for cid, v in f.values.items() if v < -k]
-        total += chi(restrict(f.space, above)) - chi(restrict(f.space, below))
+    total = previous = 0
+    for t in sorted({abs(v) for v in f.values.values()} - {0}):
+        above = [cid for cid, v in f.values.items() if v >= t]
+        below = [cid for cid, v in f.values.items() if v <= -t]
+        total += (t - previous) * (chi(restrict(f.space, above)) - chi(restrict(f.space, below)))
+        previous = t
     return total
 
 

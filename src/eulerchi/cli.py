@@ -34,7 +34,13 @@ EXIT_CROSSCHECK = 3
 
 
 def _emit(report: Report, args) -> int:
-    text = report.to_json() if args.report == "json" else report.to_text()
+    try:
+        text = report.to_json() if args.report == "json" else report.to_text()
+    except ValueError:  # rendering raises it only for an integer past the digit limit
+        raise EulerchiError(
+            f"the report holds an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, the interpreter's limit for integer string conversion"
+        ) from None
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

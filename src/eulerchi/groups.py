@@ -338,19 +338,6 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 # words and homomorphism enumeration
 
 
-def evaluate_word(word: Iterable[int], images: Sequence[int], g: FiniteGroup) -> int:
-    """Substitute generator images into a relator word, left to right.
-
-    The plain evaluator, for checking a tuple by hand; ``hom_enumerate``
-    does not use it.
-    """
-    acc = 0
-    for letter in word:
-        e = images[letter - 1] if letter > 0 else g.inv(images[-letter - 1])
-        acc = g.mul(acc, e)
-    return acc
-
-
 def _is_commutator(w: tuple[int, ...]) -> bool:
     """Whether w is u v u^-1 v^-1 with u, v powers (+-1) of two distinct
     generators, in any rotation and with any signs; it holds exactly when
@@ -574,70 +561,33 @@ def coset_action(g: FiniteGroup, subgroup: Sequence[int]) -> CosetAction:
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal of the Smith normal form, non-negative with d1 | d2 | ...
-
-    Plain integer row/column reduction with smallest-nonzero pivot
-    selection; fine for the small matrices produced by presentations.
-    """
+    """Nonzero diagonal d1 | d2 | ... of the Smith normal form, by the
+    textbook reduction; each d is positive."""
     m = [list(row) for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
     diag: list[int] = []
-    t = 0
-    while t < min(rows, cols):
-        # locate the smallest nonzero entry in the remaining block
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[t], m[pi] = m[pi], m[t]
+    while any(any(row) for row in m):
+        # pivot: the smallest nonzero entry, moved to the corner (which wins ties)
+        _, i, j = min((abs(v), i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v)
+        m[0], m[i] = m[i], m[0]
         for row in m:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            p = m[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                q = m[i][t] // p
-                if q:
-                    for j in range(t, cols):
-                        m[i][j] -= q * m[t][j]
-                if m[i][t]:
-                    m[t], m[i] = m[i], m[t]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                q = m[t][j] // p
-                if q:
-                    for i in range(t, rows):
-                        m[i][j] -= q * m[i][t]
-                if m[t][j]:
-                    for i in range(rows):
-                        m[i][t], m[i][j] = m[i][j], m[i][t]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            # pivot must divide every remaining entry for the divisibility chain
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if m[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for j in range(t, cols):
-                m[t][j] += m[offender][j]
-        diag.append(abs(m[t][t]))
-        t += 1
+            row[0], row[j] = row[j], row[0]
+        p = m[0][0]
+        # clear its row and column; a nonzero remainder is the next, smaller pivot
+        for row in m[1:]:
+            q = row[0] // p
+            row[:] = [a - q * b for a, b in zip(row, m[0])]
+        for c in range(1, len(m[0])):
+            q = m[0][c] // p
+            for row in m:
+                row[c] -= q * row[0]
+        if any(row[0] for row in m[1:]) or any(m[0][1:]):
+            continue
+        undivided = next((row for row in m[1:] if any(v % p for v in row)), None)
+        if undivided is not None:
+            m[0] = [a + b for a, b in zip(m[0], undivided)]
+            continue
+        diag.append(abs(p))
+        m = [row[1:] for row in m[1:]]
     return diag
 
 

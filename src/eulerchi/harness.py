@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from . import cells, groups, translation as tr
+from . import catalog, cells, groups, translation as tr
 from .cells import CellSpace, ConstructibleFunction, integrate, integrate_levelset, pushforward
 from .groups import FiniteGroup, Presentation
 
@@ -290,7 +290,7 @@ def morita_check(rng: random.Random, max_group: int) -> CheckResult:
         p = random_presentation(rng, max_rank=2)
     h, _ = groups.subgroup_group(g, sub)
     lhs = tr.lambda_chi(p, tr.coset_complex(g, sub))
-    rhs = groups.conj_orbit_count(groups.hom_enumerate(p, h), h).count
+    rhs = catalog.chi_hom_quotient(catalog.FiniteIsotropy(h), p)
     return CheckResult(-1, "morita_coset", lhs, rhs)
 
 

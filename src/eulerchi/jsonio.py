@@ -216,7 +216,10 @@ def _load_isotropy(obj: Any, base: Path | None, depth: int) -> catalog.IsotropyM
     if kind == "finite":
         return catalog.FiniteIsotropy(load_group(_require(obj, "group", "isotropy"), base))
     if kind == "torus":
-        return catalog.TorusIsotropy(_require(obj, "n", "isotropy"))
+        n = _require(obj, "n", "isotropy")
+        if type(n) is not int or n < 1:
+            raise ValidationError(f"torus dimension must be a positive integer, got {n!r}")
+        return catalog.TorusIsotropy(n)
     if kind == "SO3":
         return catalog.SO3
     if kind == "O2":

@@ -14,7 +14,7 @@ from eulerchi.catalog import (
     trivial_isotropy,
 )
 from eulerchi.cells import CellSpace, chi
-from eulerchi.errors import UnsupportedCombination, ValidationError
+from eulerchi.errors import UnsupportedCombination
 from eulerchi.groups import Presentation, Z, symmetric_group, cyclic_group
 
 S3 = symmetric_group(3)
@@ -82,11 +82,6 @@ def test_product_factorizes():
     m = ProductIsotropy((FiniteIsotropy(S3), T1))
     for p in (Z, Presentation.cyclic(2), Presentation.trivial()):
         assert chi_hom_quotient(m, p) == chi_hom_quotient(FiniteIsotropy(S3), p) * chi_hom_quotient(T1, p)
-
-
-def test_product_needs_factors():
-    with pytest.raises(ValidationError):
-        ProductIsotropy(())
 
 
 # --- conjugation quotient models ---------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,6 +133,16 @@ def test_levelset_refuses_runaway_values():
 @given(functions())
 def test_levelset_equals_integrate(f):
     assert integrate_levelset(f) == integrate(f)
+
+
+def test_levelset_cost_does_not_grow_with_the_values():
+    # level sets are taken only at the values f takes, not at every k below them
+    rng = random.Random(11)
+    space = CellSpace(tuple(Cell(f"c{i}", rng.randint(0, 3)) for i in range(1000)))
+    f = ConstructibleFunction(space, {cid: rng.choice((10**6, -(10**6))) for cid in space.ids()})
+    start = time.perf_counter()
+    assert integrate_levelset(f) == integrate(f)
+    assert time.perf_counter() - start < 1.0
 
 
 @given(functions(), st.randoms(use_true_random=False))

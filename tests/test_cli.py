@@ -509,6 +509,27 @@ def test_integer_past_the_digit_limit_is_invalid_json(tmp_path):
     assert r.stderr.count("\n") == 1
 
 
+def test_result_past_the_digit_limit_is_refused_in_one_line(tmp_path):
+    torus = tmp_path / "torus.json"
+    torus.write_text(json.dumps({"strata": [{"id": "p", "dim": 0, "isotropy": {"kind": "torus", "n": 20000}}]}))
+    two = {"cells": [{"id": "a", "dim": 0}, {"id": "b", "dim": 0}]}
+    onto_one = tmp_path / "map.json"
+    onto_one.write_text(json.dumps({"source": two, "target": {"cells": [{"id": "c", "dim": 0}]}, "assign": {"a": "c", "b": "c"}}))
+    fn = tmp_path / "fn.json"
+    big = "9" * 4300  # loads; the sum of two has 4,301 digits
+    fn.write_text('{"space": %s, "values": {"a": %s, "b": %s}}' % (json.dumps(two), big, big))
+    limit = f"more than {sys.get_int_max_str_digits()} digits"
+    for argv in (
+        ["gamma-chi", str(torus), "--gamma", '{"kind":"cyclic","order":2}'],  # 2^20000
+        ["pushforward", str(onto_one), str(fn)],
+    ):
+        for fmt in ("text", "json"):
+            r = run_cli("--report", fmt, *argv)
+            assert (r.returncode, r.stdout) == (1, ""), r.stderr
+            assert r.stderr.startswith("eulerchi: ") and limit in r.stderr
+            assert r.stderr.count("\n") == 1
+
+
 # files each bundled file refers to by path, once per reference
 NESTED = {
     "ones_on_square.json": ["square.json"],

@@ -47,12 +47,21 @@ SMALL_GROUPS = [
 ]
 
 
+def evaluate_word(word, images, g: FiniteGroup) -> int:
+    """Substitute generator images into a relator word, left to right."""
+    acc = 0
+    for letter in word:
+        e = images[letter - 1] if letter > 0 else g.inv(images[-letter - 1])
+        acc = g.mul(acc, e)
+    return acc
+
+
 def brute_homs(p: Presentation, g: FiniteGroup) -> list[tuple[int, ...]]:
     """Independent oracle: filter the full tuple space by every relator."""
     return [
         t
         for t in itertools.product(range(g.order), repeat=p.generators)
-        if all(groups.evaluate_word(w, t, g) == 0 for w in p.relators)
+        if all(evaluate_word(w, t, g) == 0 for w in p.relators)
     ]
 
 

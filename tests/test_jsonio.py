@@ -124,6 +124,8 @@ def test_presentation_counts_must_be_integers(obj, message):
             {"kind": "custom", "name": "pin", "chi": {"Z": 4}, "cell_models": [1]},
             "isotropy: 'cell_models' must be an object",
         ),
+        ({"kind": "product", "factors": []}, "isotropy: 'factors' must be a non-empty list"),
+        ({"kind": "torus", "n": 0}, "torus dimension must be a positive integer, got 0"),
     ],
 )
 def test_isotropy_fields_checked(obj, message):
