@@ -51,10 +51,10 @@ from .groupoid import (
     OrbitGroupoid,
     abelian_extension_chi,
     chi_gamma,
-    chi_gamma_atlas,
     chi_z,
     product_groupoid,
     restrict_groupoid,
+    validate_extension,
     validate_groupoid,
 )
 from .groups import (
@@ -82,6 +82,7 @@ from .groups import (
     symmetric_group,
     trivial_group,
     validate_group,
+    validate_presentation,
 )
 from .translation import (
     InertiaComplex,

@@ -161,11 +161,11 @@ def integrate_levelset(f: ConstructibleFunction) -> int:
             f"level-set integration got a value of size {bound}; "
             f"values beyond {LEVELSET_VALUE_BOUND} are refused (use integrate)"
         )
+    signed = [(f.values[c.id], -1 if c.dim % 2 else 1) for c in f.space.cells]
     total = previous = 0
-    for t in sorted({abs(v) for v in f.values.values()} - {0}):
-        above = [cid for cid, v in f.values.items() if v >= t]
-        below = [cid for cid, v in f.values.items() if v <= -t]
-        total += (t - previous) * (chi(restrict(f.space, above)) - chi(restrict(f.space, below)))
+    for t in sorted({abs(v) for v, _ in signed} - {0}):
+        # chi({f >= t}) - chi({f <= -t}), summed over the cells of both sets
+        total += (t - previous) * sum(s if v > 0 else -s for v, s in signed if abs(v) >= t)
         previous = t
     return total
 

@@ -15,7 +15,7 @@ once, by ``validate_groupoid``; ``OrbitGroupoid`` only stores its arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from . import catalog, cells
 from .catalog import IsotropyModel, ProductIsotropy, chi_hom_quotient
@@ -101,23 +101,28 @@ def restrict_groupoid(g: OrbitGroupoid, keep: Iterable[str]) -> OrbitGroupoid:
     return OrbitGroupoid(space, {cid: g.label(cid) for cid in keep})
 
 
-def chi_gamma_atlas(pieces: Sequence, p: Presentation) -> int:
-    """Sum of translation-groupoid values over disjoint chart pieces.
-
-    Each piece is a finite group acting on a rigid complex; disjointness of
-    the chart images is the caller's assertion and is merely recorded, not
-    verifiable from the pieces themselves.
-    """
-    from . import translation
-
-    return sum(translation.chi_gamma_strata(p, piece) for piece in pieces)
-
-
 @dataclass(frozen=True)
 class ExtensionPrediction:
     predicted: int
     factor_b: int
     factor_h: int
+
+
+def validate_extension(bundle_fiber: IsotropyModel, h: FiniteGroup, x, ell: int) -> dict:
+    """Check an extension from outside, the one place one is checked: the
+    fiber is a finite abelian group or a torus, and x is an action of h."""
+    if isinstance(bundle_fiber, catalog.FiniteIsotropy):
+        b = bundle_fiber.group
+        # abelian exactly when the table is its own transpose
+        if b.table != tuple(zip(*b.table)):
+            raise ValidationError("abelian_extension_chi: finite fiber is not abelian")
+    elif not isinstance(bundle_fiber, catalog.TorusIsotropy):
+        raise ValidationError(
+            "abelian_extension_chi: fiber must be a finite abelian or torus entry"
+        )
+    if x.group != h:
+        raise ValidationError("abelian_extension_chi: complex is not an action of the given group")
+    return {"fiber": bundle_fiber, "group": h, "complex": x, "ell": ell}
 
 
 def abelian_extension_chi(
@@ -131,28 +136,15 @@ def abelian_extension_chi(
     the free-abelian chi of the base action.
 
     Both factors are reported so a disagreement with a directly computed
-    value can be audited.  The factorization needs the fiber to be abelian;
-    a nonabelian finite fiber is rejected (and the identity genuinely fails
-    for nonabelian fibers, which is what makes the reported factors
-    interesting).
+    value can be audited.  The factorization needs the abelian fiber that
+    ``validate_extension`` checks for; it genuinely fails without one.
     """
     from . import translation
 
-    if ell < 0:
-        raise ValidationError("ell must be >= 0")
+    za = Presentation.free_abelian(ell)
     if isinstance(bundle_fiber, catalog.FiniteIsotropy):
-        b = bundle_fiber.group
-        # abelian exactly when the table is its own transpose
-        if b.table != tuple(zip(*b.table)):
-            raise ValidationError("abelian_extension_chi: finite fiber is not abelian")
-        factor_b = b.order ** ell
-    elif isinstance(bundle_fiber, catalog.TorusIsotropy):
-        factor_b = catalog.hom_chi_abelian(bundle_fiber, Presentation.free_abelian(ell))
+        factor_b = bundle_fiber.group.order ** ell
     else:
-        raise ValidationError(
-            "abelian_extension_chi: fiber must be a finite abelian or torus entry"
-        )
-    if x.group != h:
-        raise ValidationError("abelian_extension_chi: complex is not an action of the given group")
-    factor_h = translation.chi_gamma_strata(Presentation.free_abelian(ell), x)
+        factor_b = catalog.hom_chi_abelian(bundle_fiber, za)
+    factor_h = translation.chi_gamma_strata(za, x)
     return ExtensionPrediction(factor_b * factor_h, factor_b, factor_h)

@@ -9,7 +9,8 @@ constructors, direct products, subgroups) are groups by construction.
 
 A presentation is a generator count plus relator words; a word is a list of
 nonzero signed integers, 1-based generator indices with sign meaning
-inverse, and the empty word (the identity) is dropped.  Homomorphisms into
+inverse.  ``validate_presentation`` checks those from outside and drops the
+empty word (the identity); the rest are trusted.  Homomorphisms into
 a finite group are enumerated as tuples of generator images satisfying
 every relator, via depth-first assignment: relators are compiled once and
 evaluated from table lookups, and a commutator of two generators narrows
@@ -44,37 +45,16 @@ class Presentation:
     generators: int
     relators: tuple[tuple[int, ...], ...] = ()
 
-    def __post_init__(self):
-        if type(self.generators) is not int or self.generators < 0:
-            raise ValidationError(f"generators: expected a non-negative integer, got {self.generators!r}")
-        rels = tuple(self.relators)
-        for i, w in enumerate(rels):
-            if not isinstance(w, (list, tuple)):
-                raise ValidationError(f"relators[{i}]: expected a list of letters, got {w!r}")
-            for letter in w:
-                if type(letter) is not int:
-                    raise ValidationError(f"relators[{i}]: letter {letter!r} is not an integer")
-                if letter == 0 or abs(letter) > self.generators:
-                    raise ValidationError(
-                        f"relators[{i}]: letter {letter!r} out of range for {self.generators} generators"
-                    )
-        # the empty word is the identity and imposes nothing
-        object.__setattr__(self, "relators", tuple(tuple(w) for w in rels if w))
-
     @classmethod
     def trivial(cls) -> "Presentation":
         return cls(0)
 
     @classmethod
     def cyclic(cls, k: int) -> "Presentation":
-        if type(k) is not int or k < 1:
-            raise ValidationError(f"cyclic order must be an integer >= 1, got {k!r}")
         return cls(1, ((1,) * k,))
 
     @classmethod
     def free_abelian(cls, rank: int) -> "Presentation":
-        if type(rank) is not int or rank < 0:
-            raise ValidationError(f"free abelian rank must be an integer >= 0, got {rank!r}")
         rels = tuple(
             (i + 1, j + 1, -(i + 1), -(j + 1))
             for i in range(rank)
@@ -85,6 +65,25 @@ class Presentation:
     @classmethod
     def free(cls, rank: int) -> "Presentation":
         return cls(rank)
+
+
+def validate_presentation(generators, relators) -> Presentation:
+    """Check a presentation from outside, the one place one is checked:
+    a non-negative generator count and words of letters in range.  The
+    empty word is the identity and imposes nothing, so it is dropped."""
+    if type(generators) is not int or generators < 0:
+        raise ValidationError(f"generators: expected a non-negative integer, got {generators!r}")
+    for i, w in enumerate(relators):
+        if not isinstance(w, (list, tuple)):
+            raise ValidationError(f"relators[{i}]: expected a list of letters, got {w!r}")
+        for letter in w:
+            if type(letter) is not int:
+                raise ValidationError(f"relators[{i}]: letter {letter!r} is not an integer")
+            if letter == 0 or abs(letter) > generators:
+                raise ValidationError(
+                    f"relators[{i}]: letter {letter!r} out of range for {generators} generators"
+                )
+    return Presentation(generators, tuple(tuple(w) for w in relators if w))
 
 
 # ``Z`` is the one-generator free presentation; the workhorse for inertia.

@@ -138,21 +138,28 @@ def dump_group(g: groups.FiniteGroup) -> dict:
     return {"order": g.order, "table": [list(row) for row in g.table]}
 
 
+def _count(obj: Any, key: str, what: str, least: int) -> int:
+    n = _require(obj, key, "presentation")
+    if type(n) is not int or n < least:
+        raise ValidationError(f"{what} must be an integer >= {least}, got {n!r}")
+    return n
+
+
 def load_presentation(obj: Any, base: Path | None = None) -> groups.Presentation:
     obj, _ = _resolve(obj, base)
     kind = _require(obj, "kind", "presentation")
     if kind == "trivial":
         return groups.Presentation.trivial()
     if kind == "cyclic":
-        return groups.Presentation.cyclic(_require(obj, "order", "presentation"))
+        return groups.Presentation.cyclic(_count(obj, "order", "cyclic order", 1))
     if kind == "free_abelian":
-        return groups.Presentation.free_abelian(_require(obj, "rank", "presentation"))
+        return groups.Presentation.free_abelian(_count(obj, "rank", "free abelian rank", 0))
     if kind == "presentation":
         gens = _require(obj, "generators", "presentation")
         rels = obj.get("relators", [])
         if not isinstance(rels, list):
             raise ValidationError("relators: expected a list of words")
-        return groups.Presentation(gens, tuple(rels))
+        return groups.validate_presentation(gens, rels)
     raise ValidationError(f"presentation: unknown kind {kind!r}")
 
 
@@ -308,12 +315,12 @@ def load_extension(obj: Any, base: Path | None = None) -> dict:
     ell = _require(obj, "ell", "extension")
     if not isinstance(ell, int) or isinstance(ell, bool) or ell < 0:
         raise ValidationError("extension: 'ell' must be a non-negative integer")
-    return {
-        "fiber": load_isotropy(_require(obj, "fiber", "extension"), base),
-        "group": load_group(_require(obj, "group", "extension"), base),
-        "complex": load_complex(_require(obj, "complex", "extension"), base),
-        "ell": ell,
-    }
+    return groupoid.validate_extension(
+        load_isotropy(_require(obj, "fiber", "extension"), base),
+        load_group(_require(obj, "group", "extension"), base),
+        load_complex(_require(obj, "complex", "extension"), base),
+        ell,
+    )
 
 
 def load_file(path: str | Path, loader) -> tuple[Any, dict]:

@@ -4,6 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eulerchi import cells
 from eulerchi.cells import (
     Cell,
     CellMap,
@@ -143,6 +144,17 @@ def test_levelset_cost_does_not_grow_with_the_values():
     start = time.perf_counter()
     assert integrate_levelset(f) == integrate(f)
     assert time.perf_counter() - start < 1.0
+
+
+def test_levelset_builds_no_spaces(monkeypatch):
+    # each level sums the signs of its cells; no level set becomes a space
+    calls = []
+    init = CellSpace.__post_init__
+    monkeypatch.setattr(cells, "restrict", lambda *a: calls.append("restrict") or restrict(*a))
+    monkeypatch.setattr(CellSpace, "__post_init__", lambda s: calls.append("CellSpace") or init(s))
+    f = ConstructibleFunction(CLOSED_INTERVAL, {"v0": 3, "v1": -2, "e": 1})
+    assert integrate_levelset(f) == integrate(f) == 0
+    assert calls == []
 
 
 @given(functions(), st.randoms(use_true_random=False))

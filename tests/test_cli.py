@@ -236,6 +236,29 @@ def test_extension_report():
     assert out["breakdown"] == {"base_factor": 2, "ell": 1, "fiber_factor": 0}
 
 
+_S3_TABLE = [[0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], [2, 0, 1, 5, 3, 4],
+             [3, 5, 4, 0, 2, 1], [4, 3, 5, 1, 0, 2], [5, 4, 3, 2, 1, 0]]
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"fiber": {"kind": "finite", "group": {"order": 6, "table": _S3_TABLE}}},
+         "finite fiber is not abelian"),
+        ({"fiber": {"kind": "SO3"}}, "fiber must be a finite abelian or torus entry"),
+        ({"group": {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}},
+         "complex is not an action of the given group"),
+    ],
+)
+def test_extension_refusals(tmp_path, change, message):
+    ext = tmp_path / "extension.json"
+    ext.write_text(json.dumps({**json.loads((DATA / "o2_extension.json").read_text()), **change}))
+    r = run_cli("extension", str(ext))
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == f"eulerchi: invalid input: abelian_extension_chi: {message}\n"
+
+
 def test_inertia_command():
     r = run_cli(
         "--report", "json",

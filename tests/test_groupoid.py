@@ -9,10 +9,10 @@ from eulerchi.groupoid import (
     OrbitGroupoid,
     abelian_extension_chi,
     chi_gamma,
-    chi_gamma_atlas,
     chi_z,
     product_groupoid,
     restrict_groupoid,
+    validate_extension,
     validate_groupoid,
 )
 from eulerchi.groups import Presentation, Z, cyclic_group, symmetric_group
@@ -150,12 +150,17 @@ def test_additivity_over_random_bipartitions():
 
 # --- atlas and extensions -------------------------------------------------------
 
+def atlas_sum(pieces, p):
+    """The atlas value: translation-groupoid values summed over chart pieces."""
+    return sum(tr.chi_gamma_strata(p, piece) for piece in pieces)
+
+
 def test_atlas_single_and_doubled():
     s3 = symmetric_group(3)
     pt = tr.point_complex(s3)
-    single = chi_gamma_atlas([pt], Z)
+    single = atlas_sum([pt], Z)
     assert single == tr.chi_gamma_strata(Z, pt) == 3
-    assert chi_gamma_atlas([pt, pt], Z) == 6
+    assert atlas_sum([pt, pt], Z) == 6
 
 
 def test_atlas_matches_whole_complex_decomposition():
@@ -169,7 +174,7 @@ def test_atlas_matches_whole_complex_decomposition():
     }
     whole = tr.validate_complex(s3, CellSpace(tuple(cells)), action)
     p = Presentation.free_abelian(2)
-    assert chi_gamma_atlas([x, y], p) == tr.chi_gamma_strata(p, whole)
+    assert atlas_sum([x, y], p) == tr.chi_gamma_strata(p, whole)
 
 
 def test_atlas_three_random_saturated_pieces():
@@ -186,7 +191,7 @@ def test_atlas_three_random_saturated_pieces():
             keep = [c for c in x.space.ids() if buckets[rep_of[c]] == b]
             pieces.append(tr.restrict_complex(x, keep))
         p = spec.presentation
-        assert chi_gamma_atlas(pieces, p) == tr.chi_gamma_strata(p, x)
+        assert atlas_sum(pieces, p) == tr.chi_gamma_strata(p, x)
 
 
 def test_extension_torus_fiber_kills_prediction():
@@ -207,7 +212,7 @@ def test_extension_finite_fiber():
 def test_extension_rejects_nonabelian_fiber():
     h = cyclic_group(2)
     with pytest.raises(ValidationError, match="not abelian"):
-        abelian_extension_chi(
+        validate_extension(
             FiniteIsotropy(symmetric_group(3)), h, tr.point_complex(h), 1
         )
 

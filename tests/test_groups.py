@@ -29,6 +29,7 @@ from eulerchi.groups import (
     symmetric_group,
     trivial_group,
     validate_group,
+    validate_presentation,
 )
 
 S3 = symmetric_group(3)
@@ -209,20 +210,32 @@ def test_presentation_shorthand_classes():
 
 def test_relator_letters_validated():
     with pytest.raises(ValidationError, match="out of range"):
-        Presentation(1, ((2,),))
+        validate_presentation(1, ((2,),))
     with pytest.raises(ValidationError, match="out of range"):
-        Presentation(1, ((0,),))
+        validate_presentation(1, ((0,),))
     with pytest.raises(ValidationError, match=re.escape("relators[1]: letter True is not an integer")):
-        Presentation(2, ((1,), (True, True)))
+        validate_presentation(2, ((1,), (True, True)))
     with pytest.raises(ValidationError, match=re.escape("relators[0]: expected a list of letters, got 1")):
-        Presentation(2, (1, 2))
+        validate_presentation(2, (1, 2))
 
 
 def test_empty_relator_imposes_nothing():
-    assert Presentation(1, ((),)).relators == ()
-    assert presentation_class(Presentation(1, ((),))) == "Z"
-    assert Presentation(2, ((), (1, 1), ())) == Presentation(2, ((1, 1),))
-    assert hom_enumerate(Presentation(2, ((),)), S3) == hom_enumerate(Presentation.free(2), S3)
+    assert validate_presentation(1, ((),)).relators == ()
+    assert presentation_class(validate_presentation(1, ((),))) == "Z"
+    assert validate_presentation(2, ((), (1, 1), ())) == Presentation(2, ((1, 1),))
+    assert hom_enumerate(validate_presentation(2, ((),)), S3) == hom_enumerate(Presentation.free(2), S3)
+
+
+def test_derived_presentations_pass_the_validator():
+    """What the program builds without a check, the validator lets in unchanged."""
+    rng = random.Random(8)
+    built = [Presentation.trivial(), Presentation.free(3)]
+    built += [Presentation.cyclic(k) for k in range(1, 7)]
+    built += [Presentation.free_abelian(r) for r in range(5)]
+    built += [harness.random_presentation(rng) for _ in range(200)]
+    built += [product_presentation(a, b) for a in built[:13] for b in built[:13]]
+    for p in built:
+        assert validate_presentation(p.generators, p.relators) == p
 
 
 # --- hom enumeration ---------------------------------------------------------
@@ -281,7 +294,7 @@ def _random_presentation(rng: random.Random) -> Presentation:
     words = [_random_word(rng, gens) for _ in range(rng.randint(0, 4))]
     if words and rng.random() < 0.3:
         words.append(rng.choice(words))  # a repeated relator
-    p = Presentation(gens, tuple(words))
+    p = validate_presentation(gens, words)
     if rng.random() < 0.3:
         p = product_presentation(p, _random_presentation(rng))
     return p

@@ -224,6 +224,27 @@ def test_cell_validators_run_only_at_the_edge(monkeypatch):
         assert calls == expected, load.__name__
 
 
+def test_presentations_are_checked_only_at_the_edge(monkeypatch):
+    calls = []
+
+    def counting(*args, _original=groups.validate_presentation):
+        calls.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(groups, "validate_presentation", counting)
+    harness.run_suite(seed=3, cases=5)
+    for x in _harness_complexes():
+        for p in (Z, Presentation.free_abelian(2)):
+            chi_gamma_strata(p, x)
+            lambda_chi(p, x)
+            chi_gamma_noniter(p, x)
+        chi_order_ell(x, 2)
+    assert calls == []
+    p = jsonio.load_presentation({"kind": "presentation", "generators": 2, "relators": [[1, 1], []]})
+    assert p == Presentation(2, ((1, 1),))
+    assert len(calls) == 1
+
+
 def test_derived_cell_values_pass_the_validators():
     """What the program builds without a check, the validators let in."""
     for value in _derived_cell_values():
