@@ -103,7 +103,6 @@ from .translation import (
     point_complex,
     product_complex,
     restrict_complex,
-    stabilizer,
     validate_complex,
 )
 

@@ -170,9 +170,7 @@ def cmd_atlas(args) -> int:
 def cmd_extension(args) -> int:
     report = Report("extension")
     ext = _load(report, "extension", args.extension, jsonio.load_extension)
-    pred = groupoid.abelian_extension_chi(
-        ext["fiber"], ext["group"], ext["complex"], ext["ell"]
-    )
+    pred = groupoid.abelian_extension_chi(ext["fiber"], ext["complex"], ext["ell"])
     report.result = pred.predicted
     report.breakdown = {
         "fiber_factor": pred.factor_b,

@@ -125,15 +125,10 @@ def validate_extension(bundle_fiber: IsotropyModel, h: FiniteGroup, x, ell: int)
     return {"fiber": bundle_fiber, "group": h, "complex": x, "ell": ell}
 
 
-def abelian_extension_chi(
-    bundle_fiber: IsotropyModel,
-    h: FiniteGroup,
-    x,
-    ell: int,
-) -> ExtensionPrediction:
-    """Prediction for a groupoid extending the action of h on x by a bundle
-    with the given abelian fiber: the free-abelian chi of the fiber times
-    the free-abelian chi of the base action.
+def abelian_extension_chi(bundle_fiber: IsotropyModel, x, ell: int) -> ExtensionPrediction:
+    """Prediction for a groupoid extending the action of ``x.group`` on x
+    by a bundle with the given abelian fiber: the free-abelian chi of the
+    fiber times the free-abelian chi of the base action.
 
     Both factors are reported so a disagreement with a directly computed
     value can be audited.  The factorization needs the abelian fiber that

@@ -202,10 +202,11 @@ class FiniteGroup:
 
     The table is trusted, not checked: a table from outside the program
     goes through ``validate_group``.  Besides the table and its inverses
-    a group keeps only the enumeration's centralizer bitmasks.
+    a group keeps only the enumeration's centralizer bitmasks and its
+    greedy generating set.
     """
 
-    __slots__ = ("order", "table", "_inv", "_cent")
+    __slots__ = ("order", "table", "_inv", "_cent", "_gens")
 
     def __init__(self, table: Sequence[Sequence[int]]):
         self.table = tuple(map(tuple, table))
@@ -213,6 +214,7 @@ class FiniteGroup:
         # a * a^-1 = 0: the inverse is the column holding 0 in row a
         self._inv = tuple(self.table[a].index(0) for a in range(self.order))
         self._cent: tuple[int, ...] | None = None
+        self._gens: tuple[int, ...] | None = None
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -231,6 +233,13 @@ class FiniteGroup:
                 for row, col in zip(self.table, zip(*self.table))
             )
         return self._cent[a]
+
+    def generators(self) -> tuple[int, ...]:
+        """The greedy generating set of ``_generators``, computed once; the
+        trivial group has none."""
+        if self._gens is None:
+            self._gens = tuple(_generators(self.table))
+        return self._gens
 
     def conj_tuple(self, a: int, t: HomTuple) -> HomTuple:
         table, row, ai = self.table, self.table[a], self._inv[a]
@@ -417,26 +426,34 @@ def conj_orbit_count(tuples: Sequence[HomTuple], g: FiniteGroup) -> ConjOrbits:
     """Orbits of simultaneous conjugation on a set of tuples.
 
     The input must be closed under conjugation by every group element
-    (checked).  Representatives are the lexicographic minima, returned
-    sorted.
+    (checked).  Each orbit is grown breadth-first by conjugating with the
+    group's generators; every element is a product of generators, so the
+    closure is the whole orbit, stray conjugates included.  The tuples are
+    scanned in sorted order, so an orbit is first met at its least tuple:
+    representatives are the lexicographic minima, returned sorted.
     """
     pool = set(tuples)
     if len(pool) != len(tuples):
         raise ValidationError("conj_orbit_count: duplicate tuples in input")
+    gens = g.generators()
     reps = []
     seen: set[HomTuple] = set()
     for t in sorted(pool):
         if t in seen:
             continue
-        orbit = {g.conj_tuple(a, t) for a in g.elements()}
+        orbit, frontier = {t}, [t]
+        for u in frontier:
+            new = {g.conj_tuple(a, u) for a in gens} - orbit
+            orbit |= new
+            frontier += new
         if not orbit <= pool:
             stray = sorted(orbit - pool)[0]
             raise ValidationError(
                 f"conj_orbit_count: input not conjugation-closed (missing {stray})"
             )
         seen |= orbit
-        reps.append(min(orbit))
-    return ConjOrbits(len(reps), tuple(sorted(reps)))
+        reps.append(t)
+    return ConjOrbits(len(reps), tuple(reps))
 
 
 def centralizer(g: FiniteGroup, t: HomTuple) -> list[int]:

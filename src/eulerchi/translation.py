@@ -28,10 +28,17 @@ test suite and the ``verify`` harness:
   iterated centralizer actions on fixed sets; order 1 is the classical
   one-generator sum over conjugacy classes of the group.
 
-Every orbit of cells is walked on cell indices by ``_orbits``, and an
-orbit's representative is its first cell in cell order.  The order-ell
-route takes chi of a fixed set modulo its centralizer in place, in the
-parent complex's own indices (``fixed_orbit_chi``).
+Every orbit of cells is walked on cell indices by ``_orbits``, a
+breadth-first closure under the permutations it is given, and an orbit's
+representative is its first cell in cell order.  Orbits of a whole group
+are walked on the permutations of its generators
+(``RigidGComplex.generator_perms``); an inertia complex builds only those
+when it is constructed, and every element's permutation on first use of
+``perms``.  ``validate_complex`` checks the homomorphism law on the
+generators, which implies it on every pair.  The order-ell route takes chi
+of a fixed set modulo its centralizer in place, in the parent complex's
+own indices (``fixed_orbit_chi``), walking every element of the
+centralizer.
 ``fixed_subcomplex`` builds the fixed set as a complex over the reindexed
 centralizer only where a group of its own is needed, at the inner levels of
 the order-ell recursion.
@@ -57,13 +64,24 @@ class RigidGComplex:
     arguments are trusted; a string-keyed action from outside goes through
     ``validate_complex``."""
 
-    __slots__ = ("group", "space", "perms", "_stab")
+    __slots__ = ("group", "space", "_perms", "_stab")
 
     def __init__(self, group: FiniteGroup, space: CellSpace, perms: Sequence[Sequence[int]]):
         self.group = group
         self.space = space
-        self.perms = perms
+        self._perms = perms
         self._stab: list[int] | None = None
+
+    @property
+    def perms(self) -> Sequence[Sequence[int]]:
+        """Per element, its permutation of the cell indices."""
+        return self._perms
+
+    def generator_perms(self) -> Sequence[Sequence[int]]:
+        """The permutations of the group's generators, which have the
+        group's orbits."""
+        perms = self.perms
+        return [perms[s] for s in self.group.generators()]
 
     def act(self, g: int, cell_id: str) -> str:
         if not 0 <= g < self.group.order:
@@ -88,7 +106,9 @@ def validate_complex(
     ``action[g]`` maps cell ids to cell ids; the identity entry may be
     omitted and defaults to the identity map.  Each element must act by a
     dimension-preserving bijection of the cells, and the assignment must
-    be a homomorphism on every pair of elements.
+    be a homomorphism on every pair of elements.  That is checked on the
+    pairs (generator, element); a failure there runs the sweep over every
+    pair, so the refusal names the first failing pair in element order.
     """
     ids = space.ids()
     idset = set(ids)
@@ -118,15 +138,24 @@ def validate_complex(
     moved = [cid for i, cid in enumerate(ids) if perms[0][i] != i]
     if moved:
         raise ValidationError(f"action[0] must be the identity map (moves {moved[0]!r})")
-    for g in group.elements():
-        for h in group.elements():
-            pg, ph, pgh = perms[g], perms[h], perms[group.mul(g, h)]
-            for i, cid in enumerate(ids):
-                if pg[ph[i]] != pgh[i]:
-                    raise ValidationError(
-                        f"action is not a homomorphism: "
-                        f"({g}*{h}) and composition disagree at cell {cid!r}"
-                    )
+    # with rho(0) = id, rho(s*h) = rho(s) o rho(h) for every generator s
+    # and every h gives rho(g*h) = rho(g) o rho(h) by induction on the
+    # length of g as a word in the generators
+    table = group.table
+    if any(
+        perms[table[s][h]] != tuple(map(perms[s].__getitem__, ph))
+        for s in group.generators()
+        for h, ph in enumerate(perms)
+    ):
+        for g in group.elements():
+            for h in group.elements():
+                pg, ph, pgh = perms[g], perms[h], perms[group.mul(g, h)]
+                for i, cid in enumerate(ids):
+                    if pg[ph[i]] != pgh[i]:
+                        raise ValidationError(
+                            f"action is not a homomorphism: "
+                            f"({g}*{h}) and composition disagree at cell {cid!r}"
+                        )
     return RigidGComplex(group, space, tuple(perms))
 
 
@@ -138,7 +167,8 @@ def _restrict(
     ``elems[i]`` does in x."""
     pos = {i: k for k, i in enumerate(keep)}
     space = CellSpace(tuple(x.space.cells[i] for i in keep))
-    perms = tuple(tuple(pos[x.perms[e][i]] for i in keep) for e in elems)
+    xperms = x.perms
+    perms = tuple(tuple(pos[xperms[e][i]] for i in keep) for e in elems)
     return RigidGComplex(group, space, perms)
 
 
@@ -158,21 +188,22 @@ def coset_complex(
     return RigidGComplex(group, space, ca.perms)
 
 
-def stabilizer(x: RigidGComplex, cell_id: str) -> list[int]:
-    """Sorted list of elements mapping the cell to itself."""
-    mask = x.stabilizer_masks()[x.space.index(cell_id)]
-    return [g for g in x.group.elements() if mask >> g & 1]
-
-
 def _orbits(perms: Sequence[Sequence[int]], cells: Iterable[int]) -> list[tuple[int, set[int]]]:
-    """The orbits of a group of permutations (given as all its elements) on
-    ``cells``, a set of cell indices it maps to itself, in increasing
-    order: (first cell, orbit) pairs, in cell order."""
+    """The orbits of the group generated by the permutations ``perms`` (a
+    generating set, or every element) on ``cells``, a set of cell indices
+    they map to itself, in increasing order: (first cell, orbit) pairs, in
+    cell order.  An orbit is the breadth-first closure of its first cell
+    under ``perms``; in a finite group every element is a product of
+    generators, so the closure is the whole orbit."""
     seen: set[int] = set()
     out = []
     for i in cells:
         if i not in seen:
-            orbit = {p[i] for p in perms}
+            orbit, frontier = {i}, [i]
+            for j in frontier:
+                new = {p[j] for p in perms} - orbit
+                orbit |= new
+                frontier += new
             seen |= orbit
             out.append((i, orbit))
     return out
@@ -182,7 +213,7 @@ def cell_orbits(x: RigidGComplex) -> tuple[tuple[str, ...], dict[str, str]]:
     """Orbits of cells: (representatives, cell -> representative map),
     each representative its orbit's first cell, in cell order."""
     ids = x.space.ids()
-    orbits = _orbits(x.perms, range(len(ids)))
+    orbits = _orbits(x.generator_perms(), range(len(ids)))
     rep_of = {ids[j]: ids[i] for i, orbit in orbits for j in orbit}
     return tuple(ids[i] for i, _ in orbits), rep_of
 
@@ -191,13 +222,13 @@ def orbit_space(x: RigidGComplex) -> CellSpace:
     """Cell space of orbit representatives, each orbit's first cell, in
     cell order (dimension is preserved)."""
     cells = x.space.cells
-    return CellSpace(tuple(cells[i] for i, _ in _orbits(x.perms, range(len(cells)))))
+    return CellSpace(tuple(cells[i] for i, _ in _orbits(x.generator_perms(), range(len(cells)))))
 
 
 def orbit_groupoid(x: RigidGComplex) -> OrbitGroupoid:
     """Orbit space with each representative labeled by its stabilizer."""
     cells, masks = x.space.cells, x.stabilizer_masks()
-    reps = [i for i, _ in _orbits(x.perms, range(len(cells)))]
+    reps = [i for i, _ in _orbits(x.generator_perms(), range(len(cells)))]
     stabs = {cells[i].id: [g for g in x.group.elements() if masks[i] >> g & 1] for i in reps}
     iso = {r: FiniteIsotropy(groups.subgroup_group(x.group, s)[0]) for r, s in stabs.items()}
     return OrbitGroupoid(CellSpace(tuple(cells[i] for i in reps)), iso)
@@ -263,7 +294,8 @@ def fixed_orbit_chi(x: RigidGComplex, t: HomTuple) -> int:
     fixed = _fixed_ids(x, t, "fixed_orbit_chi")
     if not fixed:
         return 0
-    perms = [x.perms[e] for e in groups.centralizer(x.group, t)]
+    xperms = x.perms
+    perms = [xperms[e] for e in groups.centralizer(x.group, t)]
     return sum(-1 if x.space.cells[i].dim % 2 else 1 for i, _ in _orbits(perms, fixed))
 
 
@@ -322,32 +354,55 @@ class InertiaComplex(RigidGComplex):
     finite group).  The group acts by simultaneous conjugation on t and the
     original action on c.  ``pairs[k]`` is the cell at index k as its
     (index into ``tuples``, base cell index) pair.
+
+    Only the generators' permutations are built with the complex, which is
+    all an orbit walk needs; ``perms`` is filled on first use.
     """
 
-    __slots__ = ("tuples", "pairs")
+    __slots__ = ("tuples", "pairs", "_base", "_gen_perms")
 
     def __init__(self, p: Presentation, x: RigidGComplex):
         homs = groups.hom_enumerate(p, x.group)
-        index = {t: i for i, t in enumerate(homs)}
         needs = [sum(1 << e for e in set(t)) for t in homs]
         masks = x.stabilizer_masks()
         # (tuple index, cell index) of every pair, in cell order
         pairs = tuple((i, c) for c, m in enumerate(masks) for i, n in enumerate(needs) if m & n == n)
-        pos = {pair: k for k, pair in enumerate(pairs)}
         cells = x.space.cells
         space = CellSpace(
             tuple(Cell(f"{i}{RESERVED_SEPARATOR}{cells[c].id}", cells[c].dim) for i, c in pairs)
         )
-        used = sorted({i for i, _ in pairs})
-        perms = []
-        for g, perm in enumerate(x.perms):
-            conj = {i: index[x.group.conj_tuple(g, homs[i])] for i in used}
-            # conjugate tuples stay homomorphisms and stabilize the
-            # translated cell, so the lookups below cannot miss
-            perms.append(tuple(pos[conj[i], perm[c]] for i, c in pairs))
-        super().__init__(x.group, space, tuple(perms))
+        super().__init__(x.group, space, None)
         self.tuples = homs
         self.pairs = pairs
+        self._base = x
+        self._gen_perms = _inertia_perms(x, homs, pairs, x.group.generators())
+
+    @property
+    def perms(self) -> Sequence[Sequence[int]]:
+        if self._perms is None:
+            self._perms = _inertia_perms(self._base, self.tuples, self.pairs, self.group.elements())
+        return self._perms
+
+    def generator_perms(self) -> Sequence[Sequence[int]]:
+        return self._gen_perms
+
+
+def _inertia_perms(
+    x: RigidGComplex, tuples: Sequence[HomTuple], pairs: Sequence[tuple[int, int]], elems: Iterable[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Per element of ``elems``, its permutation of the inertia cells
+    ``pairs``: g sends (t, c) to (g t g^-1, g c)."""
+    index = {t: i for i, t in enumerate(tuples)}
+    pos = {pair: k for k, pair in enumerate(pairs)}
+    used = sorted({i for i, _ in pairs})
+    xperms, out = x.perms, []
+    for g in elems:
+        conj = {i: index[x.group.conj_tuple(g, tuples[i])] for i in used}
+        # conjugate tuples stay homomorphisms and stabilize the translated
+        # cell, so the lookups below cannot miss
+        perm = xperms[g]
+        out.append(tuple(pos[conj[i], perm[c]] for i, c in pairs))
+    return tuple(out)
 
 
 def inertia_complex(p: Presentation, x: RigidGComplex) -> InertiaComplex:
@@ -399,7 +454,7 @@ def anchor_map(p: Presentation, x: RigidGComplex) -> CellMap:
     """
     ic = inertia_complex(p, x)
     cells = ic.space.cells
-    source = [k for k, _ in _orbits(ic.perms, range(len(cells)))]
+    source = [k for k, _ in _orbits(ic.generator_perms(), range(len(cells)))]
     # the pairs run in x's cell order, and an inertia orbit lies over a
     # whole orbit of x, so its first cell lies over that orbit's first cell
     assign = {cells[k].id: x.space.cells[ic.pairs[k][1]].id for k in source}

@@ -88,7 +88,7 @@ def test_criterion_4_nonabelian_extension():
     assert chi(ad_quotient_model(O2)) == 2
     h = cyclic_group(2)
     pred = abelian_extension_chi(
-        jsonio.load_isotropy({"kind": "torus", "n": 1}), h, tr.point_complex(h), 1
+        jsonio.load_isotropy({"kind": "torus", "n": 1}), tr.point_complex(h), 1
     )
     assert pred.predicted == pred.factor_b * pred.factor_h == 0
     assert chi(ad_quotient_model(O2)) != pred.predicted

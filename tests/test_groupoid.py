@@ -197,15 +197,13 @@ def test_atlas_three_random_saturated_pieces():
 def test_extension_torus_fiber_kills_prediction():
     h = cyclic_group(2)
     x = tr.point_complex(h)
-    pred = abelian_extension_chi(T1, h, x, 1)
+    pred = abelian_extension_chi(T1, x, 1)
     assert pred.factor_b == 0 and pred.factor_h == 2 and pred.predicted == 0
 
 
 def test_extension_finite_fiber():
     h = cyclic_group(1)
-    pred = abelian_extension_chi(
-        FiniteIsotropy(cyclic_group(2)), h, tr.point_complex(h), 1
-    )
+    pred = abelian_extension_chi(FiniteIsotropy(cyclic_group(2)), tr.point_complex(h), 1)
     assert pred.predicted == 2
 
 
@@ -224,7 +222,7 @@ def test_flip_extension_counterexample():
     from eulerchi.catalog import ad_quotient_model
 
     h = cyclic_group(2)
-    pred = abelian_extension_chi(T1, h, tr.point_complex(h), 1)
+    pred = abelian_extension_chi(T1, tr.point_complex(h), 1)
     actual = chi(ad_quotient_model(O2))
     assert actual == 2
     assert pred.predicted == 0

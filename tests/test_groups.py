@@ -333,6 +333,26 @@ def test_orbits_abelian_group_trivial_conjugation():
     assert conj_orbit_count(homs, g).count == 6
 
 
+def test_conj_orbits_match_an_all_element_partition():
+    """Orbits grown from the generators give the count and the
+    representatives (each orbit's least tuple) of the partition made by
+    conjugating each tuple by every element, on every harness group."""
+    rng = random.Random(11)
+    for key in harness._GROUP_BUILDERS:
+        g = harness.group_by_key(key)
+        assert g.order <= 48
+        for _ in range(3):
+            p = harness.random_presentation(rng, max_rank=2)
+            tuples = hom_enumerate(p, g)
+            orbits = {
+                frozenset(tuple(g.mul(g.mul(a, e), g.inv(a)) for e in t) for a in g.elements())
+                for t in tuples
+            }
+            result = conj_orbit_count(tuples, g)
+            assert result.count == len(orbits), (key, p)
+            assert result.reps == tuple(sorted(min(o) for o in orbits)), (key, p)
+
+
 def test_commuting_pairs_s3_orbits():
     pairs = hom_enumerate(Presentation.free_abelian(2), S3)
     result = conj_orbit_count(pairs, S3)

@@ -57,6 +57,7 @@ CASES = {
         ["pushforward", "assign_to_unknown_target.json", "one_on_source.json"],
         ["pushforward", "map_onto_higher_dim.json", "one_on_source.json"],
         ["gamma-chi", "duplicate_stratum_id.json", "--gamma", '{"kind":"trivial"}'],
+        ["translation", "non_homomorphic_action.json", "--gamma", '{"kind":"trivial"}'],
     ],
 }
 

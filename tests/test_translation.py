@@ -37,12 +37,17 @@ from eulerchi.translation import (
     point_complex,
     product_complex,
     restrict_complex,
-    stabilizer,
     validate_complex,
 )
 
 S3 = symmetric_group(3)
 Z2 = cyclic_group(2)
+
+
+def stabilizer(x: RigidGComplex, cell_id: str) -> list[int]:
+    """Sorted list of elements mapping the cell to itself."""
+    mask = x.stabilizer_masks()[x.space.index(cell_id)]
+    return [g for g in x.group.elements() if mask >> g & 1]
 
 
 def swap_points() -> RigidGComplex:
@@ -69,6 +74,49 @@ def test_action_must_be_homomorphism():
     }
     with pytest.raises(ValidationError, match="homomorphism"):
         validate_complex(z3, space, bad)
+
+
+def _first_non_homomorphism(group, space: CellSpace, action) -> str | None:
+    """Reference sweep over every pair (g, h) in element order, on the
+    string maps: the first cell where g*h and the composition disagree."""
+    for g in group.elements():
+        for h in group.elements():
+            gh = group.mul(g, h)
+            for c in space.ids():
+                if action[g][action[h][c]] != action[gh][c]:
+                    return f"action is not a homomorphism: ({g}*{h}) and composition disagree at cell {c!r}"
+    return None
+
+
+def test_tampered_actions_name_the_first_failing_pair():
+    """One element's map with two images swapped stays a
+    dimension-preserving bijection; validate_complex refuses it with the
+    first failing pair of the full sweep, whether or not that element is a
+    generator."""
+    rng = random.Random(7)
+    refused = {True: 0, False: 0}  # by whether the tampered element is a generator
+    for x in _generated_complexes(50):
+        gens = x.group.generators()
+        rest = [g for g in x.group.elements() if g and g not in gens]
+        by_dim: dict[int, list[str]] = {}
+        for c in x.space.cells:
+            by_dim.setdefault(c.dim, []).append(c.id)
+        swappable = [ids for ids in by_dim.values() if len(ids) > 1]
+        if not swappable:
+            continue
+        for g in [rng.choice(pool) for pool in (gens, rest) if pool]:
+            action = {int(e): m for e, m in jsonio.dump_complex(x)["action"].items()}
+            a, b = rng.sample(rng.choice(swappable), 2)
+            action[g][a], action[g][b] = action[g][b], action[g][a]
+            expected = _first_non_homomorphism(x.group, x.space, action)
+            if expected is None:
+                validate_complex(x.group, x.space, action)
+                continue
+            with pytest.raises(ValidationError) as err:
+                validate_complex(x.group, x.space, action)
+            assert str(err.value) == expected
+            refused[g in gens] += 1
+    assert refused[True] > 10 and refused[False] > 10
 
 
 def test_action_must_preserve_dimension():
@@ -544,6 +592,22 @@ def test_inertia_s3_point_counts():
     assert len(ic.space) == 6
     reps, _ = cell_orbits(ic)
     assert len(reps) == 3
+
+
+def test_inertia_complex_conjugates_by_generators_only(monkeypatch):
+    """lambda_chi builds only the generators' permutations of the inertia
+    complex, so each label tuple is conjugated once per generator."""
+    s5 = symmetric_group(5)
+    calls = []
+    original = groups.FiniteGroup.conj_tuple
+
+    def counted(self, a, t):
+        calls.append(a)
+        return original(self, a, t)
+
+    monkeypatch.setattr(groups.FiniteGroup, "conj_tuple", counted)
+    assert lambda_chi(Z, point_complex(s5)) == 7
+    assert 0 < len(calls) <= len(s5.generators()) * len(groups.hom_enumerate(Z, s5))
 
 
 def test_lambda_chi_examples():
