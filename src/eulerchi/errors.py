@@ -37,14 +37,20 @@ class UnsupportedCombination(EulerchiError):
 
 
 class RecursionCapExceeded(UnsupportedCombination):
-    """Requested order exceeds the configured recursion cap."""
+    """Requested order exceeds the configured recursion cap; the offending
+    pair is the order-ell recursion and Z^ell."""
 
-    def __init__(self, ell: int, cap: int):
+    def __init__(self, ell: int, cap: int, cell_id: str | None = None):
         self.ell = ell
         self.cap = cap
-        EulerchiError.__init__(
-            self, f"order {ell} exceeds the recursion cap {cap}"
-        )
+        self.model = "order-ell recursion"
+        self.presentation = f"free_abelian({ell})"
+        self.cell_id = cell_id
+        at = f" at {cell_id!r}" if cell_id is not None else ""
+        EulerchiError.__init__(self, f"order {ell} exceeds the recursion cap {cap}{at}")
+
+    def with_cell(self, cell_id: str) -> "RecursionCapExceeded":
+        return RecursionCapExceeded(self.ell, self.cap, cell_id)
 
 
 class CrossCheckError(EulerchiError):

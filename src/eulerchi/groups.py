@@ -20,6 +20,10 @@ full tuple space and is emitted in lexicographic order.
 
 Conjugates, conjugacy classes and centralizers are read from the table as
 they are needed; no group keeps a table of conjugates.
+
+``orbits``, a breadth-first closure under permutations of indices, is the
+one orbit walk behind cell orbits, conjugation orbits of tuples and
+subgroup closures.
 """
 
 from __future__ import annotations
@@ -413,7 +417,27 @@ def hom_enumerate(p: Presentation, g: FiniteGroup) -> list[HomTuple]:
 
 
 # ---------------------------------------------------------------------------
-# conjugation orbits, centralizers, classes
+# orbits, conjugation, centralizers, classes
+
+
+def orbits(perms: Sequence[Sequence[int]], points: Iterable[int]) -> list[tuple[int, set[int]]]:
+    """The orbits meeting ``points`` (indices, increasing) of the group
+    generated by ``perms``, as (first point, orbit) pairs in point order.
+    An orbit is the breadth-first closure of its first point under
+    ``perms``; every element of a finite group is a product of generators,
+    so a generating set gives the whole orbit."""
+    seen: set[int] = set()
+    out = []
+    for i in points:
+        if i not in seen:
+            orbit, frontier = {i}, [i]
+            for j in frontier:
+                new = {p[j] for p in perms} - orbit
+                orbit |= new
+                frontier += new
+            seen |= orbit
+            out.append((i, orbit))
+    return out
 
 
 @dataclass(frozen=True)
@@ -425,35 +449,25 @@ class ConjOrbits:
 def conj_orbit_count(tuples: Sequence[HomTuple], g: FiniteGroup) -> ConjOrbits:
     """Orbits of simultaneous conjugation on a set of tuples.
 
-    The input must be closed under conjugation by every group element
-    (checked).  Each orbit is grown breadth-first by conjugating with the
-    group's generators; every element is a product of generators, so the
-    closure is the whole orbit, stray conjugates included.  The tuples are
-    scanned in sorted order, so an orbit is first met at its least tuple:
-    representatives are the lexicographic minima, returned sorted.
+    Conjugation by each generator permutes the indices of the sorted
+    tuples, and ``orbits`` walks them.  The input must be closed under
+    conjugation (checked on the generators; a refusal names the least
+    missing conjugate).  Representatives are the tuples at each orbit's
+    first index, the lexicographic minima, in sorted order.
     """
-    pool = set(tuples)
-    if len(pool) != len(tuples):
+    ts = sorted(tuples)
+    index = {t: i for i, t in enumerate(ts)}
+    if len(index) != len(ts):
         raise ValidationError("conj_orbit_count: duplicate tuples in input")
-    gens = g.generators()
-    reps = []
-    seen: set[HomTuple] = set()
-    for t in sorted(pool):
-        if t in seen:
-            continue
-        orbit, frontier = {t}, [t]
-        for u in frontier:
-            new = {g.conj_tuple(a, u) for a in gens} - orbit
-            orbit |= new
-            frontier += new
-        if not orbit <= pool:
-            stray = sorted(orbit - pool)[0]
-            raise ValidationError(
-                f"conj_orbit_count: input not conjugation-closed (missing {stray})"
-            )
-        seen |= orbit
-        reps.append(t)
-    return ConjOrbits(len(reps), tuple(reps))
+    try:
+        perms = [[index[g.conj_tuple(a, t)] for t in ts] for a in g.generators()]
+    except KeyError:
+        stray = min(u for t in ts for a in g.elements() if (u := g.conj_tuple(a, t)) not in index)
+        raise ValidationError(
+            f"conj_orbit_count: input not conjugation-closed (missing {stray})"
+        ) from None
+    reps = tuple(ts[i] for i, _ in orbits(perms, range(len(ts))))
+    return ConjOrbits(len(reps), reps)
 
 
 def centralizer(g: FiniteGroup, t: HomTuple) -> list[int]:
@@ -500,21 +514,15 @@ def is_subgroup(g: FiniteGroup, elements: Iterable[int]) -> bool:
 
 
 def subgroup_closure(g: FiniteGroup, generators: Iterable[int]) -> list[int]:
-    """Smallest subgroup containing the given elements, as a sorted list."""
-    elems = {0}
-    frontier = [e for e in generators]
-    for e in frontier:
+    """Smallest subgroup containing the given elements, as a sorted list:
+    the orbit of 0 under right multiplication by them, which in a finite
+    group reaches every product of them and so every inverse."""
+    perms = []
+    for e in generators:
         if not 0 <= e < g.order:
             raise ValidationError(f"subgroup_closure: element {e} out of range")
-    while frontier:
-        e = frontier.pop()
-        if e in elems:
-            continue
-        elems.add(e)
-        frontier.extend(g.mul(e, x) for x in list(elems))
-        frontier.extend(g.mul(x, e) for x in list(elems))
-        frontier.append(g.inv(e))
-    return sorted(elems)
+        perms.append([row[e] for row in g.table])
+    return sorted(orbits(perms, [0])[0][1])
 
 
 def subgroup_group(g: FiniteGroup, elements: Sequence[int]) -> tuple[FiniteGroup, list[int]]:

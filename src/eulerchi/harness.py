@@ -38,6 +38,14 @@ from .groups import FiniteGroup, Presentation
 
 FAULTS = ("lambda_plus_one", "noniter_minus_one")
 
+# Limits on |G|^generators, which keep inertia complexes desk sized; they
+# decide the redraws, so changing one changes every ``verify`` report.
+CASE_TUPLES = 20000
+MORITA_TUPLES = 20000
+PRODUCT_TUPLES = 50000
+ITERATE_TUPLES = 5000
+ORDER_ELL_TUPLES = 2000  # for ell = 3
+
 
 # ---------------------------------------------------------------------------
 # deterministic instance generation
@@ -140,6 +148,15 @@ def random_presentation(rng: random.Random, max_rank: int = 3) -> Presentation:
     return Presentation(gens, tuple(relators))
 
 
+def _presentation_within(rng: random.Random, order: int, limit: int, max_rank: int = 3) -> Presentation:
+    """A random presentation with ``order ** generators <= limit``: the
+    first draw has up to ``max_rank`` generators, every redraw up to 2."""
+    p = random_presentation(rng, max_rank)
+    while order ** p.generators > limit:
+        p = random_presentation(rng, max_rank=2)
+    return p
+
+
 def random_case(rng: random.Random, max_group: int, max_cells: int) -> CaseSpec:
     keys = [k for k in _GROUP_BUILDERS if group_by_key(k).order <= max_group]
     key = rng.choice(keys)
@@ -155,12 +172,7 @@ def random_case(rng: random.Random, max_group: int, max_cells: int) -> CaseSpec:
         strata.append((sub, rng.randint(0, 2)))
     if not strata:
         strata.append((list(g.elements()), rng.randint(0, 2)))
-    # keep the homomorphism space small enough that the inertia complex
-    # stays desk sized: |Hom| is bounded by |G|^generators
-    p = random_presentation(rng)
-    while g.order ** p.generators > 20000:
-        p = random_presentation(rng, max_rank=2)
-    return CaseSpec(key, strata, p)
+    return CaseSpec(key, strata, _presentation_within(rng, g.order, CASE_TUPLES))
 
 
 def random_function(rng: random.Random, space: CellSpace) -> ConstructibleFunction:
@@ -251,7 +263,7 @@ def _case_checks(
         tr.chi_gamma_strata(Presentation.trivial(), x),
         cells.chi(tr.orbit_space(x)))
 
-    max_ell = 3 if g.order ** 3 <= 2000 else 2
+    max_ell = 3 if g.order ** 3 <= ORDER_ELL_TUPLES else 2
     for ell in range(0, max_ell + 1):
         rec(f"order_{ell}_vs_noniter",
             tr.chi_order_ell(x, ell),
@@ -285,9 +297,7 @@ def morita_check(rng: random.Random, max_group: int) -> CheckResult:
     keys = [k for k in _GROUP_BUILDERS if group_by_key(k).order <= max_group]
     g = group_by_key(rng.choice(keys))
     sub = random_subgroup(rng, g)
-    p = random_presentation(rng, max_rank=2)
-    while g.order ** p.generators > 20000:
-        p = random_presentation(rng, max_rank=2)
+    p = _presentation_within(rng, g.order, MORITA_TUPLES, max_rank=2)
     h, _ = groups.subgroup_group(g, sub)
     lhs = tr.lambda_chi(p, tr.coset_complex(g, sub))
     rhs = catalog.chi_hom_quotient(catalog.FiniteIsotropy(h), p)
@@ -304,10 +314,8 @@ def multiplicativity_check(rng: random.Random) -> CheckResult:
         return CaseSpec(key, strata, Presentation.trivial())
 
     a, b = draw(), draw()
-    p = random_presentation(rng, max_rank=2)
     order = group_by_key(a.group_key).order * group_by_key(b.group_key).order
-    while order ** p.generators > 50000:
-        p = random_presentation(rng, max_rank=2)
+    p = _presentation_within(rng, order, PRODUCT_TUPLES, max_rank=2)
     xa, xb = build_complex(a), build_complex(b)
     lhs = tr.lambda_chi(p, tr.product_complex(xa, xb))
     rhs = tr.lambda_chi(p, xa) * tr.lambda_chi(p, xb)
@@ -319,7 +327,7 @@ def iterate_check(rng: random.Random) -> CheckResult:
     p1 = random_presentation(rng, max_rank=1)
     p2 = random_presentation(rng, max_rank=1)
     g = group_by_key(spec.group_key)
-    while g.order ** (p1.generators + p2.generators) > 5000:
+    while g.order ** (p1.generators + p2.generators) > ITERATE_TUPLES:
         p1 = random_presentation(rng, max_rank=1)
         p2 = random_presentation(rng, max_rank=1)
     it, prod = tr.iterate_inertia(p1, p2, build_complex(spec))

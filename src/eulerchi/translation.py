@@ -28,7 +28,7 @@ test suite and the ``verify`` harness:
   iterated centralizer actions on fixed sets; order 1 is the classical
   one-generator sum over conjugacy classes of the group.
 
-Every orbit of cells is walked on cell indices by ``_orbits``, a
+Every orbit of cells is walked on cell indices by ``groups.orbits``, a
 breadth-first closure under the permutations it is given, and an orbit's
 representative is its first cell in cell order.  Orbits of a whole group
 are walked on the permutations of its generators
@@ -50,7 +50,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import groups
 from .catalog import FiniteIsotropy
-from .cells import Cell, CellMap, CellSpace, RESERVED_SEPARATOR
+from .cells import Cell, CellMap, CellSpace, RESERVED_SEPARATOR, chi, product as space_product
 from .errors import CrossCheckError, RecursionCapExceeded, ValidationError
 from .groupoid import OrbitGroupoid, chi_gamma
 from .groups import FiniteGroup, HomTuple, Presentation
@@ -188,32 +188,11 @@ def coset_complex(
     return RigidGComplex(group, space, ca.perms)
 
 
-def _orbits(perms: Sequence[Sequence[int]], cells: Iterable[int]) -> list[tuple[int, set[int]]]:
-    """The orbits of the group generated by the permutations ``perms`` (a
-    generating set, or every element) on ``cells``, a set of cell indices
-    they map to itself, in increasing order: (first cell, orbit) pairs, in
-    cell order.  An orbit is the breadth-first closure of its first cell
-    under ``perms``; in a finite group every element is a product of
-    generators, so the closure is the whole orbit."""
-    seen: set[int] = set()
-    out = []
-    for i in cells:
-        if i not in seen:
-            orbit, frontier = {i}, [i]
-            for j in frontier:
-                new = {p[j] for p in perms} - orbit
-                orbit |= new
-                frontier += new
-            seen |= orbit
-            out.append((i, orbit))
-    return out
-
-
 def cell_orbits(x: RigidGComplex) -> tuple[tuple[str, ...], dict[str, str]]:
     """Orbits of cells: (representatives, cell -> representative map),
     each representative its orbit's first cell, in cell order."""
     ids = x.space.ids()
-    orbits = _orbits(x.generator_perms(), range(len(ids)))
+    orbits = groups.orbits(x.generator_perms(), range(len(ids)))
     rep_of = {ids[j]: ids[i] for i, orbit in orbits for j in orbit}
     return tuple(ids[i] for i, _ in orbits), rep_of
 
@@ -222,13 +201,13 @@ def orbit_space(x: RigidGComplex) -> CellSpace:
     """Cell space of orbit representatives, each orbit's first cell, in
     cell order (dimension is preserved)."""
     cells = x.space.cells
-    return CellSpace(tuple(cells[i] for i, _ in _orbits(x.generator_perms(), range(len(cells)))))
+    return CellSpace(tuple(cells[i] for i, _ in groups.orbits(x.generator_perms(), range(len(cells)))))
 
 
 def orbit_groupoid(x: RigidGComplex) -> OrbitGroupoid:
     """Orbit space with each representative labeled by its stabilizer."""
     cells, masks = x.space.cells, x.stabilizer_masks()
-    reps = [i for i, _ in _orbits(x.generator_perms(), range(len(cells)))]
+    reps = [i for i, _ in groups.orbits(x.generator_perms(), range(len(cells)))]
     stabs = {cells[i].id: [g for g in x.group.elements() if masks[i] >> g & 1] for i in reps}
     iso = {r: FiniteIsotropy(groups.subgroup_group(x.group, s)[0]) for r, s in stabs.items()}
     return OrbitGroupoid(CellSpace(tuple(cells[i] for i in reps)), iso)
@@ -249,8 +228,6 @@ def restrict_complex(x: RigidGComplex, keep: Iterable[str]) -> RigidGComplex:
 
 def product_complex(x: RigidGComplex, y: RigidGComplex) -> RigidGComplex:
     """Product action of the product group on the product space."""
-    from .cells import product as space_product
-
     group = groups.direct_product(x.group, y.group)
     space = space_product(x.space, y.space)
     n = len(y.space)
@@ -296,7 +273,7 @@ def fixed_orbit_chi(x: RigidGComplex, t: HomTuple) -> int:
         return 0
     xperms = x.perms
     perms = [xperms[e] for e in groups.centralizer(x.group, t)]
-    return sum(-1 if x.space.cells[i].dim % 2 else 1 for i, _ in _orbits(perms, fixed))
+    return sum(-1 if x.space.cells[i].dim % 2 else 1 for i, _ in groups.orbits(perms, fixed))
 
 
 def chi_order_ell(
@@ -411,8 +388,6 @@ def inertia_complex(p: Presentation, x: RigidGComplex) -> InertiaComplex:
 
 def lambda_chi(p: Presentation, x: RigidGComplex) -> int:
     """chi of the orbit space of the inertia complex."""
-    from .cells import chi
-
     return chi(orbit_space(inertia_complex(p, x)))
 
 
@@ -454,7 +429,7 @@ def anchor_map(p: Presentation, x: RigidGComplex) -> CellMap:
     """
     ic = inertia_complex(p, x)
     cells = ic.space.cells
-    source = [k for k, _ in _orbits(ic.generator_perms(), range(len(cells)))]
+    source = [k for k, _ in groups.orbits(ic.generator_perms(), range(len(cells)))]
     # the pairs run in x's cell order, and an inertia orbit lies over a
     # whole orbit of x, so its first cell lies over that orbit's first cell
     assign = {cells[k].id: x.space.cells[ic.pairs[k][1]].id for k in source}

@@ -375,8 +375,17 @@ def test_orbit_reps_are_minimal_and_sorted():
 
 
 def test_orbit_count_requires_closure():
-    with pytest.raises(ValidationError, match="conjugation-closed"):
-        conj_orbit_count([(1,)], S3)  # a single transposition, orbit has 3
+    # a single transposition, whose orbit has 3
+    with pytest.raises(ValidationError, match=re.escape("input not conjugation-closed (missing (2,))")):
+        conj_orbit_count([(1,)], S3)
+    # two open orbits: the least missing conjugate, (4,), lies in the later one
+    with pytest.raises(ValidationError, match=re.escape("input not conjugation-closed (missing (4,))")):
+        conj_orbit_count([(1,), (2,), (3,)], S3)
+
+
+def test_orbit_count_refuses_duplicates():
+    with pytest.raises(ValidationError, match="^conj_orbit_count: duplicate tuples in input$"):
+        conj_orbit_count([(0, 0), (1, 1), (0, 0)], cyclic_group(2))
 
 
 @given(st.sampled_from([cyclic_group(4), cyclic_group(6)]), st.randoms(use_true_random=False))
@@ -473,6 +482,25 @@ def test_product_presentation_hom_count():
 def test_subgroup_closure():
     assert subgroup_closure(S3, [1]) == [0, 1]
     assert len(subgroup_closure(S3, [1, 3])) == 6
+    with pytest.raises(ValidationError, match="subgroup_closure: element 6 out of range"):
+        subgroup_closure(S3, [1, 6])
+
+
+def test_subgroup_closure_matches_products_and_inverses():
+    """The orbit of 0 under right multiplication is the set closed under
+    products and inverses, on every harness group."""
+    rng = random.Random(5)
+    for key in harness._GROUP_BUILDERS:
+        g = harness.group_by_key(key)
+        for _ in range(4):
+            gens = [rng.randrange(g.order) for _ in range(rng.randint(1, 3))]
+            closed = {0, *gens}
+            while True:
+                grown = closed | {g.mul(a, b) for a in closed for b in closed} | {g.inv(a) for a in closed}
+                if grown == closed:
+                    break
+                closed = grown
+            assert subgroup_closure(g, gens) == sorted(closed), (key, gens)
 
 
 def test_coset_action_whole_group():

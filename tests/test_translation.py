@@ -466,9 +466,9 @@ def test_noniter_and_order_ell_leaves_build_no_fixed_subcomplex(monkeypatch):
     counts = _count_calls(
         monkeypatch,
         [(translation, name) for name in
-         ("fixed_subcomplex", "fixed_orbit_chi", "_orbits", "CellSpace", "RigidGComplex")]
+         ("fixed_subcomplex", "fixed_orbit_chi", "CellSpace", "RigidGComplex")]
         + [(groups, name) for name in
-           ("subgroup_group", "conj_orbit_count", "centralizer", "conjugacy_classes", "hom_enumerate")],
+           ("subgroup_group", "conj_orbit_count", "centralizer", "conjugacy_classes", "hom_enumerate", "orbits")],
     )
     for x in xs:
         for p in (Presentation.trivial(), Z, Presentation.free_abelian(2), Presentation.cyclic(3)):
@@ -481,7 +481,7 @@ def test_noniter_and_order_ell_leaves_build_no_fixed_subcomplex(monkeypatch):
             _, branches = translation._order_ell_walk(x, ell, 4)
             assert counts["hom_enumerate"] == counts["conj_orbit_count"] == masks["centralizer_mask"] == 0
             assert counts["fixed_subcomplex"] == sum(branches[:ell - 1])
-            assert counts["_orbits"] > 0  # the counter sees the walk's orbits
+            assert counts["orbits"] > 0  # the counter sees the walk's orbits
     chi_gamma_noniter(Z, point_complex(S3))
     assert masks["centralizer_mask"] > 0  # the counter sees the count's bitmasks
     value, branches = translation._order_ell_walk(point_complex(S3), 2, 4)
@@ -570,6 +570,20 @@ def test_order_ell_cap():
     assert chi_order_ell(point_complex(Z2), 5, cap=5) == 2 ** 5
     with pytest.raises(ValidationError, match="recursion cap must be >= 0, got -1"):
         chi_order_ell(point_complex(Z2), 0, cap=-1)
+
+
+def test_recursion_cap_refusal_names_its_pair_and_takes_a_cell():
+    with pytest.raises(RecursionCapExceeded) as info:
+        chi_order_ell(point_complex(Z2), 5)
+    exc = info.value
+    assert str(exc) == "order 5 exceeds the recursion cap 4"
+    assert (exc.ell, exc.cap, exc.model, exc.presentation, exc.cell_id) == (
+        5, 4, "order-ell recursion", "free_abelian(5)", None)
+    at = exc.with_cell("pt")
+    assert isinstance(at, RecursionCapExceeded)
+    assert str(at) == "order 5 exceeds the recursion cap 4 at 'pt'"
+    assert (at.ell, at.cap, at.model, at.presentation, at.cell_id) == (
+        5, 4, "order-ell recursion", "free_abelian(5)", "pt")
 
 
 # --- inertia complexes ---------------------------------------------------------------
