@@ -94,7 +94,6 @@ from .translation import (
     chi_order_ell,
     coset_complex,
     fixed_orbit_chi,
-    fixed_subcomplex,
     inertia_complex,
     iterate_inertia,
     lambda_chi,

@@ -456,6 +456,10 @@ def conj_orbit_count(tuples: Sequence[HomTuple], g: FiniteGroup) -> ConjOrbits:
     first index, the lexicographic minima, in sorted order.
     """
     ts = sorted(tuples)
+    for t in ts:
+        for e in t:
+            if not 0 <= e < g.order:
+                raise ValidationError(f"conj_orbit_count: element {e} out of range")
     index = {t: i for i, t in enumerate(ts)}
     if len(index) != len(ts):
         raise ValidationError("conj_orbit_count: duplicate tuples in input")

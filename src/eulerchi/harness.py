@@ -50,26 +50,28 @@ ORDER_ELL_TUPLES = 2000  # for ell = 3
 # ---------------------------------------------------------------------------
 # deterministic instance generation
 
-_GROUP_BUILDERS: dict[str, Callable[[], FiniteGroup]] = {
-    "1": groups.trivial_group,
-    "C2": lambda: groups.cyclic_group(2),
-    "C3": lambda: groups.cyclic_group(3),
-    "C4": lambda: groups.cyclic_group(4),
-    "C6": lambda: groups.cyclic_group(6),
-    "C8": lambda: groups.cyclic_group(8),
-    "S3": lambda: groups.symmetric_group(3),
-    "S4": lambda: groups.symmetric_group(4),
-    "D4": lambda: groups.dihedral_group(4),
-    "D5": lambda: groups.dihedral_group(5),
-    "D6": lambda: groups.dihedral_group(6),
-    "Q8": groups.quaternion_group,
-    "C2xC2": lambda: groups.direct_product(groups.cyclic_group(2), groups.cyclic_group(2)),
-    "C2xS3": lambda: groups.direct_product(groups.cyclic_group(2), groups.symmetric_group(3)),
-    "C2xQ8": lambda: groups.direct_product(groups.cyclic_group(2), groups.quaternion_group()),
-    "C3xC3": lambda: groups.direct_product(groups.cyclic_group(3), groups.cyclic_group(3)),
-    "C2xD4": lambda: groups.direct_product(groups.cyclic_group(2), groups.dihedral_group(4)),
+# key -> (order, builder): the stated order lets a draw filter the keys
+# without building every group
+_GROUP_BUILDERS: dict[str, tuple[int, Callable[[], FiniteGroup]]] = {
+    "1": (1, groups.trivial_group),
+    "C2": (2, lambda: groups.cyclic_group(2)),
+    "C3": (3, lambda: groups.cyclic_group(3)),
+    "C4": (4, lambda: groups.cyclic_group(4)),
+    "C6": (6, lambda: groups.cyclic_group(6)),
+    "C8": (8, lambda: groups.cyclic_group(8)),
+    "S3": (6, lambda: groups.symmetric_group(3)),
+    "S4": (24, lambda: groups.symmetric_group(4)),
+    "D4": (8, lambda: groups.dihedral_group(4)),
+    "D5": (10, lambda: groups.dihedral_group(5)),
+    "D6": (12, lambda: groups.dihedral_group(6)),
+    "Q8": (8, groups.quaternion_group),
+    "C2xC2": (4, lambda: groups.direct_product(groups.cyclic_group(2), groups.cyclic_group(2))),
+    "C2xS3": (12, lambda: groups.direct_product(groups.cyclic_group(2), groups.symmetric_group(3))),
+    "C2xQ8": (16, lambda: groups.direct_product(groups.cyclic_group(2), groups.quaternion_group())),
+    "C3xC3": (9, lambda: groups.direct_product(groups.cyclic_group(3), groups.cyclic_group(3))),
+    "C2xD4": (16, lambda: groups.direct_product(groups.cyclic_group(2), groups.dihedral_group(4))),
     # only drawn when max_group allows it
-    "C2xS4": lambda: groups.direct_product(groups.cyclic_group(2), groups.symmetric_group(4)),
+    "C2xS4": (48, lambda: groups.direct_product(groups.cyclic_group(2), groups.symmetric_group(4))),
 }
 
 _group_cache: dict[str, FiniteGroup] = {}
@@ -77,8 +79,13 @@ _group_cache: dict[str, FiniteGroup] = {}
 
 def group_by_key(key: str) -> FiniteGroup:
     if key not in _group_cache:
-        _group_cache[key] = _GROUP_BUILDERS[key]()
+        _group_cache[key] = _GROUP_BUILDERS[key][1]()
     return _group_cache[key]
+
+
+def _keys_within(max_group: int) -> list[str]:
+    """The group keys of order at most ``max_group``, in table order."""
+    return [k for k, (order, _) in _GROUP_BUILDERS.items() if order <= max_group]
 
 
 @dataclass
@@ -158,8 +165,7 @@ def _presentation_within(rng: random.Random, order: int, limit: int, max_rank: i
 
 
 def random_case(rng: random.Random, max_group: int, max_cells: int) -> CaseSpec:
-    keys = [k for k in _GROUP_BUILDERS if group_by_key(k).order <= max_group]
-    key = rng.choice(keys)
+    key = rng.choice(_keys_within(max_group))
     g = group_by_key(key)
     strata: list[tuple[list[int], int]] = []
     total = 0
@@ -294,8 +300,7 @@ def _case_checks(
 
 def morita_check(rng: random.Random, max_group: int) -> CheckResult:
     """lambda chi of the coset action equals the subgroup's orbit count."""
-    keys = [k for k in _GROUP_BUILDERS if group_by_key(k).order <= max_group]
-    g = group_by_key(rng.choice(keys))
+    g = group_by_key(rng.choice(_keys_within(max_group)))
     sub = random_subgroup(rng, g)
     p = _presentation_within(rng, g.order, MORITA_TUPLES, max_rank=2)
     h, _ = groups.subgroup_group(g, sub)

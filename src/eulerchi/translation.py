@@ -35,13 +35,13 @@ are walked on the permutations of its generators
 (``RigidGComplex.generator_perms``); an inertia complex builds only those
 when it is constructed, and every element's permutation on first use of
 ``perms``.  ``validate_complex`` checks the homomorphism law on the
-generators, which implies it on every pair.  The order-ell route takes chi
-of a fixed set modulo its centralizer in place, in the parent complex's
-own indices (``fixed_orbit_chi``), walking every element of the
-centralizer.
-``fixed_subcomplex`` builds the fixed set as a complex over the reindexed
-centralizer only where a group of its own is needed, at the inner levels of
-the order-ell recursion.
+generators, which implies it on every pair.  The order-ell route walks its
+whole recursion in the given complex's own element and cell indices: a
+centralizer is a sorted list of the group's elements, its conjugacy classes
+are read from the group's table, and a fixed set modulo a centralizer is
+counted by walking every element of the centralizer (``fixed_orbit_chi``
+and the walk's leaves).  Nothing reindexes a centralizer into a group or a
+complex of its own.
 """
 
 from __future__ import annotations
@@ -251,29 +251,23 @@ def _fixed_ids(x: RigidGComplex, t: HomTuple, where: str) -> list[int]:
     return [i for i, mask in enumerate(x.stabilizer_masks()) if mask & need == need]
 
 
-def fixed_subcomplex(x: RigidGComplex, t: HomTuple) -> RigidGComplex:
-    """Cells fixed by every image of the tuple, as a complex over the
-    centralizer of the tuple (reindexed into its own group)."""
-    fixed = _fixed_ids(x, t, "fixed_subcomplex")
-    cgroup, elems = groups.subgroup_group(x.group, groups.centralizer(x.group, t))
-    return _restrict(x, fixed, cgroup, elems)
+def _orbit_chi(x: RigidGComplex, fixed: Sequence[int], elems: Sequence[int]) -> int:
+    """chi of the cells at indices ``fixed`` (increasing, invariant under
+    ``elems``) modulo the elements ``elems``, counted in x's own indices:
+    each orbit is the set of images of one cell under the elements, and it
+    adds (-1)^dim.  No group, cell space or complex is built."""
+    if not fixed:
+        return 0
+    xperms, cells = x.perms, x.space.cells
+    perms = [xperms[e] for e in elems]
+    return sum(-1 if cells[i].dim % 2 else 1 for i, _ in groups.orbits(perms, fixed))
 
 
 def fixed_orbit_chi(x: RigidGComplex, t: HomTuple) -> int:
-    """chi of the quotient of the tuple's fixed set by its centralizer.
-
-    Equal to ``chi(orbit_space(fixed_subcomplex(x, t)))``, but the orbits
-    are counted in x's own indices: the centralizer maps the fixed set to
-    itself, so each orbit is the set of images of one fixed cell under the
-    centralizer's elements, and it adds (-1)^dim.  No group, cell space or
-    complex is built.
-    """
-    fixed = _fixed_ids(x, t, "fixed_orbit_chi")
-    if not fixed:
-        return 0
-    xperms = x.perms
-    perms = [xperms[e] for e in groups.centralizer(x.group, t)]
-    return sum(-1 if x.space.cells[i].dim % 2 else 1 for i, _ in groups.orbits(perms, fixed))
+    """chi of the quotient of the tuple's fixed set by its centralizer,
+    which maps the fixed set to itself; the orbits are counted in x's own
+    indices."""
+    return _orbit_chi(x, _fixed_ids(x, t, "fixed_orbit_chi"), groups.centralizer(x.group, t))
 
 
 def chi_order_ell(
@@ -293,12 +287,17 @@ def _order_ell_walk(x: RigidGComplex, ell: int, cap: int) -> tuple[int, list[int
     """``chi_order_ell`` and the number of branches, one per conjugacy
     class, at every depth 1..ell of its recursion.
 
-    A branch at an inner depth builds the class representative's fixed
-    subcomplex, because the next depth needs the centralizer as a group of
-    its own to take its conjugacy classes.  A branch at the last depth only
-    counts the centralizer's orbits on the fixed cells in place
-    (``fixed_orbit_chi``), so ``sum(branches[:ell - 1])`` fixed
-    subcomplexes are built in all.
+    Every branch stays in x's own element and cell indices.  It carries its
+    tuple's ``need`` bitmask (the class representatives of the depths above
+    it) and its centralizer, a sorted list of x's elements, starting from
+    the whole group.  The centralizer's classes are {b a b^-1 : b in it},
+    read from x's table; walking the list in order makes each
+    representative its class's least element.  A child's centralizer is
+    the parent's, filtered to the elements that commute with the
+    representative, and a leaf counts that centralizer's orbits on the
+    cells its ``need`` fixes (``_orbit_chi``).  Nothing is built below the
+    root, and every class is a branch, also one whose ``need`` fixes no
+    cell.
     """
     if ell < 0:
         raise ValidationError("ell must be >= 0")
@@ -308,19 +307,28 @@ def _order_ell_walk(x: RigidGComplex, ell: int, cap: int) -> tuple[int, list[int
         raise RecursionCapExceeded(ell, cap)
     if ell == 0:
         return fixed_orbit_chi(x, ()), []
+    table, inv = x.group.table, x.group._inv
+    masks = x.stabilizer_masks()
     branches = [0] * ell
 
-    def walk(y: RigidGComplex, depth: int) -> int:
-        total = 0
-        for cls in groups.conjugacy_classes(y.group):
+    def walk(cent: list[int], need: int, depth: int) -> int:
+        total, seen = 0, set()
+        for a in cent:
+            if a in seen:
+                continue
+            seen |= {table[table[b][a]][inv[b]] for b in cent}
             branches[depth] += 1
+            row = table[a]
+            child = [b for b in cent if table[b][a] == row[b]]
+            below = need | 1 << a
             if depth + 1 == ell:
-                total += fixed_orbit_chi(y, (cls.rep,))
+                fixed = [i for i, m in enumerate(masks) if m & below == below]
+                total += _orbit_chi(x, fixed, child)
             else:
-                total += walk(fixed_subcomplex(y, (cls.rep,)), depth + 1)
+                total += walk(child, below, depth + 1)
         return total
 
-    return walk(x, 0), branches
+    return walk(list(x.group.elements()), 0, 0), branches
 
 
 class InertiaComplex(RigidGComplex):

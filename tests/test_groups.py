@@ -176,7 +176,7 @@ STANDARD_GROUPS = (
     + [symmetric_group(n) for n in range(0, 6)]
     + [dihedral_group(n) for n in range(1, 7)]
     + [direct_product(symmetric_group(3), dihedral_group(4))]
-    + [build() for build in harness._GROUP_BUILDERS.values()]
+    + [build() for _, build in harness._GROUP_BUILDERS.values()]
 )
 
 
@@ -383,6 +383,15 @@ def test_orbit_count_requires_closure():
         conj_orbit_count([(1,), (2,), (3,)], S3)
 
 
+@pytest.mark.parametrize("bad", [7, -1])
+def test_orbit_count_refuses_elements_out_of_range(bad):
+    # 7 would index past the table, and -1 would wrap to element 5
+    with pytest.raises(ValidationError, match=re.escape(f"conj_orbit_count: element {bad} out of range")):
+        conj_orbit_count([(bad,)], S3)
+    with pytest.raises(ValidationError, match=re.escape(f"conj_orbit_count: element {bad} out of range")):
+        conj_orbit_count([(0, 0), (0, bad)], S3)
+
+
 def test_orbit_count_refuses_duplicates():
     with pytest.raises(ValidationError, match="^conj_orbit_count: duplicate tuples in input$"):
         conj_orbit_count([(0, 0), (1, 1), (0, 0)], cyclic_group(2))
@@ -556,7 +565,7 @@ def test_subgroup_group_of_whole_group_is_the_group(g):
     "g",
     SMALL_GROUPS
     + [symmetric_group(5)]
-    + [build() for build in harness._GROUP_BUILDERS.values()],
+    + [build() for _, build in harness._GROUP_BUILDERS.values()],
 )
 def test_commuting_pairs_class_equation(g):
     # classes and centralizers against a brute force by mul and inv

@@ -61,6 +61,19 @@ def test_case_specs_rebuild_identically():
         assert len(x1.space) <= 60
 
 
+@pytest.mark.parametrize("key", list(harness._GROUP_BUILDERS))
+def test_stated_group_orders_match_the_built_groups(key):
+    # draws filter the keys on the stated order, so it must be the real one
+    order, build = harness._GROUP_BUILDERS[key]
+    assert build().order == order
+
+
+def test_draws_build_only_the_groups_drawn(monkeypatch):
+    monkeypatch.setattr(harness, "_group_cache", {})
+    harness.run_suite(seed=42, cases=5, max_group=24, max_cells=60, extra_checks=True)
+    assert "C2xS4" not in harness._group_cache
+
+
 def test_collect_exposes_corpus_and_anchors():
     result = harness.run_suite(seed=3, cases=6, collect=True, extra_checks=False)
     assert len(result.corpus) == 6

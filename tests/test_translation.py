@@ -28,7 +28,6 @@ from eulerchi.translation import (
     chi_order_ell,
     coset_complex,
     fixed_orbit_chi,
-    fixed_subcomplex,
     inertia_complex,
     iterate_inertia,
     lambda_chi,
@@ -42,6 +41,16 @@ from eulerchi.translation import (
 
 S3 = symmetric_group(3)
 Z2 = cyclic_group(2)
+
+
+def fixed_subcomplex(x: RigidGComplex, t: tuple[int, ...]) -> RigidGComplex:
+    """Cells fixed by every image of the tuple, as a complex over the
+    centralizer of the tuple, reindexed into a group of its own: the
+    reference that the in-place counts of ``fixed_orbit_chi`` and the
+    order-ell walk are checked against."""
+    fixed = translation._fixed_ids(x, t, "fixed_subcomplex")
+    cgroup, elems = groups.subgroup_group(x.group, groups.centralizer(x.group, t))
+    return translation._restrict(x, fixed, cgroup, elems)
 
 
 def stabilizer(x: RigidGComplex, cell_id: str) -> list[int]:
@@ -460,13 +469,13 @@ def test_noniter_and_order_ell_leaves_build_no_fixed_subcomplex(monkeypatch):
     """The Burnside count and the order-ell walk share no orbit or
     centralizer helper.  The count enumerates homomorphisms and builds
     nothing; the walk enumerates none and takes no centralizer bitmask,
-    its leaves count orbits in place, and only its inner levels build
-    fixed subcomplexes.  Only the walk walks cell orbits."""
+    and at no depth does it build a complex, a cell space or a reindexed
+    group (``subgroup_group``): it counts orbits in the given complex's own
+    indices.  Only the walk walks cell orbits."""
     xs = [point_complex(S3), free_circle(), swap_points()] + _generated_complexes(5)
     counts = _count_calls(
         monkeypatch,
-        [(translation, name) for name in
-         ("fixed_subcomplex", "fixed_orbit_chi", "CellSpace", "RigidGComplex")]
+        [(translation, name) for name in ("fixed_orbit_chi", "CellSpace", "RigidGComplex")]
         + [(groups, name) for name in
            ("subgroup_group", "conj_orbit_count", "centralizer", "conjugacy_classes", "hom_enumerate", "orbits")],
     )
@@ -480,12 +489,40 @@ def test_noniter_and_order_ell_leaves_build_no_fixed_subcomplex(monkeypatch):
             counts.update(dict.fromkeys(counts, 0))
             _, branches = translation._order_ell_walk(x, ell, 4)
             assert counts["hom_enumerate"] == counts["conj_orbit_count"] == masks["centralizer_mask"] == 0
-            assert counts["fixed_subcomplex"] == sum(branches[:ell - 1])
+            assert counts["RigidGComplex"] == counts["CellSpace"] == counts["subgroup_group"] == 0
             assert counts["orbits"] > 0  # the counter sees the walk's orbits
     chi_gamma_noniter(Z, point_complex(S3))
     assert masks["centralizer_mask"] > 0  # the counter sees the count's bitmasks
     value, branches = translation._order_ell_walk(point_complex(S3), 2, 4)
     assert (value, branches) == (8, [3, 8])
+
+
+def _reference_order_ell_walk(x: RigidGComplex, ell: int) -> tuple[int, list[int]]:
+    """The order-ell recursion over reindexed groups: each branch takes the
+    conjugacy classes of its own group, and each class representative's
+    fixed subcomplex over its centralizer is the next depth's complex."""
+    branches = [0] * ell
+
+    def walk(y: RigidGComplex, depth: int) -> int:
+        if depth == ell:
+            return chi(orbit_space(y))
+        total = 0
+        for cls in groups.conjugacy_classes(y.group):
+            branches[depth] += 1
+            total += walk(fixed_subcomplex(y, (cls.rep,)), depth + 1)
+        return total
+
+    return walk(x, 0), branches
+
+
+def test_order_ell_walk_matches_the_reindexed_recursion():
+    """The in-place walk gives the value and the per-depth branch counts of
+    the recursion that reindexes every centralizer into its own group."""
+    xs = [point_complex(S3), point_complex(symmetric_group(4)), free_circle(), swap_points()]
+    xs += _generated_complexes(30)
+    for x in xs:
+        for ell in range(4):
+            assert translation._order_ell_walk(x, ell, 4) == _reference_order_ell_walk(x, ell), ell
 
 
 def _class_sum(p: Presentation, x: RigidGComplex) -> int:
