@@ -2,10 +2,17 @@
 
 A finite group is an n x n table over 0..n-1 with the identity pinned at
 index 0.  Every table from outside the program enters through
-``validate_group``, the one place a table is checked: the identity
-row/column, that every row and column is a permutation, and associativity,
-at every order.  Tables built here from valid groups (standard
-constructors, direct products, subgroups) are groups by construction.
+``validate_group``, the one place a table is checked, at every order.  It
+accepts a table after one pass over the entries (integers in range), the
+identity row and column, the rows of the greedy generators (permutations)
+and Light's associativity test on those generators.  That proves a group:
+associativity makes every row a product of generator rows, hence a
+permutation, so every element has a right inverse.  Only a table that
+fails runs the full sweep, whose fixed order of checks words the refusal:
+entries, identity row and column, every row and column a permutation, then
+associativity with a witness triple.  Tables built here from valid groups
+(standard constructors, direct products, subgroups) are groups by
+construction.
 
 A presentation is a generator count plus relator words; a word is a list of
 nonzero signed integers, 1-based generator indices with sign meaning
@@ -151,6 +158,40 @@ def _check_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
         if len(row) != n:
             raise ValidationError(f"table row {i} has length {len(row)}, expected {n}")
         rows.append(row)
+    rows = tuple(rows)
+    if not _is_group(rows):
+        _refuse(rows)
+    return rows
+
+
+def _is_group(rows: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether a square table is a group, proved without checking every
+    row and column: integer entries in range, 0 a two-sided identity, permutation
+    rows for the greedy generators, and Light's test on them.  With
+    associativity the row of a*b is the row of a composed with the row of
+    b, and every element is a product of generators, so every row is a
+    permutation and every element has a right inverse."""
+    n = len(rows)
+    # one pass over the entries; the set comparisons below are exact only
+    # for ints, since 0.0 and False equal 0
+    if set(map(type, itertools.chain.from_iterable(rows))) != {int}:
+        return False
+    identity = tuple(range(n))
+    if not set().union(*rows) <= set(identity):
+        return False
+    if rows[0] != identity or tuple(map(itemgetter(0), rows)) != identity:
+        return False
+    gens = _generators(rows)
+    if any(len(set(rows[g])) != n for g in gens):
+        return False
+    return _associativity_failure(rows, gens) is None
+
+
+def _refuse(rows: tuple[tuple[int, ...], ...]) -> None:
+    """Check every axiom in a fixed order and raise at the first failure,
+    naming it: entries, identity row and column, rows, columns, then
+    associativity with a witness triple.  Returns only on a group."""
+    n = len(rows)
     elements = set(range(n))
     # a row holding integers whose set is 0..n-1 is in range and a permutation
     not_perm = [
@@ -169,20 +210,30 @@ def _check_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     for j, column in enumerate(zip(*rows)):
         if len(set(column)) != n:
             raise ValidationError(f"column {j} is not a permutation")
-    # Light's test: the elements g with (x*g)*y == x*(g*y) for all x, y are
-    # closed under the product, so checking g over a generating set proves
-    # associativity in O(n^2 * |gens|) (Clifford & Preston 1961, section 1.2)
-    for g in _generators(rows):
+    witness = _associativity_failure(rows, _generators(rows))
+    if witness is not None:
+        x, g, y = witness
+        raise ValidationError(
+            f"associativity failure at triple ({x},{g},{y}): "
+            f"({x}*{g})*{y} = {rows[rows[x][g]][y]} but {x}*({g}*{y}) = {rows[x][rows[g][y]]}"
+        )
+
+
+def _associativity_failure(
+    rows: Sequence[Sequence[int]], gens: Iterable[int]
+) -> tuple[int, int, int] | None:
+    """Light's test: the elements g with (x*g)*y == x*(g*y) for all x, y
+    are closed under the product, so checking g over a generating set
+    proves associativity in O(n^2 * |gens|) (Clifford & Preston 1961,
+    section 1.2).  Returns the first failing triple (x, g, y), generator
+    by generator, or None."""
+    for g in gens:
         times_g = itemgetter(*rows[g])  # row_x -> (x*(g*y) for y); n >= 2 here
         for x, row_x in enumerate(rows):
             left, right = rows[row_x[g]], times_g(row_x)
             if left != right:
-                y = next(y for y in range(n) if left[y] != right[y])
-                raise ValidationError(
-                    f"associativity failure at triple ({x},{g},{y}): "
-                    f"({x}*{g})*{y} = {left[y]} but {x}*({g}*{y}) = {right[y]}"
-                )
-    return tuple(rows)
+                return x, g, next(y for y in range(len(rows)) if left[y] != right[y])
+    return None
 
 
 def _generators(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -264,8 +315,13 @@ class FiniteGroup:
 
 def validate_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
     """Validate a multiplication table at any order and wrap it: the one
-    place a table is checked.  Raises ValidationError naming the failed
-    axiom (with a witness triple for associativity)."""
+    place a table is checked.  A group is accepted by ``_is_group``:
+    integer entries in range, a two-sided identity 0, permutation rows for
+    the greedy generators, and Light's test on them, which proves
+    associativity and with it that every row is a permutation.  Any other
+    table goes through the full sweep, which raises ValidationError naming
+    the first failed axiom in a fixed order (with a witness triple for
+    associativity)."""
     return FiniteGroup(_check_table(table))
 
 

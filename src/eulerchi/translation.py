@@ -39,9 +39,10 @@ generators, which implies it on every pair.  The order-ell route walks its
 whole recursion in the given complex's own element and cell indices: a
 centralizer is a sorted list of the group's elements, its conjugacy classes
 are read from the group's table, and a fixed set modulo a centralizer is
-counted by walking every element of the centralizer (``fixed_orbit_chi``
-and the walk's leaves).  Nothing reindexes a centralizer into a group or a
-complex of its own.
+counted by walking every element of the centralizer (the walk's leaves, and
+``fixed_orbit_chi``).  Order 0, the orbit space, walks the group's
+generators.  Nothing reindexes a centralizer into a group or a complex of
+its own.
 """
 
 from __future__ import annotations
@@ -297,7 +298,8 @@ def _order_ell_walk(x: RigidGComplex, ell: int, cap: int) -> tuple[int, list[int
     representative, and a leaf counts that centralizer's orbits on the
     cells its ``need`` fixes (``_orbit_chi``).  Nothing is built below the
     root, and every class is a branch, also one whose ``need`` fixes no
-    cell.
+    cell.  Order 0 has no branches: it counts the orbits of the whole
+    group, walked on its generators.
     """
     if ell < 0:
         raise ValidationError("ell must be >= 0")
@@ -306,7 +308,7 @@ def _order_ell_walk(x: RigidGComplex, ell: int, cap: int) -> tuple[int, list[int
     if ell > cap:
         raise RecursionCapExceeded(ell, cap)
     if ell == 0:
-        return fixed_orbit_chi(x, ()), []
+        return _orbit_chi(x, range(len(x.space)), x.group.generators()), []
     table, inv = x.group.table, x.group._inv
     masks = x.stabilizer_masks()
     branches = [0] * ell

@@ -163,6 +163,11 @@ def test_empty_table_rejected():
         ([[0, 1, 2], [1, 2, 0], [2, 2, 1]], "row 2 is not a permutation"),
         ([[0, 1, 2], [1, 0, 0], [2, 2, 1]], "row 1 is not a permutation"),
         ([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 1, 0]], "column 2 is not a permutation"),
+        # entries equal to valid ones but not ints: only a type check sees them
+        ([[0, 1], [1, 0.0]], r"entry at \(1,1\) out of range"),
+        ([[0, 1], [1, False]], r"entry at \(1,1\) out of range"),
+        # x*y = y is associative, and its rows are permutations
+        ([[0, 1], [0, 1]], "column 0 is not the identity"),
     ],
 )
 def test_malformed_tables_rejected(table, message):
@@ -180,12 +185,117 @@ STANDARD_GROUPS = (
 )
 
 
+def _sweep_not_reached(rows):
+    raise AssertionError("a valid table reached the sweep")
+
+
 @pytest.mark.parametrize("g", STANDARD_GROUPS, ids=repr)
-def test_trusted_constructions_are_valid_groups(g):
+def test_trusted_constructions_are_valid_groups(g, monkeypatch):
+    """Valid tables are accepted by the proof alone: the sweep, which only
+    words refusals, never runs on them."""
+    monkeypatch.setattr(groups, "_refuse", _sweep_not_reached)
     assert validate_group(g.table) == g
     for a in g.elements():
         sub, _ = subgroup_group(g, centralizer(g, (a,)))
         assert validate_group(sub.table) == sub
+
+
+def brute_is_group(table) -> bool:
+    """Independent oracle: the group axioms on every element, pair and
+    triple of a square table."""
+    n = len(table)
+    if any(type(v) is not int or not 0 <= v < n for row in table for v in row):
+        return False
+    if any(table[0][a] != a or table[a][0] != a for a in range(n)):
+        return False
+    if not all(any(table[a][b] == 0 == table[b][a] for b in range(n)) for a in range(n)):
+        return False
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def corrupt(table, rng: random.Random) -> list[list]:
+    """1-3 corruptions of a group table: an entry set to an in-range value,
+    a float equal to it, a bool or an out-of-range value; two rows, or two
+    entries of a row, swapped; an intercalate (a 2x2 latin subsquare)
+    flipped; or the elements relabelled by a permutation that fixes 0,
+    which keeps a group."""
+    t = [list(row) for row in table]
+    n = len(t)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(
+            ["value", "float", "bool", "out", "swap", "swap in row", "intercalate", "relabel", "relabel"]
+        )
+        i, j = rng.randrange(n), rng.randrange(n)
+        if kind == "value":
+            t[i][j] = rng.randrange(n)
+        elif kind == "float":
+            t[i][j] = float(t[i][j])
+        elif kind == "bool":
+            t[i][j] = bool(rng.randrange(2))
+        elif kind == "out":
+            t[i][j] = rng.choice([-1, n, n + 7])
+        elif kind == "swap":
+            t[i], t[j] = t[j], t[i]
+        elif kind == "swap in row":
+            k = rng.randrange(n)
+            t[i][j], t[i][k] = t[i][k], t[i][j]
+        elif kind == "intercalate":
+            for _ in range(20 if n > 2 else 0):
+                a, c, b = (rng.randrange(1, n) for _ in range(3))
+                if a == c or t[a][b] not in t[c]:
+                    continue
+                d = t[c].index(t[a][b])
+                if d not in (0, b) and t[a][d] == t[c][b]:
+                    t[a][b], t[a][d], t[c][b], t[c][d] = t[a][d], t[a][b], t[c][d], t[c][b]
+                    break
+        else:
+            sigma = [0] + rng.sample(range(1, n), n - 1)
+            old = t
+            t = [[None] * n for _ in range(n)]
+            for a in range(n):
+                for b in range(n):
+                    v = old[a][b]
+                    t[sigma[a]][sigma[b]] = sigma[v] if type(v) is int and 0 <= v < n else v
+    return t
+
+
+def test_validation_accepts_exactly_the_groups():
+    """Seeded corruptions of the harness groups and S5: ``validate_group``
+    accepts exactly the tables the brute-force axiom check accepts, and
+    every refusal words the failure as the sweep does on its own."""
+    rng = random.Random(20201)
+    tables = [build().table for _, build in harness._GROUP_BUILDERS.values()]
+    tables += [symmetric_group(5).table] * 2
+    accepted = refused = 0
+    for table in tables:
+        for _ in range(12):
+            t = corrupt(table, rng)
+            try:
+                g = validate_group(t)
+            except ValidationError as err:
+                assert not brute_is_group(t), t
+                with pytest.raises(ValidationError) as sweep:
+                    groups._refuse(tuple(map(tuple, t)))
+                assert str(err) == str(sweep.value)
+                refused += 1
+            else:
+                assert brute_is_group(t), t
+                assert g.table == tuple(map(tuple, t))
+                accepted += 1
+    assert accepted > 20 and refused > 100
+
+
+def test_s6_is_accepted_without_the_sweep(monkeypatch):
+    monkeypatch.setattr(groups, "_refuse", _sweep_not_reached)
+    s6 = symmetric_group(6)
+    assert validate_group(s6.table) == s6
+    with pytest.raises(AssertionError, match="reached the sweep"):
+        validate_group(LOOP5)  # the patched sweep is the one that runs
 
 
 def test_argument_checks_without_table_validation():
