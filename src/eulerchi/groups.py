@@ -145,29 +145,11 @@ def product_presentation(p1: Presentation, p2: Presentation) -> Presentation:
 # finite groups
 
 
-def _check_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    if len(table) == 0:
-        raise ValidationError("group table is empty (order must be >= 1)")
-    n = len(table)
-    rows = []
-    for i, row in enumerate(table):
-        try:
-            row = tuple(row)
-        except TypeError:
-            raise ValidationError(f"table row {i} is not a list") from None
-        if len(row) != n:
-            raise ValidationError(f"table row {i} has length {len(row)}, expected {n}")
-        rows.append(row)
-    rows = tuple(rows)
-    if not _is_group(rows):
-        _refuse(rows)
-    return rows
-
-
-def _is_group(rows: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether a square table is a group, proved without checking every
-    row and column: integer entries in range, 0 a two-sided identity, permutation
-    rows for the greedy generators, and Light's test on them.  With
+def _group_generators(rows: tuple[tuple[int, ...], ...]) -> list[int] | None:
+    """The greedy generating set of a square table proved a group, or None.
+    The proof does not check every row and column: integer entries in
+    range, 0 a two-sided identity, permutation rows for the greedy
+    generators, and Light's test on them.  With
     associativity the row of a*b is the row of a composed with the row of
     b, and every element is a product of generators, so every row is a
     permutation and every element has a right inverse."""
@@ -175,16 +157,16 @@ def _is_group(rows: tuple[tuple[int, ...], ...]) -> bool:
     # one pass over the entries; the set comparisons below are exact only
     # for ints, since 0.0 and False equal 0
     if set(map(type, itertools.chain.from_iterable(rows))) != {int}:
-        return False
+        return None
     identity = tuple(range(n))
     if not set().union(*rows) <= set(identity):
-        return False
+        return None
     if rows[0] != identity or tuple(map(itemgetter(0), rows)) != identity:
-        return False
+        return None
     gens = _generators(rows)
     if any(len(set(rows[g])) != n for g in gens):
-        return False
-    return _associativity_failure(rows, gens) is None
+        return None
+    return gens if _associativity_failure(rows, gens) is None else None
 
 
 def _refuse(rows: tuple[tuple[int, ...], ...]) -> None:
@@ -258,18 +240,18 @@ class FiniteGroup:
     The table is trusted, not checked: a table from outside the program
     goes through ``validate_group``.  Besides the table and its inverses
     a group keeps only the enumeration's centralizer bitmasks and its
-    greedy generating set.
+    greedy generating set, which ``validate_group`` passes in.
     """
 
     __slots__ = ("order", "table", "_inv", "_cent", "_gens")
 
-    def __init__(self, table: Sequence[Sequence[int]]):
+    def __init__(self, table: Sequence[Sequence[int]], generators: Sequence[int] | None = None):
         self.table = tuple(map(tuple, table))
         self.order = len(self.table)
         # a * a^-1 = 0: the inverse is the column holding 0 in row a
         self._inv = tuple(self.table[a].index(0) for a in range(self.order))
         self._cent: tuple[int, ...] | None = None
-        self._gens: tuple[int, ...] | None = None
+        self._gens = None if generators is None else tuple(generators)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -315,14 +297,30 @@ class FiniteGroup:
 
 def validate_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
     """Validate a multiplication table at any order and wrap it: the one
-    place a table is checked.  A group is accepted by ``_is_group``:
+    place a table is checked.  A group is accepted by ``_group_generators``:
     integer entries in range, a two-sided identity 0, permutation rows for
     the greedy generators, and Light's test on them, which proves
     associativity and with it that every row is a permutation.  Any other
     table goes through the full sweep, which raises ValidationError naming
     the first failed axiom in a fixed order (with a witness triple for
     associativity)."""
-    return FiniteGroup(_check_table(table))
+    if len(table) == 0:
+        raise ValidationError("group table is empty (order must be >= 1)")
+    n = len(table)
+    rows = []
+    for i, row in enumerate(table):
+        try:
+            row = tuple(row)
+        except TypeError:
+            raise ValidationError(f"table row {i} is not a list") from None
+        if len(row) != n:
+            raise ValidationError(f"table row {i} has length {len(row)}, expected {n}")
+        rows.append(row)
+    rows = tuple(rows)
+    gens = _group_generators(rows)
+    if gens is None:
+        _refuse(rows)
+    return FiniteGroup(rows, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +615,6 @@ class CosetAction:
     """
 
     reps: tuple[int, ...]
-    coset_of: tuple[int, ...]
     perms: tuple[tuple[int, ...], ...]
 
 
@@ -637,7 +634,7 @@ def coset_action(g: FiniteGroup, subgroup: Sequence[int]) -> CosetAction:
     perms = tuple(
         tuple(coset_of[g.mul(a, r)] for r in reps) for a in g.elements()
     )
-    return CosetAction(tuple(reps), tuple(coset_of), perms)
+    return CosetAction(tuple(reps), perms)
 
 
 # ---------------------------------------------------------------------------

@@ -1,42 +1,50 @@
 """Randomized cross-validation of every identity the library promises.
 
 ``run_suite`` draws (group, rigid complex, presentation) instances
-deterministically from a seed and checks, per instance:
+deterministically from a seed.  Each check is a ``(name, lhs, rhs)`` entry
+whose sides are zero-argument callables, and one loop evaluates, tallies
+and records them all.  Per instance:
 
-* three-way agreement of the stratum-wise, inertia-space, and
+* ``three_way_*``: the stratum-wise route against the inertia-space and
   Burnside-count routes;
-* the order-ell recursion against the Burnside count for Z^ell, with
-  which it shares no orbit or centralizer code;
-* the forgetful-map pushforward identity (its integral equals the inertia
-  chi);
-* additivity across an invariant bipartition of cells;
-* multiplicativity under products of actions;
-* agreement of iterated and product-presentation inertia;
-* the coset-action reduction (the action on cosets of a subgroup has the
-  same invariants as the subgroup acting on a point);
-* agreement of the two integral formulations on random constructible
-  functions.
+* ``trivial_gamma_is_orbit_chi``: trivial Gamma gives the orbit space's chi;
+* ``order_{ell}_vs_noniter``: the order-ell recursion against the Burnside
+  count for Z^ell, with which it shares no enumeration or centralizer code;
+* ``anchor_fubini``: the forgetful-map pushforward keeps the inertia chi;
+* ``additivity`` across an invariant bipartition of cells;
+* ``integral_formulations`` on a random constructible function.
+
+Once per ten instances, and at least once, a trailer checks the
+coset-action reduction (``morita_coset``), ``multiplicativity`` under
+products of actions, and iterated against product-presentation inertia
+(``iterate_inertia``).
 
 All checks are exact integer equalities.  A failing case is shrunk by
 greedily dropping strata and relators before being reported.
 
 Fault injection (the ``inject_fault`` argument, or the
-EULERCHI_INJECT_FAULT environment variable consulted by the CLI) skews one
-side of a chosen comparison so the harness's own failure path can be
-exercised; it exists for the harness self-test and nothing else.
+EULERCHI_INJECT_FAULT environment variable consulted by the CLI) adds the
+skew ``FAULTS`` names to the right side of one check, in the check loop
+only, so the harness's own failure path can be exercised; it exists for
+the harness self-test and nothing else.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache, partial
 from typing import Callable
 
 from . import catalog, cells, groups, translation as tr
 from .cells import CellSpace, ConstructibleFunction, integrate, integrate_levelset, pushforward
 from .groups import FiniteGroup, Presentation
 
-FAULTS = ("lambda_plus_one", "noniter_minus_one")
+# fault -> (the check whose right side it skews, by how much)
+FAULTS = {
+    "lambda_plus_one": ("three_way_strata_vs_lambda", 1),
+    "noniter_minus_one": ("three_way_strata_vs_noniter", -1),
+}
 
 # Limits on |G|^generators, which keep inertia complexes desk sized; they
 # decide the redraws, so changing one changes every ``verify`` report.
@@ -209,16 +217,19 @@ def random_cell_map(rng: random.Random) -> cells.CellMap:
 # checks
 
 
+# (name, lhs, rhs): zero-argument callables whose integers must be equal.
+# Any rng draws happen while a check is built, never while it runs.
+Check = tuple[str, Callable[[], int], Callable[[], int]]
+
+
 @dataclass
 class CheckResult:
+    """A failed check: its case (-1 for the trailer) and both sides."""
+
     case: int
     name: str
     lhs: int
     rhs: int
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
 
 
 @dataclass
@@ -228,7 +239,6 @@ class SuiteResult:
     checks_run: dict[str, int] = field(default_factory=dict)
     failures: list[CheckResult] = field(default_factory=list)
     failing_spec: dict | None = None
-    anchors: list[tuple[cells.CellMap, int]] = field(default_factory=list)
     corpus: list[tuple[CaseSpec, tr.RigidGComplex]] = field(default_factory=list)
 
     @property
@@ -237,48 +247,34 @@ class SuiteResult:
 
 
 def _case_checks(
-    case_index: int,
-    spec: CaseSpec,
-    rng: random.Random,
-    inject_fault: str | None,
-    collect: SuiteResult | None,
-    x: tr.RigidGComplex | None = None,
-) -> list[CheckResult]:
+    spec: CaseSpec, rng: random.Random, x: tr.RigidGComplex | None = None
+) -> list[Check]:
     if x is None:
         x = build_complex(spec)
     p = spec.presentation
-    g = x.group
-    results = []
+    # shared by several checks, so computed at most once; the anchor map's
+    # source is the inertia orbit space, so its chi is lambda_chi(p, x)
+    # without building the inertia complex twice
+    strata = cache(partial(tr.chi_gamma_strata, p, x))
+    anchor = cache(partial(tr.anchor_map, p, x))
 
-    def rec(name: str, lhs: int, rhs: int) -> None:
-        results.append(CheckResult(case_index, name, lhs, rhs))
+    def anchor_chi() -> int:
+        return cells.chi(anchor().source)
 
-    skew_l = 1 if inject_fault == "lambda_plus_one" else 0
-    skew_n = -1 if inject_fault == "noniter_minus_one" else 0
+    def pushed() -> int:
+        return integrate(pushforward(anchor(), ConstructibleFunction.constant(anchor().source, 1)))
 
-    # the anchor map's source is the inertia orbit space, so its chi is
-    # lambda_chi(p, x) without building the inertia complex twice
-    anchor = tr.anchor_map(p, x)
-    strata_v = tr.chi_gamma_strata(p, x)
-    lambda_v = cells.chi(anchor.source) + skew_l
-    noniter_v = tr.chi_gamma_noniter(p, x) + skew_n
-    rec("three_way_strata_vs_lambda", strata_v, lambda_v)
-    rec("three_way_strata_vs_noniter", strata_v, noniter_v)
-
-    rec("trivial_gamma_is_orbit_chi",
-        tr.chi_gamma_strata(Presentation.trivial(), x),
-        cells.chi(tr.orbit_space(x)))
-
-    max_ell = 3 if g.order ** 3 <= ORDER_ELL_TUPLES else 2
-    for ell in range(0, max_ell + 1):
-        rec(f"order_{ell}_vs_noniter",
-            tr.chi_order_ell(x, ell),
-            tr.chi_gamma_noniter(Presentation.free_abelian(ell), x))
-
-    pushed = pushforward(anchor, ConstructibleFunction.constant(anchor.source, 1))
-    rec("anchor_fubini", integrate(pushed), lambda_v - skew_l)
-    if collect is not None:
-        collect.anchors.append((anchor, lambda_v - skew_l))
+    max_ell = 3 if x.group.order ** 3 <= ORDER_ELL_TUPLES else 2
+    checks: list[Check] = [
+        ("three_way_strata_vs_lambda", strata, anchor_chi),
+        ("three_way_strata_vs_noniter", strata, partial(tr.chi_gamma_noniter, p, x)),
+        ("trivial_gamma_is_orbit_chi", partial(tr.chi_gamma_strata, Presentation.trivial(), x),
+         lambda: cells.chi(tr.orbit_space(x))),
+        *((f"order_{ell}_vs_noniter", partial(tr.chi_order_ell, x, ell),
+           partial(tr.chi_gamma_noniter, Presentation.free_abelian(ell), x))
+          for ell in range(max_ell + 1)),
+        ("anchor_fubini", pushed, anchor_chi),
+    ]
 
     # additivity: split the orbits into two invariant halves
     reps, rep_of = tr.cell_orbits(x)
@@ -286,30 +282,29 @@ def _case_checks(
         half = set(rng.sample(reps, rng.randint(1, len(reps) - 1)))
         part1 = [cid for cid in x.space.ids() if rep_of[cid] in half]
         part2 = [cid for cid in x.space.ids() if rep_of[cid] not in half]
-        rec("additivity",
-            strata_v,
-            tr.chi_gamma_strata(p, tr.restrict_complex(x, part1))
-            + tr.chi_gamma_strata(p, tr.restrict_complex(x, part2)))
+
+        def halves() -> int:
+            return sum(tr.chi_gamma_strata(p, tr.restrict_complex(x, part)) for part in (part1, part2))
+
+        checks.append(("additivity", strata, halves))
 
     # levelset formulation on a random function over the orbit space
     f = random_function(rng, tr.orbit_space(x))
-    rec("integral_formulations", integrate(f), integrate_levelset(f))
+    checks.append(("integral_formulations", partial(integrate, f), partial(integrate_levelset, f)))
+    return checks
 
-    return results
 
-
-def morita_check(rng: random.Random, max_group: int) -> CheckResult:
+def morita_check(rng: random.Random, max_group: int) -> Check:
     """lambda chi of the coset action equals the subgroup's orbit count."""
     g = group_by_key(rng.choice(_keys_within(max_group)))
     sub = random_subgroup(rng, g)
     p = _presentation_within(rng, g.order, MORITA_TUPLES, max_rank=2)
     h, _ = groups.subgroup_group(g, sub)
-    lhs = tr.lambda_chi(p, tr.coset_complex(g, sub))
-    rhs = catalog.chi_hom_quotient(catalog.FiniteIsotropy(h), p)
-    return CheckResult(-1, "morita_coset", lhs, rhs)
+    return ("morita_coset", lambda: tr.lambda_chi(p, tr.coset_complex(g, sub)),
+            lambda: catalog.chi_hom_quotient(catalog.FiniteIsotropy(h), p))
 
 
-def multiplicativity_check(rng: random.Random) -> CheckResult:
+def multiplicativity_check(rng: random.Random) -> Check:
     small = ["1", "C2", "C3", "S3", "C2xC2", "C4"]
 
     def draw() -> CaseSpec:
@@ -322,12 +317,11 @@ def multiplicativity_check(rng: random.Random) -> CheckResult:
     order = group_by_key(a.group_key).order * group_by_key(b.group_key).order
     p = _presentation_within(rng, order, PRODUCT_TUPLES, max_rank=2)
     xa, xb = build_complex(a), build_complex(b)
-    lhs = tr.lambda_chi(p, tr.product_complex(xa, xb))
-    rhs = tr.lambda_chi(p, xa) * tr.lambda_chi(p, xb)
-    return CheckResult(-1, "multiplicativity", lhs, rhs)
+    return ("multiplicativity", lambda: tr.lambda_chi(p, tr.product_complex(xa, xb)),
+            lambda: tr.lambda_chi(p, xa) * tr.lambda_chi(p, xb))
 
 
-def iterate_check(rng: random.Random) -> CheckResult:
+def iterate_check(rng: random.Random) -> Check:
     spec = random_case(rng, 8, 12)
     p1 = random_presentation(rng, max_rank=1)
     p2 = random_presentation(rng, max_rank=1)
@@ -335,8 +329,8 @@ def iterate_check(rng: random.Random) -> CheckResult:
     while g.order ** (p1.generators + p2.generators) > ITERATE_TUPLES:
         p1 = random_presentation(rng, max_rank=1)
         p2 = random_presentation(rng, max_rank=1)
-    it, prod = tr.iterate_inertia(p1, p2, build_complex(spec))
-    return CheckResult(-1, "iterate_inertia", it, prod)
+    both = cache(partial(tr.iterate_inertia, p1, p2, build_complex(spec)))
+    return ("iterate_inertia", lambda: both()[0], lambda: both()[1])
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +376,19 @@ def shrink_spec(
     return current
 
 
+def _run_checks(
+    result: SuiteResult, case: int, checks: list[Check], inject_fault: str | None
+) -> None:
+    """Evaluate each check, tally it, and record it if its sides differ;
+    the one place an injected fault skews a check."""
+    target, skew = FAULTS.get(inject_fault, (None, 0))
+    for name, lhs, rhs in checks:
+        left, right = lhs(), rhs() + (skew if name == target else 0)
+        result.checks_run[name] = result.checks_run.get(name, 0) + 1
+        if left != right:
+            result.failures.append(CheckResult(case, name, left, right))
+
+
 def run_suite(
     seed: int,
     cases: int,
@@ -392,31 +399,28 @@ def run_suite(
     extra_checks: bool = True,
 ) -> SuiteResult:
     if inject_fault is not None and inject_fault not in FAULTS:
-        raise ValueError(f"unknown fault {inject_fault!r}; known: {FAULTS}")
+        raise ValueError(f"unknown fault {inject_fault!r}; known: {tuple(FAULTS)}")
     master = random.Random(seed)
     result = SuiteResult(seed=seed, cases=cases)
-    sink = result if collect else None
 
     for case_index in range(cases):
         rng = random.Random(master.randrange(2**63))
         spec = random_case(rng, max_group, max_cells)
         x = build_complex(spec)
-        checks = _case_checks(case_index, spec, rng, inject_fault, sink, x)
         if collect:
             result.corpus.append((spec, x))
-        for c in checks:
-            result.checks_run[c.name] = result.checks_run.get(c.name, 0) + 1
-            if not c.passed:
-                result.failures.append(c)
-        if result.failures and result.failing_spec is None:
+        _run_checks(result, case_index, _case_checks(spec, rng, x), inject_fault)
+        if result.failures:
             first = result.failures[0]
 
-            def still_fails(trial: CaseSpec, name: str = first.name) -> bool:
+            def still_fails(trial: CaseSpec) -> bool:
+                probe = SuiteResult(seed=seed, cases=1)
                 try:
-                    redone = _case_checks(-1, trial, random.Random(0), inject_fault, None)
+                    named = [c for c in _case_checks(trial, random.Random(0)) if c[0] == first.name]
+                    _run_checks(probe, -1, named, inject_fault)
                 except Exception:
                     return False
-                return any(c.name == name and not c.passed for c in redone)
+                return not probe.passed
 
             shrunk = shrink_spec(spec, still_fails) if still_fails(spec) else spec
             result.failing_spec = {
@@ -426,18 +430,15 @@ def run_suite(
                 "rhs": first.rhs,
                 "instance": shrunk.to_jsonable(),
             }
-            break
+            return result
 
-    if extra_checks and not result.failures:
+    if extra_checks:
         trailer = random.Random(master.randrange(2**63))
         for _ in range(max(1, cases // 10)):
-            for check in (
+            _run_checks(result, -1, [
                 morita_check(trailer, max_group),
                 multiplicativity_check(trailer),
                 iterate_check(trailer),
-            ):
-                result.checks_run[check.name] = result.checks_run.get(check.name, 0) + 1
-                if not check.passed:
-                    result.failures.append(check)
+            ], inject_fault)
 
     return result

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from eulerchi import groups, harness
+from eulerchi import groups, harness, translation as tr
 from eulerchi.errors import ValidationError
 from eulerchi.groups import (
     FiniteGroup,
@@ -296,6 +296,23 @@ def test_s6_is_accepted_without_the_sweep(monkeypatch):
     assert validate_group(s6.table) == s6
     with pytest.raises(AssertionError, match="reached the sweep"):
         validate_group(LOOP5)  # the patched sweep is the one that runs
+
+
+def test_validated_group_keeps_the_proofs_generators(monkeypatch):
+    """``validate_group`` hands the generating set its proof computed to the
+    group, so neither a complex check nor an orbit walk computes it again."""
+    s4 = symmetric_group(4)
+    gens = tuple(groups._generators(s4.table))
+    g = validate_group(s4.table)
+
+    def computed_again(rows):
+        raise AssertionError("generating set computed again")
+
+    monkeypatch.setattr(groups, "_generators", computed_again)
+    assert g.generators() == gens
+    x = tr.coset_complex(g, [0, 1])
+    action = {a: {c: x.act(a, c) for c in x.space.ids()} for a in g.elements()}
+    assert len(tr.orbit_space(tr.validate_complex(g, x.space, action))) == 1
 
 
 def test_argument_checks_without_table_validation():
