@@ -26,48 +26,59 @@ values keyed by presentation class; reports flag them as user-supplied.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import groups
 from .cells import Cell, CellSpace, RESERVED_SEPARATOR, chi
 from .errors import UnsupportedCombination, ValidationError
 from .groups import FiniteGroup, Presentation, presentation_class
+from .records import Value
 
 
-@dataclass(frozen=True)
-class FiniteIsotropy:
-    group: FiniteGroup
+class FiniteIsotropy(Value):
+    __slots__ = ("group",)
+
+    def __init__(self, group: FiniteGroup):
+        object.__setattr__(self, "group", group)
 
 
-@dataclass(frozen=True)
-class TorusIsotropy:
-    n: int
+class TorusIsotropy(Value):
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True)
-class SO3Isotropy:
-    pass
+class SO3Isotropy(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class O2Isotropy:
-    pass
+class O2Isotropy(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ProductIsotropy:
-    factors: tuple["IsotropyModel", ...]
+class ProductIsotropy(Value):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple["IsotropyModel", ...]):
+        object.__setattr__(self, "factors", factors)
 
 
-@dataclass(frozen=True)
-class CustomIsotropy:
+class CustomIsotropy(Value):
     """User-supplied entry: chi values (and optional cell models) keyed by
     presentation class strings such as "Z" or "cyclic(3)"."""
 
-    name: str
-    chi_table: tuple[tuple[str, int], ...]
-    cell_models: tuple[tuple[str, CellSpace], ...] = ()
+    __slots__ = ("name", "chi_table", "cell_models")
+
+    def __init__(
+        self,
+        name: str,
+        chi_table: tuple[tuple[str, int], ...],
+        cell_models: tuple[tuple[str, CellSpace], ...] = (),
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "chi_table", chi_table)
+        object.__setattr__(self, "cell_models", cell_models)
 
     def chi_for(self, cls: str) -> int | None:
         for key, value in self.chi_table:

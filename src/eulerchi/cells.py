@@ -28,31 +28,33 @@ once, as they enter, by ``validate_space``, ``validate_function`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
+from .records import Frozen, Value
 
 # Used to join ids when forming products; rejected in user-supplied ids so
 # generated ids can never collide with input ones.
 RESERVED_SEPARATOR = "⊗"  # ⊗
 
 
-@dataclass(frozen=True)
-class Cell:
-    id: str
-    dim: int
+class Cell(Value):
+    __slots__ = ("id", "dim")
+
+    def __init__(self, id: str, dim: int):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "dim", dim)
 
 
-@dataclass(frozen=True)
-class CellSpace:
+class CellSpace(Value):
     """A finite disjoint union of open cells.  The empty space is allowed."""
 
-    cells: tuple[Cell, ...] = ()
+    __slots__ = ("cells", "_index")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(self.cells))
-        object.__setattr__(self, "_index", {c.id: i for i, c in enumerate(self.cells)})
+    def __init__(self, cells: Iterable[Cell] = ()):
+        cells = tuple(cells)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "_index", {c.id: i for i, c in enumerate(cells)})
 
     @classmethod
     def from_dims(cls, dims: Mapping[str, int]) -> "CellSpace":
@@ -63,7 +65,7 @@ class CellSpace:
 
     def index(self, cell_id: str) -> int:
         try:
-            return self._index[cell_id]  # type: ignore[attr-defined]
+            return self._index[cell_id]
         except KeyError:
             raise ValidationError(f"unknown cell id {cell_id!r}") from None
 
@@ -71,7 +73,7 @@ class CellSpace:
         return self.cells[self.index(cell_id)].dim
 
     def has_cell(self, cell_id: str) -> bool:
-        return cell_id in self._index  # type: ignore[attr-defined]
+        return cell_id in self._index
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -99,12 +101,14 @@ def chi(space: CellSpace) -> int:
     return sum(-1 if c.dim % 2 else 1 for c in space.cells)
 
 
-@dataclass(frozen=True, eq=False)
-class ConstructibleFunction:
+class ConstructibleFunction(Frozen):
     """An integer value per cell; the function is constant on each cell."""
 
-    space: CellSpace
-    values: Mapping[str, int] = field(default_factory=dict)
+    __slots__ = ("space", "values")
+
+    def __init__(self, space: CellSpace, values: Mapping[str, int] | None = None):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "values", {} if values is None else values)
 
     @classmethod
     def constant(cls, space: CellSpace, c: int) -> "ConstructibleFunction":
@@ -198,8 +202,7 @@ def restrict(x: CellSpace, keep: Iterable[str]) -> CellSpace:
     return CellSpace(tuple(c for c in x.cells if c.id in keep))
 
 
-@dataclass(frozen=True, eq=False)
-class CellMap:
+class CellMap(Frozen):
     """A cell-to-cell map with trivialized fibers.
 
     ``assign`` sends each source cell to a target cell of dimension at most
@@ -209,9 +212,14 @@ class CellMap:
     rejected by ``validate_map``.
     """
 
-    source: CellSpace
-    target: CellSpace
-    assign: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ("source", "target", "assign")
+
+    def __init__(
+        self, source: CellSpace, target: CellSpace, assign: Mapping[str, str] | None = None
+    ):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "assign", {} if assign is None else assign)
 
     @classmethod
     def identity(cls, space: CellSpace) -> "CellMap":

@@ -8,6 +8,9 @@ only by ``jsonio``, once each; the report records what it read.
 
 The order-ell command takes its recursion cap from ``--cap``, else from the
 EULERCHI_RECURSION_CAP environment variable, which no other command reads.
+
+``cmd_verify`` imports ``harness`` itself: every command is a fresh process,
+and only ``verify`` uses the harness, so the others skip compiling it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import catalog, cells, groupoid, harness, jsonio, translation as tr
+from . import catalog, cells, groupoid, jsonio, translation as tr
 from .errors import (
     CrossCheckError,
     EulerchiError,
@@ -184,6 +187,8 @@ def cmd_extension(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import harness
+
     report = Report("verify")
     fault = os.environ.get("EULERCHI_INJECT_FAULT") or None
     if args.cases < 1:

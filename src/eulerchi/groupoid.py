@@ -14,7 +14,6 @@ once, by ``validate_groupoid``; ``OrbitGroupoid`` only stores its arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import catalog, cells
@@ -22,12 +21,15 @@ from .catalog import IsotropyModel, ProductIsotropy, chi_hom_quotient
 from .cells import CellSpace, ConstructibleFunction, integrate
 from .errors import UnsupportedCombination, ValidationError
 from .groups import FiniteGroup, Presentation
+from .records import Frozen, Value
 
 
-@dataclass(frozen=True, eq=False)
-class OrbitGroupoid:
-    space: CellSpace
-    isotropy: Mapping[str, IsotropyModel]
+class OrbitGroupoid(Frozen):
+    __slots__ = ("space", "isotropy")
+
+    def __init__(self, space: CellSpace, isotropy: Mapping[str, IsotropyModel]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "isotropy", isotropy)
 
     def label(self, cell_id: str) -> IsotropyModel:
         return self.isotropy[cell_id]
@@ -101,11 +103,13 @@ def restrict_groupoid(g: OrbitGroupoid, keep: Iterable[str]) -> OrbitGroupoid:
     return OrbitGroupoid(space, {cid: g.label(cid) for cid in keep})
 
 
-@dataclass(frozen=True)
-class ExtensionPrediction:
-    predicted: int
-    factor_b: int
-    factor_h: int
+class ExtensionPrediction(Value):
+    __slots__ = ("predicted", "factor_b", "factor_h")
+
+    def __init__(self, predicted: int, factor_b: int, factor_h: int):
+        object.__setattr__(self, "predicted", predicted)
+        object.__setattr__(self, "factor_b", factor_b)
+        object.__setattr__(self, "factor_h", factor_h)
 
 
 def validate_extension(bundle_fiber: IsotropyModel, h: FiniteGroup, x, ell: int) -> dict:

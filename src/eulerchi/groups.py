@@ -36,11 +36,11 @@ subgroup closures.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import eq, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
+from .records import Value
 
 HomTuple = tuple[int, ...]
 
@@ -49,12 +49,14 @@ HomTuple = tuple[int, ...]
 # presentations
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Value):
     """Generators and relators; ``generators`` may be 0 (the trivial group)."""
 
-    generators: int
-    relators: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ("generators", "relators")
+
+    def __init__(self, generators: int, relators: tuple[tuple[int, ...], ...] = ()):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
 
     @classmethod
     def trivial(cls) -> "Presentation":
@@ -494,10 +496,12 @@ def orbits(perms: Sequence[Sequence[int]], points: Iterable[int]) -> list[tuple[
     return out
 
 
-@dataclass(frozen=True)
-class ConjOrbits:
-    count: int
-    reps: tuple[HomTuple, ...]
+class ConjOrbits(Value):
+    __slots__ = ("count", "reps")
+
+    def __init__(self, count: int, reps: tuple[HomTuple, ...]):
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "reps", reps)
 
 
 def conj_orbit_count(tuples: Sequence[HomTuple], g: FiniteGroup) -> ConjOrbits:
@@ -538,10 +542,12 @@ def centralizer(g: FiniteGroup, t: HomTuple) -> list[int]:
     return cent
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
-    rep: int
-    size: int
+class ConjugacyClass(Value):
+    __slots__ = ("rep", "size")
+
+    def __init__(self, rep: int, size: int):
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "size", size)
 
 
 def conjugacy_classes(g: FiniteGroup) -> list[ConjugacyClass]:
@@ -606,16 +612,18 @@ def subgroup_group(g: FiniteGroup, elements: Sequence[int]) -> tuple[FiniteGroup
     return FiniteGroup(table), elems
 
 
-@dataclass(frozen=True)
-class CosetAction:
+class CosetAction(Value):
     """Left action of a group on the left cosets of a subgroup.
 
     ``reps`` are the canonical (minimal) coset representatives in increasing
     order; ``perms[a][i]`` is the index of the coset a * (reps[i] H).
     """
 
-    reps: tuple[int, ...]
-    perms: tuple[tuple[int, ...], ...]
+    __slots__ = ("reps", "perms")
+
+    def __init__(self, reps: tuple[int, ...], perms: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "perms", perms)
 
 
 def coset_action(g: FiniteGroup, subgroup: Sequence[int]) -> CosetAction:
@@ -672,12 +680,14 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
     return diag
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Value):
     """Free rank and torsion of a finitely generated abelian group."""
 
-    rank: int
-    torsion: tuple[int, ...]
+    __slots__ = ("rank", "torsion")
+
+    def __init__(self, rank: int, torsion: tuple[int, ...]):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", torsion)
 
 
 def abelianize_snf(p: Presentation) -> SnfResult:

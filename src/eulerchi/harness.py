@@ -32,13 +32,16 @@ the harness self-test and nothing else.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Callable
 
 from . import catalog, cells, groups, translation as tr
-from .cells import CellSpace, ConstructibleFunction, integrate, integrate_levelset, pushforward
+# the cells functions are looked up at call time: the CLI imports this
+# module late, for verify only, and a name bound here would keep whatever
+# ``cells`` held then, such as a profiler's wrapper
+from .cells import CellSpace, ConstructibleFunction
 from .groups import FiniteGroup, Presentation
+from .records import Record
 
 # fault -> (the check whose right side it skews, by how much)
 FAULTS = {
@@ -96,13 +99,20 @@ def _keys_within(max_group: int) -> list[str]:
     return [k for k, (order, _) in _GROUP_BUILDERS.items() if order <= max_group]
 
 
-@dataclass
-class CaseSpec:
+class CaseSpec(Record):
     """Everything needed to rebuild one random instance."""
 
-    group_key: str
-    strata: list[tuple[list[int], int]]  # (subgroup elements, dimension)
-    presentation: Presentation
+    __slots__ = ("group_key", "strata", "presentation")
+
+    def __init__(
+        self,
+        group_key: str,
+        strata: list[tuple[list[int], int]],  # (subgroup elements, dimension)
+        presentation: Presentation,
+    ):
+        self.group_key = group_key
+        self.strata = strata
+        self.presentation = presentation
 
     def to_jsonable(self) -> dict:
         from .jsonio import dump_presentation
@@ -222,24 +232,36 @@ def random_cell_map(rng: random.Random) -> cells.CellMap:
 Check = tuple[str, Callable[[], int], Callable[[], int]]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     """A failed check: its case (-1 for the trailer) and both sides."""
 
-    case: int
-    name: str
-    lhs: int
-    rhs: int
+    __slots__ = ("case", "name", "lhs", "rhs")
+
+    def __init__(self, case: int, name: str, lhs: int, rhs: int):
+        self.case = case
+        self.name = name
+        self.lhs = lhs
+        self.rhs = rhs
 
 
-@dataclass
-class SuiteResult:
-    seed: int
-    cases: int
-    checks_run: dict[str, int] = field(default_factory=dict)
-    failures: list[CheckResult] = field(default_factory=list)
-    failing_spec: dict | None = None
-    corpus: list[tuple[CaseSpec, tr.RigidGComplex]] = field(default_factory=list)
+class SuiteResult(Record):
+    __slots__ = ("seed", "cases", "checks_run", "failures", "failing_spec", "corpus")
+
+    def __init__(
+        self,
+        seed: int,
+        cases: int,
+        checks_run: dict[str, int] | None = None,
+        failures: list[CheckResult] | None = None,
+        failing_spec: dict | None = None,
+        corpus: list[tuple[CaseSpec, tr.RigidGComplex]] | None = None,
+    ):
+        self.seed = seed
+        self.cases = cases
+        self.checks_run = {} if checks_run is None else checks_run
+        self.failures = [] if failures is None else failures
+        self.failing_spec = failing_spec
+        self.corpus = [] if corpus is None else corpus
 
     @property
     def passed(self) -> bool:
@@ -262,7 +284,8 @@ def _case_checks(
         return cells.chi(anchor().source)
 
     def pushed() -> int:
-        return integrate(pushforward(anchor(), ConstructibleFunction.constant(anchor().source, 1)))
+        one = ConstructibleFunction.constant(anchor().source, 1)
+        return cells.integrate(cells.pushforward(anchor(), one))
 
     max_ell = 3 if x.group.order ** 3 <= ORDER_ELL_TUPLES else 2
     checks: list[Check] = [
@@ -290,7 +313,9 @@ def _case_checks(
 
     # levelset formulation on a random function over the orbit space
     f = random_function(rng, tr.orbit_space(x))
-    checks.append(("integral_formulations", partial(integrate, f), partial(integrate_levelset, f)))
+    checks.append(
+        ("integral_formulations", partial(cells.integrate, f), partial(cells.integrate_levelset, f))
+    )
     return checks
 
 

@@ -1,0 +1,62 @@
+"""Plain slotted records: the package's values and results.
+
+A record's fields are the names in its class's own ``__slots__``, in order,
+less those starting with an underscore (derived state, such as a cell
+space's index).  Each class writes its own ``__init__``.  The three bases
+differ only in mutability and in what equality means:
+
+* ``Record`` -- mutable; ``repr`` and equality field by field, and equal
+  only to an instance of the same class; unhashable.
+* ``Value`` -- a ``Record`` that is immutable and hashed field by field, so
+  it can key a cache.  Its ``__init__`` sets fields with
+  ``object.__setattr__``.
+* ``Frozen`` -- a ``Value`` compared and hashed by identity.
+
+Plain classes, not generated ones: a command-line run is a fresh process,
+and generating every record's methods at import, and importing the
+generator, took it longer than most of its computations.
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(f for f in cls.__dict__.get("__slots__", ()) if not f.startswith("_"))
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class Value(Record):
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class Frozen(Value):
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__

@@ -10,26 +10,39 @@ CLI exiting 0.  A report reads no files: its input records come from
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any
 
-
-@dataclass
-class Assertion:
-    name: str
-    lhs: Any
-    rhs: Any
-    passed: bool
+from .records import Record
 
 
-@dataclass
-class Report:
-    command: str
-    inputs: dict[str, dict] = field(default_factory=dict)
-    result: Any = None
-    breakdown: Any = None
-    assertions: list[Assertion] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+class Assertion(Record):
+    __slots__ = ("name", "lhs", "rhs", "passed")
+
+    def __init__(self, name: str, lhs: Any, rhs: Any, passed: bool):
+        self.name = name
+        self.lhs = lhs
+        self.rhs = rhs
+        self.passed = passed
+
+
+class Report(Record):
+    __slots__ = ("command", "inputs", "result", "breakdown", "assertions", "warnings")
+
+    def __init__(
+        self,
+        command: str,
+        inputs: dict[str, dict] | None = None,
+        result: Any = None,
+        breakdown: Any = None,
+        assertions: list[Assertion] | None = None,
+        warnings: list[str] | None = None,
+    ):
+        self.command = command
+        self.inputs = {} if inputs is None else inputs
+        self.result = result
+        self.breakdown = breakdown
+        self.assertions = [] if assertions is None else assertions
+        self.warnings = [] if warnings is None else warnings
 
     def check(self, name: str, lhs: Any, rhs: Any) -> bool:
         ok = lhs == rhs

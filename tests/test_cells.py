@@ -149,9 +149,9 @@ def test_levelset_cost_does_not_grow_with_the_values():
 def test_levelset_builds_no_spaces(monkeypatch):
     # each level sums the signs of its cells; no level set becomes a space
     calls = []
-    init = CellSpace.__post_init__
+    init = CellSpace.__init__
     monkeypatch.setattr(cells, "restrict", lambda *a: calls.append("restrict") or restrict(*a))
-    monkeypatch.setattr(CellSpace, "__post_init__", lambda s: calls.append("CellSpace") or init(s))
+    monkeypatch.setattr(CellSpace, "__init__", lambda *a: calls.append("CellSpace") or init(*a))
     f = ConstructibleFunction(CLOSED_INTERVAL, {"v0": 3, "v1": -2, "e": 1})
     assert integrate_levelset(f) == integrate(f) == 0
     assert calls == []

@@ -39,6 +39,36 @@ def test_cli_import_leaves_numpy_out():
     assert r.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_out_dataclasses_and_the_harness():
+    # every command is a fresh process: importing the CLI builds no
+    # generated records, and only verify loads the harness; the harness,
+    # loaded late, keeps no stand-in patched over a cells function
+    script = (
+        "import sys, eulerchi.cli, eulerchi.cells as cells\n"
+        "lazy = {'dataclasses', 'inspect', 'eulerchi.harness'}\n"
+        "assert not lazy & set(sys.modules), lazy & set(sys.modules)\n"
+        "original = cells.integrate\n"
+        "stand_in = cells.integrate = lambda *a: original(*a)\n"
+        "code = eulerchi.cli.main(['--report', 'json', 'verify', '--seed', '1', '--cases', '1'])\n"
+        "cells.integrate = original\n"
+        "assert code == 0, code\n"
+        "assert 'eulerchi.harness' in sys.modules\n"
+        "held = [n for n, m in sys.modules.items() if n.startswith('eulerchi')\n"
+        "        and any(v is stand_in for v in vars(m).values())]\n"
+        "assert not held, held\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["result"]["passed"] is True
+
+
 def test_chi_bundled_interval():
     r = run_cli("chi", str(DATA / "closed_interval.json"))
     assert r.returncode == 0
