@@ -110,13 +110,8 @@ def cmd_translation(args) -> int:
     report = Report("translation")
     x = _load(report, "complex", args.complex, jsonio.load_complex)
     p, report.inputs["gamma"] = jsonio.load_gamma(args.gamma)
-    values = {}
-    if args.method in ("strata", "all"):
-        values["strata"] = tr.chi_gamma_strata(p, x)
-    if args.method in ("inertia", "all"):
-        values["inertia"] = tr.lambda_chi(p, x)
-    if args.method in ("noniter", "all"):
-        values["noniter"] = tr.chi_gamma_noniter(p, x)
+    routes = {"strata": tr.chi_gamma_strata, "inertia": tr.lambda_chi, "noniter": tr.chi_gamma_noniter}
+    values = {m: route(p, x) for m, route in routes.items() if args.method in (m, "all")}
     report.result = values if args.method == "all" else values[args.method]
     if args.method == "all":
         report.check("strata_vs_inertia", values["strata"], values["inertia"])

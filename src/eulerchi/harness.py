@@ -132,14 +132,14 @@ def build_complex(spec: CaseSpec) -> tr.RigidGComplex:
     """
     g = group_by_key(spec.group_key)
     all_cells: list[cells.Cell] = []
-    perms: list[tuple[int, ...]] = [() for _ in g.elements()]
+    gens: list[tuple[int, ...]] = [() for _ in g.generators()]
     for k, (sub, dim) in enumerate(spec.strata):
         ca = groups.coset_action(g, sub)
         offset = len(all_cells)
         all_cells.extend(cells.Cell(f"s{k}c{i}", dim) for i in range(len(ca.reps)))
-        for e, perm in enumerate(ca.perms):
-            perms[e] += tuple(offset + j for j in perm)
-    return tr.RigidGComplex(g, CellSpace(tuple(all_cells)), tuple(perms))
+        for e, s in enumerate(g.generators()):
+            gens[e] += tuple(offset + j for j in ca.perms[s])
+    return tr.RigidGComplex(g, CellSpace(tuple(all_cells)), tuple(gens))
 
 
 def random_subgroup(rng: random.Random, g: FiniteGroup) -> list[int]:

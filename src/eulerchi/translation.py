@@ -9,11 +9,13 @@ the fixed-point formulas below correct.  Complexes that are not rigid
 (e.g. a reflection stabilizing an edge while flipping it) must be
 subdivided before being encoded.
 
-The core works on integers: each element acts by a permutation tuple of
-the cell indices 0..n-1, and each stabilizer is a bitmask over the
-elements.  ``validate_complex`` checks a string-keyed action where it
-enters (``jsonio.load_complex``); complexes derived here are trusted.  Cell
-ids remain in the cell space, in returned values and in generated ids.
+The core works on integers.  A complex stores one permutation tuple of
+the cell indices 0..n-1 per generator of its group (``RigidGComplex.gens``),
+and every element's permutation is built from those once, on first use
+(``RigidGComplex.perms``); each stabilizer is a bitmask over the elements.
+``validate_complex`` checks a string-keyed action where it enters
+(``jsonio.load_complex``); complexes derived here are trusted.  Cell ids
+remain in the cell space, in returned values and in generated ids.
 
 Four routes to the same integers live here and are cross-validated by the
 test suite and the ``verify`` harness:
@@ -30,19 +32,16 @@ test suite and the ``verify`` harness:
 
 Every orbit of cells is walked on cell indices by ``groups.orbits``, a
 breadth-first closure under the permutations it is given, and an orbit's
-representative is its first cell in cell order.  Orbits of a whole group
-are walked on the permutations of its generators
-(``RigidGComplex.generator_perms``); an inertia complex builds only those
-when it is constructed, and every element's permutation on first use of
-``perms``.  ``validate_complex`` checks the homomorphism law on the
-generators, which implies it on every pair.  The order-ell route walks its
+representative is its first cell in cell order.  Orbits of a whole group,
+order 0 of the order-ell route among them, are walked on ``gens``.
+``validate_complex`` checks the homomorphism law on the pairs (generator,
+element), which implies it on every pair.  The order-ell route walks its
 whole recursion in the given complex's own element and cell indices: a
 centralizer is a sorted list of the group's elements, its conjugacy classes
 are read from the group's table, and a fixed set modulo a centralizer is
 counted by walking every element of the centralizer (the walk's leaves, and
-``fixed_orbit_chi``).  Order 0, the orbit space, walks the group's
-generators.  Nothing reindexes a centralizer into a group or a complex of
-its own.
+``fixed_orbit_chi``).  Nothing reindexes a centralizer into a group or a
+complex of its own.
 """
 
 from __future__ import annotations
@@ -60,29 +59,41 @@ DEFAULT_RECURSION_CAP = 4
 
 
 class RigidGComplex:
-    """A finite group acting cellwise on a cell space: element g sends the
-    cell at index i of ``space.cells`` to the one at ``perms[g][i]``.  The
-    arguments are trusted; a string-keyed action from outside goes through
-    ``validate_complex``."""
+    """A finite group acting cellwise on a cell space, stored as its
+    generators' permutations: the k-th element of ``group.generators()``
+    sends the cell at index i of ``space.cells`` to the one at
+    ``gens[k][i]``.  Every element's permutation is built from those once,
+    on first use of ``perms``.  The arguments are trusted; a string-keyed
+    action from outside goes through ``validate_complex``."""
 
-    __slots__ = ("group", "space", "_perms", "_stab")
+    __slots__ = ("group", "space", "gens", "_perms", "_stab")
 
-    def __init__(self, group: FiniteGroup, space: CellSpace, perms: Sequence[Sequence[int]]):
+    def __init__(self, group: FiniteGroup, space: CellSpace, gens: Sequence[Sequence[int]]):
         self.group = group
         self.space = space
-        self._perms = perms
+        self.gens = gens
+        self._perms: tuple[tuple[int, ...], ...] | None = None
         self._stab: list[int] | None = None
 
     @property
-    def perms(self) -> Sequence[Sequence[int]]:
-        """Per element, its permutation of the cell indices."""
+    def perms(self) -> tuple[tuple[int, ...], ...]:
+        """Per element, its permutation of the cell indices, composed
+        breadth-first from the identity by rho(s*h) = rho(s) o rho(h) for
+        each generator s."""
+        if self._perms is None:
+            table, pairs = self.group.table, tuple(zip(self.group.generators(), self.gens))
+            perms: list = [None] * self.group.order
+            perms[0] = tuple(range(len(self.space)))
+            frontier = [0]
+            for h in frontier:
+                ph = perms[h]
+                for s, ps in pairs:
+                    sh = table[s][h]
+                    if perms[sh] is None:
+                        perms[sh] = tuple(map(ps.__getitem__, ph))
+                        frontier.append(sh)
+            self._perms = tuple(perms)
         return self._perms
-
-    def generator_perms(self) -> Sequence[Sequence[int]]:
-        """The permutations of the group's generators, which have the
-        group's orbits."""
-        perms = self.perms
-        return [perms[s] for s in self.group.generators()]
 
     def act(self, g: int, cell_id: str) -> str:
         if not 0 <= g < self.group.order:
@@ -157,7 +168,7 @@ def validate_complex(
                             f"action is not a homomorphism: "
                             f"({g}*{h}) and composition disagree at cell {cid!r}"
                         )
-    return RigidGComplex(group, space, tuple(perms))
+    return RigidGComplex(group, space, tuple(perms[s] for s in group.generators()))
 
 
 def _restrict(
@@ -169,14 +180,14 @@ def _restrict(
     pos = {i: k for k, i in enumerate(keep)}
     space = CellSpace(tuple(x.space.cells[i] for i in keep))
     xperms = x.perms
-    perms = tuple(tuple(pos[xperms[e][i]] for i in keep) for e in elems)
-    return RigidGComplex(group, space, perms)
+    gens = tuple(tuple(pos[xperms[elems[s]][i]] for i in keep) for s in group.generators())
+    return RigidGComplex(group, space, gens)
 
 
 def point_complex(group: FiniteGroup, cell_id: str = "pt") -> RigidGComplex:
     """The group acting (necessarily trivially) on a single point."""
     space = CellSpace((Cell(cell_id, 0),))
-    return RigidGComplex(group, space, ((0,),) * group.order)
+    return RigidGComplex(group, space, ((0,),) * len(group.generators()))
 
 
 def coset_complex(
@@ -186,14 +197,14 @@ def coset_complex(
     coset, all of the given dimension."""
     ca = groups.coset_action(group, subgroup)
     space = CellSpace(tuple(Cell(f"{prefix}{i}", dim) for i in range(len(ca.reps))))
-    return RigidGComplex(group, space, ca.perms)
+    return RigidGComplex(group, space, tuple(ca.perms[s] for s in group.generators()))
 
 
 def cell_orbits(x: RigidGComplex) -> tuple[tuple[str, ...], dict[str, str]]:
     """Orbits of cells: (representatives, cell -> representative map),
     each representative its orbit's first cell, in cell order."""
     ids = x.space.ids()
-    orbits = groups.orbits(x.generator_perms(), range(len(ids)))
+    orbits = groups.orbits(x.gens, range(len(ids)))
     rep_of = {ids[j]: ids[i] for i, orbit in orbits for j in orbit}
     return tuple(ids[i] for i, _ in orbits), rep_of
 
@@ -202,13 +213,13 @@ def orbit_space(x: RigidGComplex) -> CellSpace:
     """Cell space of orbit representatives, each orbit's first cell, in
     cell order (dimension is preserved)."""
     cells = x.space.cells
-    return CellSpace(tuple(cells[i] for i, _ in groups.orbits(x.generator_perms(), range(len(cells)))))
+    return CellSpace(tuple(cells[i] for i, _ in groups.orbits(x.gens, range(len(cells)))))
 
 
 def orbit_groupoid(x: RigidGComplex) -> OrbitGroupoid:
     """Orbit space with each representative labeled by its stabilizer."""
     cells, masks = x.space.cells, x.stabilizer_masks()
-    reps = [i for i, _ in groups.orbits(x.generator_perms(), range(len(cells)))]
+    reps = [i for i, _ in groups.orbits(x.gens, range(len(cells)))]
     stabs = {cells[i].id: [g for g in x.group.elements() if masks[i] >> g & 1] for i in reps}
     iso = {r: FiniteIsotropy(groups.subgroup_group(x.group, s)[0]) for r, s in stabs.items()}
     return OrbitGroupoid(CellSpace(tuple(cells[i] for i in reps)), iso)
@@ -221,7 +232,8 @@ def restrict_complex(x: RigidGComplex, keep: Iterable[str]) -> RigidGComplex:
     if unknown:
         raise ValidationError(f"restrict_complex: unknown cell ids {sorted(unknown)}")
     idx = [i for i, c in enumerate(x.space.cells) if c.id in keep]
-    for perm in x.perms:
+    # a set each generator keeps is kept by the whole group
+    for perm in x.gens:
         if {perm[i] for i in idx} != set(idx):
             raise ValidationError("restrict_complex: cell set is not invariant")
     return _restrict(x, idx, x.group, x.group.elements())
@@ -231,15 +243,14 @@ def product_complex(x: RigidGComplex, y: RigidGComplex) -> RigidGComplex:
     """Product action of the product group on the product space."""
     group = groups.direct_product(x.group, y.group)
     space = space_product(x.space, y.space)
-    n = len(y.space)
+    n, m, xperms, yperms = len(y.space), y.group.order, x.perms, y.perms
     # cell (i, j) of the product sits at index i * n + j, and element
-    # (a, b) at index a * |y.group| + b
-    perms = tuple(
+    # (a, b) at index a * m + b
+    gens = tuple(
         tuple(pa[i] * n + pb[j] for i in range(len(x.space)) for j in range(n))
-        for pa in x.perms
-        for pb in y.perms
+        for pa, pb in ((xperms[e // m], yperms[e % m]) for e in group.generators())
     )
-    return RigidGComplex(group, space, perms)
+    return RigidGComplex(group, space, gens)
 
 
 def _fixed_ids(x: RigidGComplex, t: HomTuple, where: str) -> list[int]:
@@ -252,15 +263,12 @@ def _fixed_ids(x: RigidGComplex, t: HomTuple, where: str) -> list[int]:
     return [i for i, mask in enumerate(x.stabilizer_masks()) if mask & need == need]
 
 
-def _orbit_chi(x: RigidGComplex, fixed: Sequence[int], elems: Sequence[int]) -> int:
+def _orbit_chi(x: RigidGComplex, fixed: Sequence[int], perms: Sequence[Sequence[int]]) -> int:
     """chi of the cells at indices ``fixed`` (increasing, invariant under
-    ``elems``) modulo the elements ``elems``, counted in x's own indices:
-    each orbit is the set of images of one cell under the elements, and it
-    adds (-1)^dim.  No group, cell space or complex is built."""
-    if not fixed:
-        return 0
-    xperms, cells = x.perms, x.space.cells
-    perms = [xperms[e] for e in elems]
+    ``perms``) modulo the group that the permutations ``perms`` of x's cells
+    generate, counted in x's own indices: each orbit adds (-1)^dim.  No
+    group, cell space or complex is built."""
+    cells = x.space.cells
     return sum(-1 if cells[i].dim % 2 else 1 for i, _ in groups.orbits(perms, fixed))
 
 
@@ -268,7 +276,8 @@ def fixed_orbit_chi(x: RigidGComplex, t: HomTuple) -> int:
     """chi of the quotient of the tuple's fixed set by its centralizer,
     which maps the fixed set to itself; the orbits are counted in x's own
     indices."""
-    return _orbit_chi(x, _fixed_ids(x, t, "fixed_orbit_chi"), groups.centralizer(x.group, t))
+    fixed, xperms = _fixed_ids(x, t, "fixed_orbit_chi"), x.perms
+    return _orbit_chi(x, fixed, [xperms[e] for e in groups.centralizer(x.group, t)])
 
 
 def chi_order_ell(
@@ -308,9 +317,9 @@ def _order_ell_walk(x: RigidGComplex, ell: int, cap: int) -> tuple[int, list[int
     if ell > cap:
         raise RecursionCapExceeded(ell, cap)
     if ell == 0:
-        return _orbit_chi(x, range(len(x.space)), x.group.generators()), []
+        return _orbit_chi(x, range(len(x.space)), x.gens), []
     table, inv = x.group.table, x.group._inv
-    masks = x.stabilizer_masks()
+    masks, xperms = x.stabilizer_masks(), x.perms
     branches = [0] * ell
 
     def walk(cent: list[int], need: int, depth: int) -> int:
@@ -325,7 +334,7 @@ def _order_ell_walk(x: RigidGComplex, ell: int, cap: int) -> tuple[int, list[int
             below = need | 1 << a
             if depth + 1 == ell:
                 fixed = [i for i, m in enumerate(masks) if m & below == below]
-                total += _orbit_chi(x, fixed, child)
+                total += _orbit_chi(x, fixed, [xperms[b] for b in child])
             else:
                 total += walk(child, below, depth + 1)
         return total
@@ -339,14 +348,12 @@ class InertiaComplex(RigidGComplex):
     Cells are pairs (t, c) with every image of t stabilizing c; the pair
     inherits the dimension of c (the label factor is zero-dimensional for a
     finite group).  The group acts by simultaneous conjugation on t and the
-    original action on c.  ``pairs[k]`` is the cell at index k as its
-    (index into ``tuples``, base cell index) pair.
-
-    Only the generators' permutations are built with the complex, which is
-    all an orbit walk needs; ``perms`` is filled on first use.
+    original action on c, stored like any complex's as its generators'
+    permutations.  ``pairs[k]`` is the cell at index k as its (index into
+    ``tuples``, base cell index) pair.
     """
 
-    __slots__ = ("tuples", "pairs", "_base", "_gen_perms")
+    __slots__ = ("tuples", "pairs")
 
     def __init__(self, p: Presentation, x: RigidGComplex):
         homs = groups.hom_enumerate(p, x.group)
@@ -358,36 +365,24 @@ class InertiaComplex(RigidGComplex):
         space = CellSpace(
             tuple(Cell(f"{i}{RESERVED_SEPARATOR}{cells[c].id}", cells[c].dim) for i, c in pairs)
         )
-        super().__init__(x.group, space, None)
+        super().__init__(x.group, space, _inertia_perms(x, homs, pairs))
         self.tuples = homs
         self.pairs = pairs
-        self._base = x
-        self._gen_perms = _inertia_perms(x, homs, pairs, x.group.generators())
-
-    @property
-    def perms(self) -> Sequence[Sequence[int]]:
-        if self._perms is None:
-            self._perms = _inertia_perms(self._base, self.tuples, self.pairs, self.group.elements())
-        return self._perms
-
-    def generator_perms(self) -> Sequence[Sequence[int]]:
-        return self._gen_perms
 
 
 def _inertia_perms(
-    x: RigidGComplex, tuples: Sequence[HomTuple], pairs: Sequence[tuple[int, int]], elems: Iterable[int]
+    x: RigidGComplex, tuples: Sequence[HomTuple], pairs: Sequence[tuple[int, int]]
 ) -> tuple[tuple[int, ...], ...]:
-    """Per element of ``elems``, its permutation of the inertia cells
-    ``pairs``: g sends (t, c) to (g t g^-1, g c)."""
+    """Per generator s of x's group, its permutation of the inertia cells
+    ``pairs``: s sends (t, c) to (s t s^-1, s c)."""
     index = {t: i for i, t in enumerate(tuples)}
     pos = {pair: k for k, pair in enumerate(pairs)}
     used = sorted({i for i, _ in pairs})
-    xperms, out = x.perms, []
-    for g in elems:
-        conj = {i: index[x.group.conj_tuple(g, tuples[i])] for i in used}
+    out = []
+    for s, perm in zip(x.group.generators(), x.gens):
+        conj = {i: index[x.group.conj_tuple(s, tuples[i])] for i in used}
         # conjugate tuples stay homomorphisms and stabilize the translated
         # cell, so the lookups below cannot miss
-        perm = xperms[g]
         out.append(tuple(pos[conj[i], perm[c]] for i, c in pairs))
     return tuple(out)
 
@@ -439,7 +434,7 @@ def anchor_map(p: Presentation, x: RigidGComplex) -> CellMap:
     """
     ic = inertia_complex(p, x)
     cells = ic.space.cells
-    source = [k for k, _ in groups.orbits(ic.generator_perms(), range(len(cells)))]
+    source = [k for k, _ in groups.orbits(ic.gens, range(len(cells)))]
     # the pairs run in x's cell order, and an inertia orbit lies over a
     # whole orbit of x, so its first cell lies over that orbit's first cell
     assign = {cells[k].id: x.space.cells[ic.pairs[k][1]].id for k in source}

@@ -165,9 +165,9 @@ def _revalidated_perms(x: RigidGComplex):
 
 
 def test_derived_complexes_are_valid_actions():
-    """The constructors that build permutations without a check give valid
-    actions: rebuilt from their own string maps through
-    ``validate_complex``, they give the same permutations."""
+    """The constructors that build generator permutations without a check
+    give valid actions: rebuilt from their own string maps through
+    ``validate_complex``, they compose to the same permutations."""
     generated = _generated_complexes()
     cosets = coset_complex(S3, groups.subgroup_closure(S3, [1]), dim=1)
     derived = [
@@ -176,7 +176,8 @@ def test_derived_complexes_are_valid_actions():
         product_complex(cosets, swap_points()),
         product_complex(point_complex(Z2), free_circle()),
         restrict_complex(product_complex(cosets, swap_points()), []),
-    ] + generated
+        point_complex(groups.trivial_group()),
+    ] + [inertia_complex(Z, inertia_complex(Z, y)) for y in (cosets, free_circle())] + generated
     for x in generated + [cosets, free_circle()]:
         reps, rep_of = cell_orbits(x)
         derived.append(restrict_complex(x, [c for c in x.space.ids() if rep_of[c] in reps[::2]]))
@@ -551,12 +552,13 @@ def test_burnside_noniter_matches_class_sum():
 
 
 def test_burnside_noniter_refuses_a_non_action():
-    # trusted, not validated: element 1 acts by an involution, which no
-    # element of C3 can; the Burnside sum is 2 + 2 + 3 = 7
+    # trusted, not validated: the generator 1 acts by an involution, which
+    # no element of C3 can; the composed action is identity, (1, 0, 2),
+    # identity, and the Burnside sum is 2 + 2 + 3 = 7
     x = RigidGComplex(
-        cyclic_group(3), CellSpace.from_dims({"a": 0, "b": 0, "c": 0}),
-        ((0, 1, 2), (1, 0, 2), (0, 1, 2)),
+        cyclic_group(3), CellSpace.from_dims({"a": 0, "b": 0, "c": 0}), ((1, 0, 2),)
     )
+    assert x.perms == ((0, 1, 2), (1, 0, 2), (0, 1, 2))
     with pytest.raises(CrossCheckError, match="7 is not divisible by"):
         chi_gamma_noniter(Presentation.trivial(), x)
 
