@@ -26,7 +26,10 @@ evaluated.  The output is defined to equal the brute-force filter of the
 full tuple space and is emitted in lexicographic order.
 
 Conjugates, conjugacy classes and centralizers are read from the table as
-they are needed; no group keeps a table of conjugates.
+they are needed; no group keeps a table of conjugates.  Conjugation by an
+element is one tuple over the elements (``conjugation``), built by its
+caller once per generator, and a tuple is conjugated by mapping it through
+that tuple.
 
 ``orbits``, a breadth-first closure under permutations of indices, is the
 one orbit walk behind cell orbits, conjugation orbits of tuples and
@@ -280,10 +283,6 @@ class FiniteGroup:
             self._gens = tuple(_generators(self.table))
         return self._gens
 
-    def conj_tuple(self, a: int, t: HomTuple) -> HomTuple:
-        table, row, ai = self.table, self.table[a], self._inv[a]
-        return tuple(table[row[x]][ai] for x in t)
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -496,6 +495,13 @@ def orbits(perms: Sequence[Sequence[int]], points: Iterable[int]) -> list[tuple[
     return out
 
 
+def conjugation(g: FiniteGroup, a: int) -> tuple[int, ...]:
+    """Conjugation by a as a permutation of the elements: position x holds
+    a x a^-1, read from row a and then column a^-1 of the table."""
+    table, ai = g.table, g._inv[a]
+    return tuple(table[ax][ai] for ax in table[a])
+
+
 class ConjOrbits(Value):
     __slots__ = ("count", "reps")
 
@@ -522,9 +528,17 @@ def conj_orbit_count(tuples: Sequence[HomTuple], g: FiniteGroup) -> ConjOrbits:
     if len(index) != len(ts):
         raise ValidationError("conj_orbit_count: duplicate tuples in input")
     try:
-        perms = [[index[g.conj_tuple(a, t)] for t in ts] for a in g.generators()]
+        perms = [
+            [index[tuple(map(c.__getitem__, t))] for t in ts]
+            for c in [conjugation(g, a) for a in g.generators()]
+        ]
     except KeyError:
-        stray = min(u for t in ts for a in g.elements() if (u := g.conj_tuple(a, t)) not in index)
+        stray = min(
+            u
+            for c in [conjugation(g, a) for a in g.elements()]
+            for t in ts
+            if (u := tuple(map(c.__getitem__, t))) not in index
+        )
         raise ValidationError(
             f"conj_orbit_count: input not conjugation-closed (missing {stray})"
         ) from None
@@ -613,20 +627,25 @@ def subgroup_group(g: FiniteGroup, elements: Sequence[int]) -> tuple[FiniteGroup
 
 
 class CosetAction(Value):
-    """Left action of a group on the left cosets of a subgroup.
+    """Left action of a group on the left cosets of a subgroup, stored as
+    its generators' permutations.
 
     ``reps`` are the canonical (minimal) coset representatives in increasing
-    order; ``perms[a][i]`` is the index of the coset a * (reps[i] H).
+    order; ``gens[k][i]`` is the index of the coset s * (reps[i] H), for s
+    the k-th element of ``g.generators()``.
     """
 
-    __slots__ = ("reps", "perms")
+    __slots__ = ("reps", "gens")
 
-    def __init__(self, reps: tuple[int, ...], perms: tuple[tuple[int, ...], ...]):
+    def __init__(self, reps: tuple[int, ...], gens: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "reps", reps)
-        object.__setattr__(self, "perms", perms)
+        object.__setattr__(self, "gens", gens)
 
 
 def coset_action(g: FiniteGroup, subgroup: Sequence[int]) -> CosetAction:
+    """The coset action, built on the generators only; a complex over it
+    (``translation.coset_complex``) composes every element's permutation
+    when one is asked for."""
     elems = sorted(set(subgroup))
     if not is_subgroup(g, elems):
         raise ValidationError("coset_action: the given set is not a subgroup")
@@ -639,10 +658,9 @@ def coset_action(g: FiniteGroup, subgroup: Sequence[int]) -> CosetAction:
         reps.append(a)  # a is minimal in its coset: all smaller elements are assigned
         for h in elems:
             coset_of[g.mul(a, h)] = idx
-    perms = tuple(
-        tuple(coset_of[g.mul(a, r)] for r in reps) for a in g.elements()
-    )
-    return CosetAction(tuple(reps), perms)
+    table = g.table
+    gens = tuple(tuple(coset_of[table[s][r]] for r in reps) for s in g.generators())
+    return CosetAction(tuple(reps), gens)
 
 
 # ---------------------------------------------------------------------------

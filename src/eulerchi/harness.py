@@ -137,8 +137,8 @@ def build_complex(spec: CaseSpec) -> tr.RigidGComplex:
         ca = groups.coset_action(g, sub)
         offset = len(all_cells)
         all_cells.extend(cells.Cell(f"s{k}c{i}", dim) for i in range(len(ca.reps)))
-        for e, s in enumerate(g.generators()):
-            gens[e] += tuple(offset + j for j in ca.perms[s])
+        for e, perm in enumerate(ca.gens):
+            gens[e] += tuple(offset + j for j in perm)
     return tr.RigidGComplex(g, CellSpace(tuple(all_cells)), tuple(gens))
 
 

@@ -25,7 +25,8 @@ test suite and the ``verify`` harness:
 * ``lambda_chi`` -- build the inertia complex of commuting-with-relations
   labels explicitly and take chi of its orbit space;
 * ``chi_gamma_noniter`` -- a Burnside count over homomorphism tuples and
-  the cells they fix, from bitmasks alone: it walks no orbits;
+  the cells they fix, from bitmasks alone: it walks no orbits, and adds one
+  term per distinct set of images, times the number of tuples with it;
 * ``chi_order_ell`` -- the recursive order-ell characteristic over
   iterated centralizer actions on fixed sets; order 1 is the classical
   one-generator sum over conjugacy classes of the group.
@@ -38,10 +39,12 @@ order 0 of the order-ell route among them, are walked on ``gens``.
 element), which implies it on every pair.  The order-ell route walks its
 whole recursion in the given complex's own element and cell indices: a
 centralizer is a sorted list of the group's elements, its conjugacy classes
-are read from the group's table, and a fixed set modulo a centralizer is
-counted by walking every element of the centralizer (the walk's leaves, and
-``fixed_orbit_chi``).  Nothing reindexes a centralizer into a group or a
-complex of its own.
+are read from the group's table, and a branch carries the list of cells its
+tuple fixes, which each depth filters.  A class representative central in
+its centralizer is a class of its own, so its class set is not built.  A
+fixed set modulo a centralizer is counted by walking every element of the
+centralizer (the walk's leaves, and ``fixed_orbit_chi``).  Nothing
+reindexes a centralizer into a group or a complex of its own.
 """
 
 from __future__ import annotations
@@ -197,7 +200,7 @@ def coset_complex(
     coset, all of the given dimension."""
     ca = groups.coset_action(group, subgroup)
     space = CellSpace(tuple(Cell(f"{prefix}{i}", dim) for i in range(len(ca.reps))))
-    return RigidGComplex(group, space, tuple(ca.perms[s] for s in group.generators()))
+    return RigidGComplex(group, space, ca.gens)
 
 
 def cell_orbits(x: RigidGComplex) -> tuple[tuple[str, ...], dict[str, str]]:
@@ -298,17 +301,21 @@ def _order_ell_walk(x: RigidGComplex, ell: int, cap: int) -> tuple[int, list[int
     class, at every depth 1..ell of its recursion.
 
     Every branch stays in x's own element and cell indices.  It carries its
-    tuple's ``need`` bitmask (the class representatives of the depths above
-    it) and its centralizer, a sorted list of x's elements, starting from
-    the whole group.  The centralizer's classes are {b a b^-1 : b in it},
-    read from x's table; walking the list in order makes each
-    representative its class's least element.  A child's centralizer is
-    the parent's, filtered to the elements that commute with the
-    representative, and a leaf counts that centralizer's orbits on the
-    cells its ``need`` fixes (``_orbit_chi``).  Nothing is built below the
-    root, and every class is a branch, also one whose ``need`` fixes no
-    cell.  Order 0 has no branches: it counts the orbits of the whole
-    group, walked on its generators.
+    centralizer, a sorted list of x's elements, starting from the whole
+    group, and the cells its tuple (the class representatives of the depths
+    above it) fixes, starting from every cell.  The centralizer's classes
+    are {b a b^-1 : b in it}, read from x's table; walking the list in
+    order makes each representative its class's least element.  A child's
+    centralizer is the parent's, filtered to the elements that commute with
+    the representative, and its cells are the parent's, filtered to those
+    the representative fixes.  A representative its whole centralizer
+    commutes with is central there, and its class is itself alone
+    (orbit-stabilizer), so that class set is not built.  A leaf counts its
+    centralizer's orbits on its cells (``_orbit_chi``).  Nothing is built
+    below the root, and every class is a branch, also one that fixes no
+    cell; a leaf that fixes no cell adds 0 and walks no orbit.  Order 0
+    has no branches: it counts the orbits of the whole group, walked on
+    its generators.
     """
     if ell < 0:
         raise ValidationError("ell must be >= 0")
@@ -322,24 +329,24 @@ def _order_ell_walk(x: RigidGComplex, ell: int, cap: int) -> tuple[int, list[int
     masks, xperms = x.stabilizer_masks(), x.perms
     branches = [0] * ell
 
-    def walk(cent: list[int], need: int, depth: int) -> int:
-        total, seen = 0, set()
+    def walk(cent: list[int], fixed: list[int], depth: int) -> int:
+        total, seen, last = 0, set(), depth + 1 == ell
         for a in cent:
             if a in seen:
                 continue
-            seen |= {table[table[b][a]][inv[b]] for b in cent}
             branches[depth] += 1
             row = table[a]
             child = [b for b in cent if table[b][a] == row[b]]
-            below = need | 1 << a
-            if depth + 1 == ell:
-                fixed = [i for i, m in enumerate(masks) if m & below == below]
-                total += _orbit_chi(x, fixed, [xperms[b] for b in child])
-            else:
+            if len(child) < len(cent):
+                seen |= {table[table[b][a]][inv[b]] for b in cent}
+            below = [i for i in fixed if masks[i] >> a & 1]
+            if not last:
                 total += walk(child, below, depth + 1)
+            elif below:
+                total += _orbit_chi(x, below, [xperms[b] for b in child])
         return total
 
-    return walk(list(x.group.elements()), 0, 0), branches
+    return walk(list(x.group.elements()), list(range(len(masks))), 0), branches
 
 
 class InertiaComplex(RigidGComplex):
@@ -350,7 +357,9 @@ class InertiaComplex(RigidGComplex):
     finite group).  The group acts by simultaneous conjugation on t and the
     original action on c, stored like any complex's as its generators'
     permutations.  ``pairs[k]`` is the cell at index k as its (index into
-    ``tuples``, base cell index) pair.
+    ``tuples``, base cell index) pair.  The tuples that fit a cell depend
+    only on its stabilizer, so they are listed once per distinct
+    stabilizer bitmask.
     """
 
     __slots__ = ("tuples", "pairs")
@@ -359,8 +368,9 @@ class InertiaComplex(RigidGComplex):
         homs = groups.hom_enumerate(p, x.group)
         needs = [sum(1 << e for e in set(t)) for t in homs]
         masks = x.stabilizer_masks()
+        fits = {m: [i for i, n in enumerate(needs) if m & n == n] for m in set(masks)}
         # (tuple index, cell index) of every pair, in cell order
-        pairs = tuple((i, c) for c, m in enumerate(masks) for i, n in enumerate(needs) if m & n == n)
+        pairs = tuple((i, c) for c, m in enumerate(masks) for i in fits[m])
         cells = x.space.cells
         space = CellSpace(
             tuple(Cell(f"{i}{RESERVED_SEPARATOR}{cells[c].id}", cells[c].dim) for i, c in pairs)
@@ -380,7 +390,8 @@ def _inertia_perms(
     used = sorted({i for i, _ in pairs})
     out = []
     for s, perm in zip(x.group.generators(), x.gens):
-        conj = {i: index[x.group.conj_tuple(s, tuples[i])] for i in used}
+        by_s = groups.conjugation(x.group, s)
+        conj = {i: index[tuple(map(by_s.__getitem__, tuples[i]))] for i in used}
         # conjugate tuples stay homomorphisms and stabilize the translated
         # cell, so the lookups below cannot miss
         out.append(tuple(pos[conj[i], perm[c]] for i, c in pairs))
@@ -406,20 +417,31 @@ def chi_gamma_noniter(p: Presentation, x: RigidGComplex) -> int:
     the centralizer quotient of the tuple's fixed set, by Burnside's lemma:
     (1/|G|) times the sum over every tuple t and every cell i it fixes of
     (-1)^dim_i |C(t) & Stab_i| (Atiyah-Segal 1989; Hirzebruch-Hoefer 1990),
-    from stabilizer and centralizer bitmasks.  A sum not divisible by |G|
-    means x is not an action (``CrossCheckError``).  The free abelian case
-    of rank ell is ``chi_order_ell(x, ell)``.
+    from stabilizer and centralizer bitmasks.  Both C(t) and the cells t
+    fixes depend only on the set of t's images, so the tuples are counted
+    per image set (as its bitmask ``need``) and each set's term is added
+    once, times its count.  A sum not divisible by |G| means x is not an
+    action (``CrossCheckError``).  The free abelian case of rank ell is
+    ``chi_order_ell(x, ell)``.
     """
     g = x.group
     weight: dict[int, int] = {}  # signed cell count per stabilizer bitmask
     for mask, c in zip(x.stabilizer_masks(), x.space.cells):
         weight[mask] = weight.get(mask, 0) + (-1 if c.dim % 2 else 1)
-    total = 0
+    tuples: dict[int, int] = {}  # tuple count per image-set bitmask
     for t in groups.hom_enumerate(p, g):
-        need, c = 0, (1 << g.order) - 1
+        need = 0
         for e in t:
-            need, c = need | 1 << e, c & g.centralizer_mask(e)
-        total += sum(w * (m & c).bit_count() for m, w in weight.items() if m & need == need)
+            need |= 1 << e
+        tuples[need] = tuples.get(need, 0) + 1
+    total = 0
+    for need, count in tuples.items():
+        c, rest = (1 << g.order) - 1, need
+        while rest:
+            low = rest & -rest
+            c &= g.centralizer_mask(low.bit_length() - 1)
+            rest ^= low
+        total += count * sum(w * (m & c).bit_count() for m, w in weight.items() if m & need == need)
     if total % g.order:
         raise CrossCheckError(f"chi_gamma_noniter: Burnside sum {total} is not divisible by |G| = {g.order}")
     return total // g.order

@@ -15,7 +15,7 @@ from eulerchi.catalog import (
 )
 from eulerchi.cells import CellSpace, chi
 from eulerchi.errors import UnsupportedCombination
-from eulerchi.groups import Presentation, Z, symmetric_group, cyclic_group
+from eulerchi.groups import Presentation, Z, conjugation, symmetric_group, cyclic_group
 
 S3 = symmetric_group(3)
 T1 = TorusIsotropy(1)
@@ -155,7 +155,7 @@ def test_finite_entry_agrees_with_independent_reenumeration(
     for t in sorted(homs):
         if t in seen:
             continue
-        seen |= {S3.conj_tuple(a, t) for a in S3.elements()}
+        seen |= {tuple(map(conjugation(S3, a).__getitem__, t)) for a in S3.elements()}
         orbits += 1
     assert chi_hom_quotient(FiniteIsotropy(S3), p) == orbits == 2
 

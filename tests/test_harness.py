@@ -142,8 +142,12 @@ def test_shrunk_counterexample_is_pinned(fault, seed, expected):
     assert harness.run_suite(seed=seed, cases=4, inject_fault=fault).failing_spec == expected
 
 
-LEDGER = ("hom_enumerate", "conj_orbit_count", "orbits", "subgroup_group")
+LEDGER = ("hom_enumerate", "conj_orbit_count", "orbits", "subgroup_group", "conjugation")
 SHARED_ENUMERATION = {"hom_enumerate", "centralizer_mask"}
+SIDES = {
+    "three_way_strata_vs_lambda": ("strata", "lambda"),
+    "three_way_strata_vs_noniter": ("strata", "noniter"),
+}
 
 
 def _side_calls(monkeypatch, spec, name, side):
@@ -171,14 +175,16 @@ def _side_calls(monkeypatch, spec, name, side):
 
 
 def test_independence_ledger(monkeypatch):
-    """Every order-ell pair shares no enumeration or centralizer code; both
-    three-way pairs share hom_enumerate, for every presentation class."""
+    """Every order-ell pair shares no primitive; both three-way pairs share
+    hom_enumerate, for every presentation class.  Conjugation is built only
+    on the strata and lambda sides."""
     rng = random.Random(0)
     by_class = {}
     while len(by_class) < 5:
         spec = harness.random_case(rng, 24, 60)
         family = (presentation_class(spec.presentation) or "other").split("(")[0]
         by_class.setdefault(family, spec)
+    conjugating = set()
     for family, spec in by_class.items():
         names = [c[0] for c in harness._case_checks(spec, random.Random(0))]
         order_ell = [n for n in names if n.startswith("order_")]
@@ -187,6 +193,10 @@ def test_independence_ledger(monkeypatch):
             lhs = _side_calls(monkeypatch, spec, name, 1)
             rhs = _side_calls(monkeypatch, spec, name, 2)
             if name.startswith("order_"):
-                assert not lhs & rhs & SHARED_ENUMERATION, (family, name, lhs, rhs)
+                assert not lhs & rhs, (family, name, lhs, rhs)
+                assert not lhs & SHARED_ENUMERATION, (family, name, lhs, rhs)
             else:
                 assert "hom_enumerate" in lhs & rhs, (family, name, lhs, rhs)
+            routes = SIDES.get(name, ("order", "noniter"))
+            conjugating |= {r for r, calls in zip(routes, (lhs, rhs)) if "conjugation" in calls}
+    assert conjugating == {"strata", "lambda"}

@@ -20,6 +20,7 @@ from eulerchi.errors import CrossCheckError, RecursionCapExceeded, ValidationErr
 from eulerchi.groupoid import product_groupoid
 from eulerchi.groups import Presentation, Z, cyclic_group, quaternion_group, symmetric_group
 from eulerchi.translation import (
+    InertiaComplex,
     RigidGComplex,
     anchor_map,
     cell_orbits,
@@ -518,8 +519,18 @@ def _reference_order_ell_walk(x: RigidGComplex, ell: int) -> tuple[int, list[int
 
 def test_order_ell_walk_matches_the_reindexed_recursion():
     """The in-place walk gives the value and the per-depth branch counts of
-    the recursion that reindexes every centralizer into its own group."""
+    the recursion that reindexes every centralizer into its own group.  The
+    cyclic point, the product with an abelian factor and the cosets of a
+    large normal subgroup take the walk's central-class shortcut often, and
+    the coset complexes have last-depth leaves that fix no cell."""
+    d6 = groups.dihedral_group(6)
     xs = [point_complex(S3), point_complex(symmetric_group(4)), free_circle(), swap_points()]
+    xs += [
+        point_complex(cyclic_group(6)),
+        coset_complex(groups.direct_product(S3, cyclic_group(3)), [0, 3]),
+        coset_complex(d6, list(range(6))),
+        coset_complex(d6, [0, 6]),
+    ]
     xs += _generated_complexes(30)
     for x in xs:
         for ell in range(4):
@@ -549,6 +560,49 @@ def test_burnside_noniter_matches_class_sum():
         ]
         for p in presentations + [Presentation(2, tuple(words))]:
             assert chi_gamma_noniter(p, x) == _class_sum(p, x), (p, x.perms)
+
+
+def _per_tuple_burnside(p: Presentation, x: RigidGComplex) -> int:
+    """Burnside's lemma tuple by tuple: over every homomorphism tuple t and
+    every cell i that t fixes, (-1)^dim_i times the number of elements that
+    commute with t and fix i, divided by |G|."""
+    perms, total = x.perms, 0
+    for t in groups.hom_enumerate(p, x.group):
+        cent = groups.centralizer(x.group, t)
+        for i, cell in enumerate(x.space.cells):
+            if all(perms[e][i] == i for e in t):
+                total += (-1) ** cell.dim * sum(perms[b][i] == i for b in cent)
+    assert total % x.group.order == 0
+    return total // x.group.order
+
+
+def test_burnside_noniter_matches_a_per_tuple_sum():
+    """Adding one term per set of images, times its tuple count, gives the
+    sum taken tuple by tuple."""
+    rng = random.Random(20)
+    presentations = [Presentation.trivial(), Z, Presentation.free_abelian(2), Presentation.cyclic(3)]
+    for x in _generated_complexes():
+        two = Presentation(2, tuple(
+            tuple(rng.choice([1, -1]) * rng.randint(1, 2) for _ in range(rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 2))
+        ))
+        for p in presentations + [two]:
+            assert chi_gamma_noniter(p, x) == _per_tuple_burnside(p, x), (p, x.perms)
+
+
+def test_inertia_pairs_match_the_double_loop():
+    """An inertia complex's cells are every (tuple, cell it fixes) pair,
+    cell by cell and, within a cell, tuple by tuple."""
+    for x in [free_circle(), point_complex(S3)] + _generated_complexes():
+        for p in (Presentation.trivial(), Z, Presentation.free_abelian(2), Presentation.cyclic(2)):
+            ic = InertiaComplex(p, x)
+            assert ic.tuples == groups.hom_enumerate(p, x.group)
+            assert ic.pairs == tuple(
+                (k, i)
+                for i in range(len(x.space))
+                for k, t in enumerate(ic.tuples)
+                if all(x.perms[e][i] == i for e in t)
+            ), (p, x.perms)
 
 
 def test_burnside_noniter_refuses_a_non_action():
@@ -649,18 +703,19 @@ def test_inertia_s3_point_counts():
 
 def test_inertia_complex_conjugates_by_generators_only(monkeypatch):
     """lambda_chi builds only the generators' permutations of the inertia
-    complex, so each label tuple is conjugated once per generator."""
+    complex, so conjugation is built once per generator, never for every
+    element."""
     s5 = symmetric_group(5)
     calls = []
-    original = groups.FiniteGroup.conj_tuple
+    original = groups.conjugation
 
-    def counted(self, a, t):
+    def counted(g, a):
         calls.append(a)
-        return original(self, a, t)
+        return original(g, a)
 
-    monkeypatch.setattr(groups.FiniteGroup, "conj_tuple", counted)
+    monkeypatch.setattr(groups, "conjugation", counted)
     assert lambda_chi(Z, point_complex(s5)) == 7
-    assert 0 < len(calls) <= len(s5.generators()) * len(groups.hom_enumerate(Z, s5))
+    assert calls == list(s5.generators())
 
 
 def test_lambda_chi_examples():
