@@ -55,7 +55,9 @@ CASE_TUPLES = 20000
 MORITA_TUPLES = 20000
 PRODUCT_TUPLES = 50000
 ITERATE_TUPLES = 5000
-ORDER_ELL_TUPLES = 2000  # for ell = 3
+# The order-ell walk is memoized, so ORDER_ELL_TUPLES bounds only the |G|^3
+# tuples that the noniter side of ``order_3_vs_noniter`` enumerates.
+ORDER_ELL_TUPLES = 2000
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,12 @@ centralizer is a sorted list of the group's elements, its conjugacy classes
 are read from the group's table, and a branch carries the list of cells its
 tuple fixes, which each depth filters.  A class representative central in
 its centralizer is a class of its own, so its class set is not built.  A
-fixed set modulo a centralizer is counted by walking every element of the
+subtree depends only on its centralizer, its fixed cells and its depth, and
+few distinct ones occur, so within one call each is walked once: the walk
+is memoized on that key, and a repeat returns the subtree's value and its
+branch counts at every depth below.  The cost then grows with the number
+of distinct subtrees, not with the product of class counts.  A fixed set
+modulo a centralizer is counted by walking every element of the
 centralizer (the walk's leaves, and ``fixed_orbit_chi``).  Nothing
 reindexes a centralizer into a group or a complex of its own.
 """
@@ -291,7 +296,9 @@ def chi_order_ell(
     Order 0 is chi of the orbit space; order 1 is the classical
     one-generator sum, over conjugacy classes, of chi of the centralizer
     quotient of the class representative's fixed set.  The recursion cap
-    (default 4) bounds the cost, which grows as products of class counts.
+    (default 4) bounds ell.  The walk is memoized on (centralizer, fixed
+    cells, depth), so its cost grows with the number of distinct subtrees
+    rather than with products of class counts.
     """
     return _order_ell_walk(x, ell, cap)[0]
 
@@ -316,6 +323,13 @@ def _order_ell_walk(x: RigidGComplex, ell: int, cap: int) -> tuple[int, list[int
     cell; a leaf that fixes no cell adds 0 and walks no orbit.  Order 0
     has no branches: it counts the orbits of the whole group, walked on
     its generators.
+
+    A subtree is a function of its centralizer, its cells and its depth
+    alone, so ``walk`` is memoized on those, as an element bitmask, a cell
+    bitmask and the depth, for the length of one call.  It returns the
+    subtree's value and its branch counts at its own depth and every depth
+    below; a miss adds each child's counts into its own, and a hit returns
+    the stored pair, so the counts are those of the unmemoized recursion.
     """
     if ell < 0:
         raise ValidationError("ell must be >= 0")
@@ -327,26 +341,34 @@ def _order_ell_walk(x: RigidGComplex, ell: int, cap: int) -> tuple[int, list[int
         return _orbit_chi(x, range(len(x.space)), x.gens), []
     table, inv = x.group.table, x.group._inv
     masks, xperms = x.stabilizer_masks(), x.perms
-    branches = [0] * ell
+    memo: dict[tuple[int, int, int], tuple[int, list[int]]] = {}
 
-    def walk(cent: list[int], fixed: list[int], depth: int) -> int:
+    def walk(cent: list[int], fixed: list[int], depth: int) -> tuple[int, list[int]]:
+        key = (sum(1 << b for b in cent), sum(1 << i for i in fixed), depth)
+        if key in memo:
+            return memo[key]
         total, seen, last = 0, set(), depth + 1 == ell
+        branches = [0] * (ell - depth)
         for a in cent:
             if a in seen:
                 continue
-            branches[depth] += 1
+            branches[0] += 1
             row = table[a]
             child = [b for b in cent if table[b][a] == row[b]]
             if len(child) < len(cent):
                 seen |= {table[table[b][a]][inv[b]] for b in cent}
             below = [i for i in fixed if masks[i] >> a & 1]
             if not last:
-                total += walk(child, below, depth + 1)
+                value, under = walk(child, below, depth + 1)
+                total += value
+                for k, n in enumerate(under, 1):
+                    branches[k] += n
             elif below:
                 total += _orbit_chi(x, below, [xperms[b] for b in child])
-        return total
+        memo[key] = total, branches
+        return total, branches
 
-    return walk(list(x.group.elements()), list(range(len(masks))), 0), branches
+    return walk(list(x.group.elements()), list(range(len(masks))), 0)
 
 
 class InertiaComplex(RigidGComplex):

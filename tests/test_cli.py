@@ -172,6 +172,20 @@ def test_order_ell_cap_exit_2():
     assert r.returncode == 0
 
 
+def test_order_ell_eleven_on_q8_runs_through_main():
+    """Q8 on a point at order 11 has 6,290,432 branches at its last depth;
+    the memoized walk visits each distinct subtree once."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(
+            ["--report", "json", "order-ell", str(DATA / "q8_point.json"), "--ell", "11", "--cap", "11"]
+        )
+    assert code == 0
+    report = json.loads(out.getvalue())
+    assert report["result"] == 6290432
+    assert [b["branches"] for b in report["breakdown"]["recursion"]] == [5, 22]
+
+
 def test_negative_recursion_cap_is_invalid_input():
     r = run_cli("order-ell", str(DATA / "s3_point.json"), "--ell", "0", "--cap", "-1")
     assert r.returncode == 1

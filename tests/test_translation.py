@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 
@@ -829,6 +830,84 @@ def test_order_ell_equals_free_abelian_noniter():
             assert chi_order_ell(x, ell) == chi_gamma_noniter(
                 Presentation.free_abelian(ell), x
             )
+
+
+def _stabilizer_count_order_ell(x: RigidGComplex, ell: int) -> int:
+    """chi_{Z^ell}(G acting on x) from the group side, by Burnside's lemma:
+    (1/|G|) sum over cells i of (-1)^dim_i |Hom(Z^(ell+1), Stab_i)|, where
+    |Hom(Z^k, C)| = sum over a in C of |Hom(Z^(k-1), C & C(a))|, memoized
+    on (k, bitmask C).  It reads only the group's table, the stabilizer
+    bitmasks and the cells' dimensions, and shares no code with the walk."""
+    table, n = x.group.table, x.group.order
+    cent = [sum(1 << b for b in range(n) if table[a][b] == table[b][a]) for a in range(n)]
+    memo: dict[tuple[int, int], int] = {}
+
+    def homs(k: int, c: int) -> int:
+        if k == 1:
+            return c.bit_count()
+        if (k, c) not in memo:
+            total, rest = 0, c
+            while rest:
+                low = rest & -rest
+                total += homs(k - 1, c & cent[low.bit_length() - 1])
+                rest ^= low
+            memo[k, c] = total
+        return memo[k, c]
+
+    total = sum(
+        (-1 if cell.dim % 2 else 1) * homs(ell + 1, mask)
+        for mask, cell in zip(x.stabilizer_masks(), x.space.cells)
+    )
+    assert total % n == 0
+    return total // n
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_order_ell_walk_matches_the_stabilizer_count_up_to_eight(seed):
+    """The walk against the group-side count at every ell from 0 to 8, on
+    harness complexes over the groups of order up to 48."""
+    from eulerchi.harness import build_complex, random_case
+
+    x = build_complex(random_case(random.Random(seed), 48, 20))
+    for ell in range(9):
+        assert chi_order_ell(x, ell, cap=8) == _stabilizer_count_order_ell(x, ell), ell
+
+
+@pytest.mark.parametrize("group,ell,expected", [
+    ("Q8", 10, 1_572_352),
+    ("Q8", 11, 6_290_432),
+    ("Q8", 40, 1813388729421394006245376),
+    ("S6", 4, 5_512),
+    ("S6", 8, 21_102_992),
+])
+def test_order_ell_anchors_past_order_three(symmetric_points, group, ell, expected):
+    """Q8 and S6 points at high order, by the walk and by the stabilizer
+    count.  Without its memo the walk would take about 35 s on Q8 at order
+    11, so these also guard the memo."""
+    x = symmetric_points[6] if group == "S6" else point_complex(quaternion_group())
+    assert chi_order_ell(x, ell, cap=ell) == expected
+    assert _stabilizer_count_order_ell(x, ell) == expected
+
+
+def test_stabilizer_count_calls_no_group_primitive(monkeypatch):
+    """The oracle reads the table itself: it calls no function of
+    ``groups`` and takes no centralizer bitmask, while the walk it checks
+    is seen calling ``groups.orbits`` by the same counters."""
+    xs = [point_complex(quaternion_group()), free_circle(), swap_points()] + _generated_complexes(5)
+    for x in xs:
+        x.stabilizer_masks()  # the complex's own state, built before counting
+    names = [name for name, f in vars(groups).items()
+             if inspect.isfunction(f) and f.__module__ == groups.__name__]
+    counts = _count_calls(monkeypatch, [(groups, name) for name in names]
+                          + [(groups.FiniteGroup, "centralizer_mask")])
+    for x in xs:
+        for ell in range(5):
+            _stabilizer_count_order_ell(x, ell)
+    assert not any(counts.values()), {k: v for k, v in counts.items() if v}
+    for x in xs:
+        chi_order_ell(x, 2)
+    assert counts["orbits"] > 0
 
 
 @settings(max_examples=25, deadline=None)
