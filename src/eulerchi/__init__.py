@@ -93,7 +93,6 @@ from .translation import (
     chi_gamma_strata,
     chi_order_ell,
     coset_complex,
-    fixed_orbit_chi,
     inertia_complex,
     iterate_inertia,
     lambda_chi,

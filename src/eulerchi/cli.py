@@ -21,7 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import catalog, cells, groupoid, jsonio, translation as tr
+from . import catalog, cells, groupoid, groups, jsonio, translation as tr
 from .errors import (
     CrossCheckError,
     EulerchiError,
@@ -140,12 +140,12 @@ def cmd_inertia(args) -> int:
     x = _load(report, "complex", args.complex, jsonio.load_complex)
     p, report.inputs["gamma"] = jsonio.load_gamma(args.gamma)
     ic = tr.inertia_complex(p, x)
-    orbits = tr.orbit_space(ic)
-    report.result = cells.chi(orbits)
+    reps = [k for k, _ in groups.orbits(ic.gens, range(len(ic.pairs)))]
+    report.result = sum(-1 if ic.dims[k] % 2 else 1 for k in reps)
     report.breakdown = {
         "labels": len(ic.tuples),
-        "cells": len(ic.space),
-        "orbit_cells": len(orbits),
+        "cells": len(ic.pairs),
+        "orbit_cells": len(reps),
     }
     return _emit(report, args)
 

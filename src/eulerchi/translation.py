@@ -12,10 +12,12 @@ subdivided before being encoded.
 The core works on integers.  A complex stores one permutation tuple of
 the cell indices 0..n-1 per generator of its group (``RigidGComplex.gens``),
 and every element's permutation is built from those once, on first use
-(``RigidGComplex.perms``); each stabilizer is a bitmask over the elements.
+(``RigidGComplex.perms``); each stabilizer is a bitmask over the elements,
+and the core reads a cell only as its index and its ``dims`` entry.
 ``validate_complex`` checks a string-keyed action where it enters
 (``jsonio.load_complex``); complexes derived here are trusted.  Cell ids
-remain in the cell space, in returned values and in generated ids.
+are read or formed only where a value names cells, and an inertia complex
+forms its ids only on demand.
 
 Four routes to the same integers live here and are cross-validated by the
 test suite and the ``verify`` harness:
@@ -46,10 +48,10 @@ subtree depends only on its centralizer, its fixed cells and its depth, and
 few distinct ones occur, so within one call each is walked once: the walk
 is memoized on that key, and a repeat returns the subtree's value and its
 branch counts at every depth below.  The cost then grows with the number
-of distinct subtrees, not with the product of class counts.  A fixed set
-modulo a centralizer is counted by walking every element of the
-centralizer (the walk's leaves, and ``fixed_orbit_chi``).  Nothing
-reindexes a centralizer into a group or a complex of its own.
+of distinct subtrees, not with the product of class counts.  A leaf's
+fixed set modulo its centralizer is counted by walking every element of
+the centralizer.  Nothing reindexes a centralizer into a group or a
+complex of its own.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import groups
 from .catalog import FiniteIsotropy
-from .cells import Cell, CellMap, CellSpace, RESERVED_SEPARATOR, chi, product as space_product
+from .cells import Cell, CellMap, CellSpace, RESERVED_SEPARATOR, product as space_product
 from .errors import CrossCheckError, RecursionCapExceeded, ValidationError
 from .groupoid import OrbitGroupoid, chi_gamma
 from .groups import FiniteGroup, HomTuple, Presentation
@@ -71,15 +73,17 @@ class RigidGComplex:
     generators' permutations: the k-th element of ``group.generators()``
     sends the cell at index i of ``space.cells`` to the one at
     ``gens[k][i]``.  Every element's permutation is built from those once,
-    on first use of ``perms``.  The arguments are trusted; a string-keyed
+    on first use of ``perms``.  The core reads a cell only as its index and
+    its dimension in ``dims``.  The arguments are trusted; a string-keyed
     action from outside goes through ``validate_complex``."""
 
-    __slots__ = ("group", "space", "gens", "_perms", "_stab")
+    __slots__ = ("group", "space", "gens", "dims", "_perms", "_stab")
 
     def __init__(self, group: FiniteGroup, space: CellSpace, gens: Sequence[Sequence[int]]):
         self.group = group
         self.space = space
         self.gens = gens
+        self.dims = tuple(c.dim for c in space.cells)
         self._perms: tuple[tuple[int, ...], ...] | None = None
         self._stab: list[int] | None = None
 
@@ -91,7 +95,7 @@ class RigidGComplex:
         if self._perms is None:
             table, pairs = self.group.table, tuple(zip(self.group.generators(), self.gens))
             perms: list = [None] * self.group.order
-            perms[0] = tuple(range(len(self.space)))
+            perms[0] = tuple(range(len(self.dims)))
             frontier = [0]
             for h in frontier:
                 ph = perms[h]
@@ -113,7 +117,7 @@ class RigidGComplex:
         if self._stab is None:
             self._stab = [
                 sum(1 << g for g, perm in enumerate(self.perms) if perm[i] == i)
-                for i in range(len(self.space))
+                for i in range(len(self.dims))
             ]
         return self._stab
 
@@ -261,31 +265,13 @@ def product_complex(x: RigidGComplex, y: RigidGComplex) -> RigidGComplex:
     return RigidGComplex(group, space, gens)
 
 
-def _fixed_ids(x: RigidGComplex, t: HomTuple, where: str) -> list[int]:
-    """Indices of the cells fixed by every image of the tuple, in cell order."""
-    need = 0
-    for e in t:
-        if not 0 <= e < x.group.order:
-            raise ValidationError(f"{where}: element {e} out of range")
-        need |= 1 << e
-    return [i for i, mask in enumerate(x.stabilizer_masks()) if mask & need == need]
-
-
 def _orbit_chi(x: RigidGComplex, fixed: Sequence[int], perms: Sequence[Sequence[int]]) -> int:
     """chi of the cells at indices ``fixed`` (increasing, invariant under
     ``perms``) modulo the group that the permutations ``perms`` of x's cells
     generate, counted in x's own indices: each orbit adds (-1)^dim.  No
     group, cell space or complex is built."""
-    cells = x.space.cells
-    return sum(-1 if cells[i].dim % 2 else 1 for i, _ in groups.orbits(perms, fixed))
-
-
-def fixed_orbit_chi(x: RigidGComplex, t: HomTuple) -> int:
-    """chi of the quotient of the tuple's fixed set by its centralizer,
-    which maps the fixed set to itself; the orbits are counted in x's own
-    indices."""
-    fixed, xperms = _fixed_ids(x, t, "fixed_orbit_chi"), x.perms
-    return _orbit_chi(x, fixed, [xperms[e] for e in groups.centralizer(x.group, t)])
+    dims = x.dims
+    return sum(-1 if dims[i] % 2 else 1 for i, _ in groups.orbits(perms, fixed))
 
 
 def chi_order_ell(
@@ -338,7 +324,7 @@ def _order_ell_walk(x: RigidGComplex, ell: int, cap: int) -> tuple[int, list[int
     if ell > cap:
         raise RecursionCapExceeded(ell, cap)
     if ell == 0:
-        return _orbit_chi(x, range(len(x.space)), x.gens), []
+        return _orbit_chi(x, range(len(x.dims)), x.gens), []
     table, inv = x.group.table, x.group._inv
     masks, xperms = x.stabilizer_masks(), x.perms
     memo: dict[tuple[int, int, int], tuple[int, list[int]]] = {}
@@ -381,10 +367,12 @@ class InertiaComplex(RigidGComplex):
     permutations.  ``pairs[k]`` is the cell at index k as its (index into
     ``tuples``, base cell index) pair.  The tuples that fit a cell depend
     only on its stabilizer, so they are listed once per distinct
-    stabilizer bitmask.
+    stabilizer bitmask.  Building it forms no id: ``cell(k)`` forms cell
+    k's, ``"<tuple index><separator><base cell id>"``, and ``space`` forms
+    every cell's on first use.
     """
 
-    __slots__ = ("tuples", "pairs")
+    __slots__ = ("tuples", "pairs", "_base", "_space")
 
     def __init__(self, p: Presentation, x: RigidGComplex):
         homs = groups.hom_enumerate(p, x.group)
@@ -393,13 +381,22 @@ class InertiaComplex(RigidGComplex):
         fits = {m: [i for i, n in enumerate(needs) if m & n == n] for m in set(masks)}
         # (tuple index, cell index) of every pair, in cell order
         pairs = tuple((i, c) for c, m in enumerate(masks) for i in fits[m])
-        cells = x.space.cells
-        space = CellSpace(
-            tuple(Cell(f"{i}{RESERVED_SEPARATOR}{cells[c].id}", cells[c].dim) for i, c in pairs)
-        )
-        super().__init__(x.group, space, _inertia_perms(x, homs, pairs))
-        self.tuples = homs
-        self.pairs = pairs
+        self.group = x.group
+        self.gens = _inertia_perms(x, homs, pairs)
+        self.dims = tuple(x.dims[c] for _, c in pairs)
+        self._perms = self._stab = self._space = None
+        self.tuples, self.pairs, self._base = homs, pairs, x
+
+    def cell(self, k: int) -> Cell:
+        i, c = self.pairs[k]
+        base = self._base.space.cells[c]
+        return Cell(f"{i}{RESERVED_SEPARATOR}{base.id}", base.dim)
+
+    @property
+    def space(self) -> CellSpace:
+        if self._space is None:
+            self._space = CellSpace(tuple(map(self.cell, range(len(self.pairs)))))
+        return self._space
 
 
 def _inertia_perms(
@@ -425,8 +422,10 @@ def inertia_complex(p: Presentation, x: RigidGComplex) -> InertiaComplex:
 
 
 def lambda_chi(p: Presentation, x: RigidGComplex) -> int:
-    """chi of the orbit space of the inertia complex."""
-    return chi(orbit_space(inertia_complex(p, x)))
+    """chi of the orbit space of the inertia complex, counted on its
+    generators' permutations and dimensions, as order 0 of the walk is."""
+    ic = inertia_complex(p, x)
+    return _orbit_chi(ic, range(len(ic.dims)), ic.gens)
 
 
 def chi_gamma_strata(p: Presentation, x: RigidGComplex) -> int:
@@ -448,8 +447,8 @@ def chi_gamma_noniter(p: Presentation, x: RigidGComplex) -> int:
     """
     g = x.group
     weight: dict[int, int] = {}  # signed cell count per stabilizer bitmask
-    for mask, c in zip(x.stabilizer_masks(), x.space.cells):
-        weight[mask] = weight.get(mask, 0) + (-1 if c.dim % 2 else 1)
+    for mask, d in zip(x.stabilizer_masks(), x.dims):
+        weight[mask] = weight.get(mask, 0) + (-1 if d % 2 else 1)
     tuples: dict[int, int] = {}  # tuple count per image-set bitmask
     for t in groups.hom_enumerate(p, g):
         need = 0
@@ -477,12 +476,12 @@ def anchor_map(p: Presentation, x: RigidGComplex) -> CellMap:
     forward along this map integrates to ``lambda_chi(p, x)``.
     """
     ic = inertia_complex(p, x)
-    cells = ic.space.cells
-    source = [k for k, _ in groups.orbits(ic.gens, range(len(cells)))]
+    reps = [k for k, _ in groups.orbits(ic.gens, range(len(ic.dims)))]
+    source, cells = tuple(map(ic.cell, reps)), x.space.cells
     # the pairs run in x's cell order, and an inertia orbit lies over a
     # whole orbit of x, so its first cell lies over that orbit's first cell
-    assign = {cells[k].id: x.space.cells[ic.pairs[k][1]].id for k in source}
-    return CellMap(CellSpace(tuple(cells[k] for k in source)), orbit_space(x), assign)
+    assign = {s.id: cells[ic.pairs[k][1]].id for k, s in zip(reps, source)}
+    return CellMap(CellSpace(source), orbit_space(x), assign)
 
 
 def iterate_inertia(

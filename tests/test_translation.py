@@ -1,6 +1,8 @@
 import inspect
+import json
 import math
 import random
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +31,6 @@ from eulerchi.translation import (
     chi_gamma_strata,
     chi_order_ell,
     coset_complex,
-    fixed_orbit_chi,
     inertia_complex,
     iterate_inertia,
     lambda_chi,
@@ -45,14 +46,32 @@ S3 = symmetric_group(3)
 Z2 = cyclic_group(2)
 
 
+def _fixed_ids(x: RigidGComplex, t: tuple[int, ...], where: str) -> list[int]:
+    """Indices of the cells fixed by every image of the tuple, in cell order."""
+    need = 0
+    for e in t:
+        if not 0 <= e < x.group.order:
+            raise ValidationError(f"{where}: element {e} out of range")
+        need |= 1 << e
+    return [i for i, mask in enumerate(x.stabilizer_masks()) if mask & need == need]
+
+
 def fixed_subcomplex(x: RigidGComplex, t: tuple[int, ...]) -> RigidGComplex:
     """Cells fixed by every image of the tuple, as a complex over the
     centralizer of the tuple, reindexed into a group of its own: the
     reference that the in-place counts of ``fixed_orbit_chi`` and the
     order-ell walk are checked against."""
-    fixed = translation._fixed_ids(x, t, "fixed_subcomplex")
+    fixed = _fixed_ids(x, t, "fixed_subcomplex")
     cgroup, elems = groups.subgroup_group(x.group, groups.centralizer(x.group, t))
     return translation._restrict(x, fixed, cgroup, elems)
+
+
+def fixed_orbit_chi(x: RigidGComplex, t: tuple[int, ...]) -> int:
+    """chi of the quotient of the tuple's fixed set by its centralizer,
+    which maps the fixed set to itself, counted in x's own indices by the
+    orbit count the order-ell walk's leaves use."""
+    fixed, xperms = _fixed_ids(x, t, "fixed_orbit_chi"), x.perms
+    return translation._orbit_chi(x, fixed, [xperms[e] for e in groups.centralizer(x.group, t)])
 
 
 def stabilizer(x: RigidGComplex, cell_id: str) -> list[int]:
@@ -478,7 +497,7 @@ def test_noniter_and_order_ell_leaves_build_no_fixed_subcomplex(monkeypatch):
     xs = [point_complex(S3), free_circle(), swap_points()] + _generated_complexes(5)
     counts = _count_calls(
         monkeypatch,
-        [(translation, name) for name in ("fixed_orbit_chi", "CellSpace", "RigidGComplex")]
+        [(translation, name) for name in ("CellSpace", "RigidGComplex")]
         + [(groups, name) for name in
            ("subgroup_group", "conj_orbit_count", "centralizer", "conjugacy_classes", "hom_enumerate", "orbits")],
     )
@@ -498,6 +517,31 @@ def test_noniter_and_order_ell_leaves_build_no_fixed_subcomplex(monkeypatch):
     assert masks["centralizer_mask"] > 0  # the counter sees the count's bitmasks
     value, branches = translation._order_ell_walk(point_complex(S3), 2, 4)
     assert (value, branches) == (8, [3, 8])
+
+
+def test_inertia_ids_are_formed_only_at_the_edge(monkeypatch, capsys):
+    """The inertia routes read cells by index and dimension: building an
+    inertia complex, ``lambda_chi``, ``iterate_inertia``, the Burnside
+    count and the ``inertia`` command form no cell and no cell space.
+    ``anchor_map`` forms a cell for each orbit representative alone."""
+    from eulerchi.cli import main
+
+    xs = [point_complex(S3), free_circle()] + _generated_complexes(10)
+    counts = _count_calls(monkeypatch, [(translation, "Cell"), (translation, "CellSpace")])
+    for x in xs:
+        for p in (Z, Presentation.free_abelian(2)):
+            lambda_chi(p, x)
+            chi_gamma_noniter(p, x)
+        iterate_inertia(Z, Z, x)
+    assert counts == {"Cell": 0, "CellSpace": 0}
+    q8 = str(resources.files("eulerchi") / "data" / "q8_point.json")
+    assert main(["--report", "json", "inertia", q8, "--gamma", '{"kind":"free_abelian","rank":2}']) == 0
+    assert json.loads(capsys.readouterr().out)["breakdown"] == {"cells": 40, "labels": 40, "orbit_cells": 22}
+    assert counts["Cell"] == 0
+    for x in xs:
+        counts["Cell"] = 0
+        m = anchor_map(Presentation.free_abelian(2), x)
+        assert counts["Cell"] == len(m.source)
 
 
 def _reference_order_ell_walk(x: RigidGComplex, ell: int) -> tuple[int, list[int]]:
