@@ -43,6 +43,7 @@ from .errors import (
     CrossCheckError,
     EulerchiError,
     RecursionCapExceeded,
+    ResourceLimitExceeded,
     UnsupportedCombination,
     ValidationError,
 )

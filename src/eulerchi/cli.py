@@ -21,7 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import catalog, cells, groupoid, groups, jsonio, translation as tr
+from . import catalog, cells, groupoid, jsonio, translation as tr
 from .errors import (
     CrossCheckError,
     EulerchiError,
@@ -140,7 +140,7 @@ def cmd_inertia(args) -> int:
     x = _load(report, "complex", args.complex, jsonio.load_complex)
     p, report.inputs["gamma"] = jsonio.load_gamma(args.gamma)
     ic = tr.inertia_complex(p, x)
-    reps = [k for k, _ in groups.orbits(ic.gens, range(len(ic.pairs)))]
+    reps = tr._orbit_reps(ic)
     report.result = sum(-1 if ic.dims[k] % 2 else 1 for k in reps)
     report.breakdown = {
         "labels": len(ic.tuples),

@@ -53,6 +53,24 @@ class RecursionCapExceeded(UnsupportedCombination):
         return RecursionCapExceeded(self.ell, self.cap, cell_id)
 
 
+class ResourceLimitExceeded(UnsupportedCombination):
+    """A computation ran past a resource limit, such as the depth of the
+    interpreter's stack; ``stage`` names the computation and ``reason``
+    the limit it met."""
+
+    def __init__(self, stage: str, reason: str, cell_id: str | None = None):
+        self.stage = stage
+        self.reason = reason
+        self.model = stage
+        self.presentation = None
+        self.cell_id = cell_id
+        at = f" at {cell_id!r}" if cell_id is not None else ""
+        EulerchiError.__init__(self, f"{stage}: {reason}{at}")
+
+    def with_cell(self, cell_id: str) -> "ResourceLimitExceeded":
+        return ResourceLimitExceeded(self.stage, self.reason, cell_id)
+
+
 class CrossCheckError(EulerchiError):
     """Two routes that must agree exactly produced different integers.
 

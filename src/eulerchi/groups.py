@@ -42,7 +42,7 @@ import itertools
 from operator import eq, itemgetter
 from typing import Iterable, Sequence
 
-from .errors import ValidationError
+from .errors import ResourceLimitExceeded, ValidationError
 from .records import Value
 
 HomTuple = tuple[int, ...]
@@ -422,7 +422,9 @@ def hom_enumerate(p: Presentation, g: FiniteGroup) -> list[HomTuple]:
     generator receives an image.  A commutator [x_i, x_d] with i < d is
     never evaluated: the candidates for x_d are the AND of the centralizer
     bitmasks of its partners' images, walked low bit first.  The result
-    equals filtering all of g^ell by every relator.
+    equals filtering all of g^ell by every relator.  The walk recurses once
+    per generator; one deeper than the interpreter's stack is refused
+    (``ResourceLimitExceeded``).
     """
     ell = p.generators
     if ell == 0:
@@ -467,7 +469,12 @@ def hom_enumerate(p: Presentation, g: FiniteGroup) -> list[HomTuple]:
                 else:
                     descend(t)
 
-    descend(())
+    try:
+        descend(())
+    except RecursionError:
+        raise ResourceLimitExceeded(
+            "hom_enumerate", f"{ell} generators recurse deeper than the interpreter's stack allows"
+        ) from None
     return out
 
 

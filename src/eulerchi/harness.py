@@ -133,15 +133,15 @@ def build_complex(spec: CaseSpec) -> tr.RigidGComplex:
     pointwise and rigidity holds by construction.
     """
     g = group_by_key(spec.group_key)
-    all_cells: list[cells.Cell] = []
+    where: list[tuple[int, int]] = []  # per cell, (stratum, coset)
     gens: list[tuple[int, ...]] = [() for _ in g.generators()]
-    for k, (sub, dim) in enumerate(spec.strata):
+    for k, (sub, _) in enumerate(spec.strata):
         ca = groups.coset_action(g, sub)
-        offset = len(all_cells)
-        all_cells.extend(cells.Cell(f"s{k}c{i}", dim) for i in range(len(ca.reps)))
         for e, perm in enumerate(ca.gens):
-            gens[e] += tuple(offset + j for j in perm)
-    return tr.RigidGComplex(g, CellSpace(tuple(all_cells)), tuple(gens))
+            gens[e] += tuple(len(where) + j for j in perm)
+        where += [(k, i) for i in range(len(ca.reps))]
+    dims = tuple(spec.strata[k][1] for k, _ in where)
+    return tr.RigidGComplex(g, tuple(gens), dims, cell_id=lambda i: "s%dc%d" % where[i])
 
 
 def random_subgroup(rng: random.Random, g: FiniteGroup) -> list[int]:
@@ -205,24 +205,6 @@ def random_function(rng: random.Random, space: CellSpace) -> ConstructibleFuncti
     return ConstructibleFunction(
         space, {cid: rng.randint(-4, 4) for cid in space.ids()}
     )
-
-
-def random_cell_map(rng: random.Random) -> cells.CellMap:
-    target = CellSpace(
-        tuple(
-            cells.Cell(f"t{i}", rng.randint(0, 2))
-            for i in range(rng.randint(1, 6))
-        )
-    )
-    min_dim = min(c.dim for c in target.cells)
-    src = []
-    assign = {}
-    for i in range(rng.randint(0, 12)):
-        dim = rng.randint(min_dim, 3)
-        candidates = [c.id for c in target.cells if c.dim <= dim]
-        src.append(cells.Cell(f"s{i}", dim))
-        assign[f"s{i}"] = rng.choice(candidates)
-    return cells.CellMap(CellSpace(tuple(src)), target, assign)
 
 
 # ---------------------------------------------------------------------------

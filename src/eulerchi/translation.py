@@ -9,15 +9,15 @@ the fixed-point formulas below correct.  Complexes that are not rigid
 (e.g. a reflection stabilizing an edge while flipping it) must be
 subdivided before being encoded.
 
-The core works on integers.  A complex stores one permutation tuple of
-the cell indices 0..n-1 per generator of its group (``RigidGComplex.gens``),
-and every element's permutation is built from those once, on first use
-(``RigidGComplex.perms``); each stabilizer is a bitmask over the elements,
-and the core reads a cell only as its index and its ``dims`` entry.
+The core works on integers.  Every complex, the inertia complex among
+them, is built by one constructor from one permutation tuple of the cell
+indices 0..n-1 per generator of its group (``RigidGComplex.gens``), one
+dimension per cell (``dims``) and a function from a cell index to its id
+(``cell_id``); each stabilizer is a bitmask over the elements.  No builder
+forms a cell: ids are formed where a value names cells, for orbit
+representatives and, on first use of ``space``, for every cell.
 ``validate_complex`` checks a string-keyed action where it enters
-(``jsonio.load_complex``); complexes derived here are trusted.  Cell ids
-are read or formed only where a value names cells, and an inertia complex
-forms its ids only on demand.
+(``jsonio.load_complex``); complexes derived here are trusted.
 
 Four routes to the same integers live here and are cross-validated by the
 test suite and the ``verify`` harness:
@@ -36,7 +36,8 @@ test suite and the ``verify`` harness:
 Every orbit of cells is walked on cell indices by ``groups.orbits``, a
 breadth-first closure under the permutations it is given, and an orbit's
 representative is its first cell in cell order.  Orbits of a whole group,
-order 0 of the order-ell route among them, are walked on ``gens``.
+order 0 of the order-ell route among them, are walked on ``gens``, by
+``_orbit_reps`` where the representatives are wanted.
 ``validate_complex`` checks the homomorphism law on the pairs (generator,
 element), which implies it on every pair.  The order-ell route walks its
 whole recursion in the given complex's own element and cell indices: a
@@ -48,7 +49,9 @@ subtree depends only on its centralizer, its fixed cells and its depth, and
 few distinct ones occur, so within one call each is walked once: the walk
 is memoized on that key, and a repeat returns the subtree's value and its
 branch counts at every depth below.  The cost then grows with the number
-of distinct subtrees, not with the product of class counts.  A leaf's
+of distinct subtrees, not with the product of class counts.  The walk
+recurses once per depth, and an order deeper than the interpreter's stack
+is refused (``ResourceLimitExceeded``).  A leaf's
 fixed set modulo its centralizer is counted by walking every element of
 the centralizer.  Nothing reindexes a centralizer into a group or a
 complex of its own.
@@ -56,12 +59,12 @@ complex of its own.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import groups
 from .catalog import FiniteIsotropy
 from .cells import Cell, CellMap, CellSpace, RESERVED_SEPARATOR, product as space_product
-from .errors import CrossCheckError, RecursionCapExceeded, ValidationError
+from .errors import CrossCheckError, RecursionCapExceeded, ResourceLimitExceeded, ValidationError
 from .groupoid import OrbitGroupoid, chi_gamma
 from .groups import FiniteGroup, HomTuple, Presentation
 
@@ -69,23 +72,35 @@ DEFAULT_RECURSION_CAP = 4
 
 
 class RigidGComplex:
-    """A finite group acting cellwise on a cell space, stored as its
+    """A finite group acting cellwise on cells 0..n-1, stored as its
     generators' permutations: the k-th element of ``group.generators()``
-    sends the cell at index i of ``space.cells`` to the one at
-    ``gens[k][i]``.  Every element's permutation is built from those once,
-    on first use of ``perms``.  The core reads a cell only as its index and
-    its dimension in ``dims``.  The arguments are trusted; a string-keyed
-    action from outside goes through ``validate_complex``."""
+    sends cell i to cell ``gens[k][i]``.  Cell i has dimension ``dims[i]``
+    and id ``cell_id(i)``.  Every element's permutation is built from the
+    generators' once, on first use of ``perms``, and the cell space once,
+    on first use of ``space``.  The core reads a cell only as its index and
+    its dimension.  The arguments are trusted; a string-keyed action from
+    outside goes through ``validate_complex``."""
 
-    __slots__ = ("group", "space", "gens", "dims", "_perms", "_stab")
+    __slots__ = ("group", "gens", "dims", "cell_id", "_space", "_perms", "_stab")
 
-    def __init__(self, group: FiniteGroup, space: CellSpace, gens: Sequence[Sequence[int]]):
+    def __init__(
+        self, group: FiniteGroup, gens: Sequence[Sequence[int]], dims: Sequence[int],
+        *, cell_id: Callable[[int], str],
+    ):
         self.group = group
-        self.space = space
         self.gens = gens
-        self.dims = tuple(c.dim for c in space.cells)
+        self.dims = dims
+        self.cell_id = cell_id
+        self._space: CellSpace | None = None
         self._perms: tuple[tuple[int, ...], ...] | None = None
         self._stab: list[int] | None = None
+
+    @property
+    def space(self) -> CellSpace:
+        """Every cell, formed from ``cell_id`` and ``dims`` on first use."""
+        if self._space is None:
+            self._space = _cells(self, range(len(self.dims)))
+        return self._space
 
     @property
     def perms(self) -> tuple[tuple[int, ...], ...]:
@@ -180,26 +195,18 @@ def validate_complex(
                             f"action is not a homomorphism: "
                             f"({g}*{h}) and composition disagree at cell {cid!r}"
                         )
-    return RigidGComplex(group, space, tuple(perms[s] for s in group.generators()))
+    gens = tuple(perms[s] for s in group.generators())
+    return RigidGComplex(group, gens, tuple(c.dim for c in space.cells), cell_id=ids.__getitem__)
 
 
-def _restrict(
-    x: RigidGComplex, keep: Sequence[int], group: FiniteGroup, elems: Sequence[int]
-) -> RigidGComplex:
-    """The cells at indices ``keep`` (in cell order, invariant under
-    ``elems``) as a complex over ``group``, whose element i acts as
-    ``elems[i]`` does in x."""
-    pos = {i: k for k, i in enumerate(keep)}
-    space = CellSpace(tuple(x.space.cells[i] for i in keep))
-    xperms = x.perms
-    gens = tuple(tuple(pos[xperms[elems[s]][i]] for i in keep) for s in group.generators())
-    return RigidGComplex(group, space, gens)
+def _cells(x: RigidGComplex, indices: Iterable[int]) -> CellSpace:
+    """The cells of x at ``indices``, with their ids and dimensions."""
+    return CellSpace(tuple(Cell(x.cell_id(i), x.dims[i]) for i in indices))
 
 
 def point_complex(group: FiniteGroup, cell_id: str = "pt") -> RigidGComplex:
     """The group acting (necessarily trivially) on a single point."""
-    space = CellSpace((Cell(cell_id, 0),))
-    return RigidGComplex(group, space, ((0,),) * len(group.generators()))
+    return RigidGComplex(group, ((0,),) * len(group.generators()), (0,), cell_id=(cell_id,).__getitem__)
 
 
 def coset_complex(
@@ -208,61 +215,65 @@ def coset_complex(
     """The left translation action on cosets of a subgroup, one cell per
     coset, all of the given dimension."""
     ca = groups.coset_action(group, subgroup)
-    space = CellSpace(tuple(Cell(f"{prefix}{i}", dim) for i in range(len(ca.reps))))
-    return RigidGComplex(group, space, ca.gens)
+    return RigidGComplex(group, ca.gens, (dim,) * len(ca.reps), cell_id=lambda i: f"{prefix}{i}")
+
+
+def _orbit_reps(x: RigidGComplex) -> dict[int, set[int]]:
+    """Each orbit of x's cells, keyed by its first cell, in cell order."""
+    return dict(groups.orbits(x.gens, range(len(x.dims))))
 
 
 def cell_orbits(x: RigidGComplex) -> tuple[tuple[str, ...], dict[str, str]]:
     """Orbits of cells: (representatives, cell -> representative map),
     each representative its orbit's first cell, in cell order."""
-    ids = x.space.ids()
-    orbits = groups.orbits(x.gens, range(len(ids)))
-    rep_of = {ids[j]: ids[i] for i, orbit in orbits for j in orbit}
-    return tuple(ids[i] for i, _ in orbits), rep_of
+    ids, orbits = x.space.ids(), _orbit_reps(x)
+    rep_of = {ids[j]: ids[i] for i, orbit in orbits.items() for j in orbit}
+    return tuple(ids[i] for i in orbits), rep_of
 
 
 def orbit_space(x: RigidGComplex) -> CellSpace:
     """Cell space of orbit representatives, each orbit's first cell, in
     cell order (dimension is preserved)."""
-    cells = x.space.cells
-    return CellSpace(tuple(cells[i] for i, _ in groups.orbits(x.gens, range(len(cells)))))
+    return _cells(x, _orbit_reps(x))
 
 
 def orbit_groupoid(x: RigidGComplex) -> OrbitGroupoid:
     """Orbit space with each representative labeled by its stabilizer."""
-    cells, masks = x.space.cells, x.stabilizer_masks()
-    reps = [i for i, _ in groups.orbits(x.gens, range(len(cells)))]
-    stabs = {cells[i].id: [g for g in x.group.elements() if masks[i] >> g & 1] for i in reps}
+    reps, masks = _orbit_reps(x), x.stabilizer_masks()
+    space = _cells(x, reps)
+    stabs = {c.id: [g for g in x.group.elements() if masks[i] >> g & 1] for i, c in zip(reps, space.cells)}
     iso = {r: FiniteIsotropy(groups.subgroup_group(x.group, s)[0]) for r, s in stabs.items()}
-    return OrbitGroupoid(CellSpace(tuple(cells[i] for i in reps)), iso)
+    return OrbitGroupoid(space, iso)
 
 
 def restrict_complex(x: RigidGComplex, keep: Iterable[str]) -> RigidGComplex:
     """Restriction to an invariant set of cells (checked)."""
-    keep = set(keep)
-    unknown = keep - set(x.space.ids())
+    keep, ids = set(keep), x.space.ids()
+    unknown = keep - set(ids)
     if unknown:
         raise ValidationError(f"restrict_complex: unknown cell ids {sorted(unknown)}")
-    idx = [i for i, c in enumerate(x.space.cells) if c.id in keep]
+    idx = [i for i, cid in enumerate(ids) if cid in keep]
     # a set each generator keeps is kept by the whole group
     for perm in x.gens:
         if {perm[i] for i in idx} != set(idx):
             raise ValidationError("restrict_complex: cell set is not invariant")
-    return _restrict(x, idx, x.group, x.group.elements())
+    pos = {i: k for k, i in enumerate(idx)}
+    gens = tuple(tuple(pos[perm[i]] for i in idx) for perm in x.gens)
+    return RigidGComplex(x.group, gens, tuple(x.dims[i] for i in idx), cell_id=lambda k: ids[idx[k]])
 
 
 def product_complex(x: RigidGComplex, y: RigidGComplex) -> RigidGComplex:
     """Product action of the product group on the product space."""
     group = groups.direct_product(x.group, y.group)
     space = space_product(x.space, y.space)
-    n, m, xperms, yperms = len(y.space), y.group.order, x.perms, y.perms
+    n, m, xperms, yperms = len(y.dims), y.group.order, x.perms, y.perms
     # cell (i, j) of the product sits at index i * n + j, and element
     # (a, b) at index a * m + b
     gens = tuple(
-        tuple(pa[i] * n + pb[j] for i in range(len(x.space)) for j in range(n))
+        tuple(pa[i] * n + pb[j] for i in range(len(x.dims)) for j in range(n))
         for pa, pb in ((xperms[e // m], yperms[e % m]) for e in group.generators())
     )
-    return RigidGComplex(group, space, gens)
+    return RigidGComplex(group, gens, tuple(c.dim for c in space.cells), cell_id=space.ids().__getitem__)
 
 
 def _orbit_chi(x: RigidGComplex, fixed: Sequence[int], perms: Sequence[Sequence[int]]) -> int:
@@ -354,7 +365,12 @@ def _order_ell_walk(x: RigidGComplex, ell: int, cap: int) -> tuple[int, list[int
         memo[key] = total, branches
         return total, branches
 
-    return walk(list(x.group.elements()), list(range(len(masks))), 0)
+    try:
+        return walk(list(x.group.elements()), list(range(len(masks))), 0)
+    except RecursionError:
+        raise ResourceLimitExceeded(
+            "order-ell walk", f"order {ell} recurses deeper than the interpreter's stack allows"
+        ) from None
 
 
 class InertiaComplex(RigidGComplex):
@@ -367,12 +383,12 @@ class InertiaComplex(RigidGComplex):
     permutations.  ``pairs[k]`` is the cell at index k as its (index into
     ``tuples``, base cell index) pair.  The tuples that fit a cell depend
     only on its stabilizer, so they are listed once per distinct
-    stabilizer bitmask.  Building it forms no id: ``cell(k)`` forms cell
-    k's, ``"<tuple index><separator><base cell id>"``, and ``space`` forms
-    every cell's on first use.
+    stabilizer bitmask.  It is built by ``RigidGComplex.__init__`` like
+    any complex, so it forms no id until one is read: cell k's id is
+    ``"<tuple index><separator><base cell id>"``.
     """
 
-    __slots__ = ("tuples", "pairs", "_base", "_space")
+    __slots__ = ("tuples", "pairs")
 
     def __init__(self, p: Presentation, x: RigidGComplex):
         homs = groups.hom_enumerate(p, x.group)
@@ -381,22 +397,11 @@ class InertiaComplex(RigidGComplex):
         fits = {m: [i for i, n in enumerate(needs) if m & n == n] for m in set(masks)}
         # (tuple index, cell index) of every pair, in cell order
         pairs = tuple((i, c) for c, m in enumerate(masks) for i in fits[m])
-        self.group = x.group
-        self.gens = _inertia_perms(x, homs, pairs)
-        self.dims = tuple(x.dims[c] for _, c in pairs)
-        self._perms = self._stab = self._space = None
-        self.tuples, self.pairs, self._base = homs, pairs, x
-
-    def cell(self, k: int) -> Cell:
-        i, c = self.pairs[k]
-        base = self._base.space.cells[c]
-        return Cell(f"{i}{RESERVED_SEPARATOR}{base.id}", base.dim)
-
-    @property
-    def space(self) -> CellSpace:
-        if self._space is None:
-            self._space = CellSpace(tuple(map(self.cell, range(len(self.pairs)))))
-        return self._space
+        super().__init__(
+            x.group, _inertia_perms(x, homs, pairs), tuple(x.dims[c] for _, c in pairs),
+            cell_id=lambda k: f"{pairs[k][0]}{RESERVED_SEPARATOR}{x.cell_id(pairs[k][1])}",
+        )
+        self.tuples, self.pairs = homs, pairs
 
 
 def _inertia_perms(
@@ -476,12 +481,12 @@ def anchor_map(p: Presentation, x: RigidGComplex) -> CellMap:
     forward along this map integrates to ``lambda_chi(p, x)``.
     """
     ic = inertia_complex(p, x)
-    reps = [k for k, _ in groups.orbits(ic.gens, range(len(ic.dims)))]
-    source, cells = tuple(map(ic.cell, reps)), x.space.cells
+    reps = _orbit_reps(ic)
+    source = _cells(ic, reps)
     # the pairs run in x's cell order, and an inertia orbit lies over a
     # whole orbit of x, so its first cell lies over that orbit's first cell
-    assign = {s.id: cells[ic.pairs[k][1]].id for k, s in zip(reps, source)}
-    return CellMap(CellSpace(source), orbit_space(x), assign)
+    assign = {s.id: x.cell_id(ic.pairs[k][1]) for k, s in zip(reps, source.cells)}
+    return CellMap(source, orbit_space(x), assign)
 
 
 def iterate_inertia(

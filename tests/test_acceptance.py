@@ -23,6 +23,7 @@ from eulerchi.catalog import O2, ad_quotient_model
 from eulerchi.cells import ConstructibleFunction, chi, integrate, integrate_levelset, pushforward
 from eulerchi.groupoid import abelian_extension_chi, chi_gamma
 from eulerchi.groups import Presentation, Z, cyclic_group, symmetric_group
+from test_cells import random_cell_map
 
 DATA = Path(str(resources.files("eulerchi") / "data"))
 
@@ -135,7 +136,7 @@ def test_criterion_6_order_ell(corpus):
 def test_criterion_7_fubini(corpus):
     rng = random.Random(2024)
     for _ in range(500):
-        m = harness.random_cell_map(rng)
+        m = random_cell_map(rng)
         f = ConstructibleFunction(
             m.source, {cid: rng.randint(-5, 5) for cid in m.source.ids()}
         )
@@ -193,7 +194,7 @@ def test_criterion_10_iterated_inertia():
 def test_criterion_11_integral_formulations():
     rng = random.Random(1111)
     for _ in range(500):
-        m = harness.random_cell_map(rng)
+        m = random_cell_map(rng)
         f = ConstructibleFunction(
             m.source, {cid: rng.randint(-7, 7) for cid in m.source.ids()}
         )

@@ -30,6 +30,24 @@ HALF_OPEN = CellSpace.from_dims({"v0": 0, "e": 1})
 CIRCLE = CellSpace.from_dims({"v": 0, "e": 1})
 
 
+# --- random inputs --------------------------------------------------------
+
+
+def random_cell_map(rng: random.Random) -> CellMap:
+    """A cell map onto 1-6 target cells from 0-12 source cells, each sent
+    to a target cell of dimension at most its own."""
+    target = CellSpace(tuple(Cell(f"t{i}", rng.randint(0, 2)) for i in range(rng.randint(1, 6))))
+    min_dim = min(c.dim for c in target.cells)
+    src = []
+    assign = {}
+    for i in range(rng.randint(0, 12)):
+        dim = rng.randint(min_dim, 3)
+        candidates = [c.id for c in target.cells if c.dim <= dim]
+        src.append(Cell(f"s{i}", dim))
+        assign[f"s{i}"] = rng.choice(candidates)
+    return CellMap(CellSpace(tuple(src)), target, assign)
+
+
 # --- hypothesis strategies -------------------------------------------------
 
 cell_spaces = st.builds(
@@ -287,8 +305,6 @@ def test_fubini(m, rnd):
 
 
 def test_fubini_seeded_bulk():
-    from eulerchi.harness import random_cell_map
-
     rng = random.Random(7)
     for _ in range(200):
         m = random_cell_map(rng)

@@ -186,6 +186,32 @@ def test_order_ell_eleven_on_q8_runs_through_main():
     assert [b["branches"] for b in report["breakdown"]["recursion"]] == [5, 22]
 
 
+def test_stack_overflows_are_refused_with_exit_2(tmp_path, capsys):
+    """A walk or an enumeration deeper than the interpreter's stack ends in
+    one ``unsupported`` line and exit 2, not a traceback."""
+    point = tmp_path / "trivial_point.json"
+    point.write_text(json.dumps(
+        {"group": {"order": 1, "table": [[0]]}, "cells": [{"id": "pt", "dim": 0}], "action": {}}
+    ))
+    depth = str(sys.getrecursionlimit())
+    assert cli.main(["order-ell", str(point), "--ell", depth, "--cap", depth]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        f"eulerchi: unsupported: order-ell walk: order {depth} recurses deeper "
+        "than the interpreter's stack allows\n"
+    )
+    n = sys.getrecursionlimit() + 100
+    gamma = json.dumps({"kind": "presentation", "generators": n})
+    assert cli.main(["translation", str(point), "--gamma", gamma]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        f"eulerchi: unsupported: hom_enumerate: {n} generators recurse deeper "
+        "than the interpreter's stack allows at 'pt'\n"
+    )
+
+
 def test_negative_recursion_cap_is_invalid_input():
     r = run_cli("order-ell", str(DATA / "s3_point.json"), "--ell", "0", "--cap", "-1")
     assert r.returncode == 1

@@ -1,13 +1,14 @@
 import itertools
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from eulerchi import groups, harness, translation as tr
-from eulerchi.errors import ValidationError
+from eulerchi.errors import ResourceLimitExceeded, UnsupportedCombination, ValidationError
 from eulerchi.groups import (
     FiniteGroup,
     Presentation,
@@ -439,6 +440,21 @@ def test_hom_enumerate_equals_brute_force_on_random_presentations():
         if g.order ** p.generators <= 15000:
             assert hom_enumerate(p, g) == brute_homs(p, g), (g, p)
             checked += 1
+
+
+def test_more_generators_than_the_stack_is_refused():
+    """The enumeration recurses once per generator; a presentation with
+    more generators than the interpreter's stack allows is refused as a
+    resource limit, with exit 2's class, and the refusal can name a cell."""
+    n = sys.getrecursionlimit() + 100
+    with pytest.raises(ResourceLimitExceeded) as info:
+        hom_enumerate(Presentation.free(n), trivial_group())
+    assert isinstance(info.value, UnsupportedCombination)
+    assert str(info.value) == f"hom_enumerate: {n} generators recurse deeper than the interpreter's stack allows"
+    at = info.value.with_cell("pt")
+    assert (at.stage, at.reason, at.cell_id) == (info.value.stage, info.value.reason, "pt")
+    assert str(at) == f"{info.value} at 'pt'"
+    assert hom_enumerate(Presentation.free(100), trivial_group()) == [(0,) * 100]
 
 
 def test_hom_output_is_lexicographic():

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import random
+import sys
 from importlib import resources
 
 import pytest
@@ -19,7 +20,13 @@ from eulerchi.cells import (
     integrate_levelset,
     pushforward,
 )
-from eulerchi.errors import CrossCheckError, RecursionCapExceeded, ValidationError
+from eulerchi.errors import (
+    CrossCheckError,
+    RecursionCapExceeded,
+    ResourceLimitExceeded,
+    UnsupportedCombination,
+    ValidationError,
+)
 from eulerchi.groupoid import product_groupoid
 from eulerchi.groups import Presentation, Z, cyclic_group, quaternion_group, symmetric_group
 from eulerchi.translation import (
@@ -63,7 +70,10 @@ def fixed_subcomplex(x: RigidGComplex, t: tuple[int, ...]) -> RigidGComplex:
     order-ell walk are checked against."""
     fixed = _fixed_ids(x, t, "fixed_subcomplex")
     cgroup, elems = groups.subgroup_group(x.group, groups.centralizer(x.group, t))
-    return translation._restrict(x, fixed, cgroup, elems)
+    # element s of cgroup acts as elems[s] does in x
+    pos, xperms = {i: k for k, i in enumerate(fixed)}, x.perms
+    gens = tuple(tuple(pos[xperms[elems[s]][i]] for i in fixed) for s in cgroup.generators())
+    return RigidGComplex(cgroup, gens, tuple(x.dims[i] for i in fixed), cell_id=lambda k: x.cell_id(fixed[k]))
 
 
 def fixed_orbit_chi(x: RigidGComplex, t: tuple[int, ...]) -> int:
@@ -520,14 +530,40 @@ def test_noniter_and_order_ell_leaves_build_no_fixed_subcomplex(monkeypatch):
 
 
 def test_inertia_ids_are_formed_only_at_the_edge(monkeypatch, capsys):
-    """The inertia routes read cells by index and dimension: building an
-    inertia complex, ``lambda_chi``, ``iterate_inertia``, the Burnside
-    count and the ``inertia`` command form no cell and no cell space.
-    ``anchor_map`` forms a cell for each orbit representative alone."""
+    """Every builder passes dimensions and an id function to
+    ``RigidGComplex.__init__``: ``harness.build_complex``,
+    ``validate_complex``, ``point_complex``, ``coset_complex``,
+    ``restrict_complex`` and the inertia complex, of a complex or of an
+    inertia complex, construct no cell until ``space`` is read, and reading
+    it forms each cell once.  The inertia routes read cells by index and
+    dimension: ``lambda_chi``, ``iterate_inertia``, the Burnside count and
+    the ``inertia`` command form no cell and no cell space.  ``anchor_map``
+    forms a cell for each orbit representative alone, of the inertia
+    complex and of x."""
     from eulerchi.cli import main
+    from eulerchi.harness import build_complex, random_case
 
-    xs = [point_complex(S3), free_circle()] + _generated_complexes(10)
+    specs = [random_case(random.Random(seed), 12, 20) for seed in range(10)]
+    circle = CellSpace.from_dims({"v0": 0, "v1": 0, "e0": 1, "e1": 1})
+    flip = {"v0": "v1", "v1": "v0", "e0": "e1", "e1": "e0"}
     counts = _count_calls(monkeypatch, [(translation, "Cell"), (translation, "CellSpace")])
+    xs = [point_complex(S3), validate_complex(Z2, circle, {1: flip})] + [build_complex(s) for s in specs]
+    built = xs + [coset_complex(S3, [0, 1], dim=1)]
+    built += [InertiaComplex(p, x) for x in xs for p in (Z, Presentation.free_abelian(2))]
+    built += [InertiaComplex(Z, ic) for ic in built[-4:]]
+    assert counts == {"Cell": 0, "CellSpace": 0}
+    for x in built:
+        counts["Cell"] = 0
+        assert len(x.space) == len(x.dims) and x.space is x.space
+        assert counts["Cell"] == len(x.dims)
+    for x in xs:
+        reps, rep_of = cell_orbits(x)
+        keep = [c for c in x.space.ids() if rep_of[c] in reps[::2]]
+        counts["Cell"] = 0
+        y = restrict_complex(x, keep)
+        assert counts["Cell"] == 0
+        assert y.space.ids() == tuple(keep) and counts["Cell"] == len(keep)
+    counts.update(dict.fromkeys(counts, 0))
     for x in xs:
         for p in (Z, Presentation.free_abelian(2)):
             lambda_chi(p, x)
@@ -541,7 +577,48 @@ def test_inertia_ids_are_formed_only_at_the_edge(monkeypatch, capsys):
     for x in xs:
         counts["Cell"] = 0
         m = anchor_map(Presentation.free_abelian(2), x)
-        assert counts["Cell"] == len(m.source)
+        assert counts["Cell"] == len(m.source) + len(m.target)
+
+
+def _eager_inertia_space(ic: InertiaComplex, base: RigidGComplex) -> CellSpace:
+    """The inertia cells as the pairs name them, formed from the base's
+    cell space."""
+    base_cells = base.space.cells
+    return CellSpace(
+        tuple(cells.Cell(f"{i}{RESERVED_SEPARATOR}{base_cells[c].id}", base_cells[c].dim) for i, c in ic.pairs)
+    )
+
+
+def test_lazy_space_matches_an_eager_reference():
+    """A space formed on first use from ``cell_id`` and ``dims`` has the ids
+    and dimensions an eager construction gives: the harness corpora's
+    strata of cosets, ``restrict_complex`` halves, ``product_complex``,
+    inertia, and inertia of inertia."""
+    from eulerchi.harness import build_complex, group_by_key, random_case
+
+    for seed in range(30):
+        spec = random_case(random.Random(seed), 12, 20)
+        x = build_complex(spec)
+        g = group_by_key(spec.group_key)
+        assert x.space == CellSpace(tuple(
+            cells.Cell(f"s{k}c{i}", dim)
+            for k, (sub, dim) in enumerate(spec.strata)
+            for i in range(len(groups.coset_action(g, sub).reps))
+        ))
+        assert x.dims == tuple(c.dim for c in x.space.cells)
+        reps, rep_of = cell_orbits(x)
+        half = [c for c in x.space.ids() if rep_of[c] in reps[::2]]
+        rest = [c for c in x.space.ids() if rep_of[c] not in reps[::2]]
+        for part in (half, rest):
+            assert restrict_complex(x, part).space == cells.restrict(x.space, part)
+        for y in (swap_points(), point_complex(Z2, "b")):
+            assert product_complex(x, y).space == cells.product(x.space, y.space)
+        for p in (Z, Presentation.free_abelian(2)):
+            ic = inertia_complex(p, x)
+            assert ic.space == _eager_inertia_space(ic, x)
+            iic = inertia_complex(Z, ic)
+            assert iic.space == _eager_inertia_space(iic, ic)
+            assert iic.dims == tuple(c.dim for c in iic.space.cells)
 
 
 def _reference_order_ell_walk(x: RigidGComplex, ell: int) -> tuple[int, list[int]]:
@@ -654,9 +731,7 @@ def test_burnside_noniter_refuses_a_non_action():
     # trusted, not validated: the generator 1 acts by an involution, which
     # no element of C3 can; the composed action is identity, (1, 0, 2),
     # identity, and the Burnside sum is 2 + 2 + 3 = 7
-    x = RigidGComplex(
-        cyclic_group(3), CellSpace.from_dims({"a": 0, "b": 0, "c": 0}), ((1, 0, 2),)
-    )
+    x = RigidGComplex(cyclic_group(3), ((1, 0, 2),), (0, 0, 0), cell_id="abc".__getitem__)
     assert x.perms == ((0, 1, 2), (1, 0, 2), (0, 1, 2))
     with pytest.raises(CrossCheckError, match="7 is not divisible by"):
         chi_gamma_noniter(Presentation.trivial(), x)
@@ -722,6 +797,20 @@ def test_recursion_cap_refusal_names_its_pair_and_takes_a_cell():
     assert str(at) == "order 5 exceeds the recursion cap 4 at 'pt'"
     assert (at.ell, at.cap, at.model, at.presentation, at.cell_id) == (
         5, 4, "order-ell recursion", "free_abelian(5)", "pt")
+
+
+def test_an_order_deeper_than_the_stack_is_refused():
+    """The walk recurses once per depth; an order past the interpreter's
+    stack is refused as a resource limit, an unsupported combination that
+    names the stage, and a shallower order still runs."""
+    ell = sys.getrecursionlimit()
+    x = point_complex(groups.trivial_group())
+    with pytest.raises(ResourceLimitExceeded) as info:
+        chi_order_ell(x, ell, cap=ell)
+    assert isinstance(info.value, UnsupportedCombination)
+    assert info.value.stage == "order-ell walk"
+    assert str(info.value) == f"order-ell walk: order {ell} recurses deeper than the interpreter's stack allows"
+    assert chi_order_ell(x, 100, cap=100) == 1
 
 
 # --- inertia complexes ---------------------------------------------------------------
