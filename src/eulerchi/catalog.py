@@ -25,11 +25,10 @@ values keyed by presentation class; reports flag them as user-supplied.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from . import groups
-from .cells import Cell, CellSpace, RESERVED_SEPARATOR, chi
+from .cells import Cell, CellSpace, chi, product
 from .errors import UnsupportedCombination, ValidationError
 from .groups import FiniteGroup, Presentation, presentation_class
 from .records import Value
@@ -187,17 +186,7 @@ def ad_quotient_model(m: IsotropyModel) -> CellSpace:
         # rotations-up-to-inversion: a closed interval; reflections: a point
         return CellSpace((Cell("v0", 0), Cell("v1", 0), Cell("e", 1), Cell("refl", 0)))
     if isinstance(m, ProductIsotropy):
-        # one-pass n-ary join; iterating the public binary product would
-        # trip its reserved-separator input check on the generated ids
-        models = [ad_quotient_model(factor) for factor in m.factors]
-        joined = tuple(
-            Cell(
-                RESERVED_SEPARATOR.join(c.id for c in combo),
-                sum(c.dim for c in combo),
-            )
-            for combo in itertools.product(*(mdl.cells for mdl in models))
-        )
-        return CellSpace(joined)
+        return product(*(ad_quotient_model(factor) for factor in m.factors))
     if isinstance(m, CustomIsotropy):
         model = m.cell_model_for("Z")
         if model is not None:

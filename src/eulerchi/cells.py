@@ -28,13 +28,16 @@ once, as they enter, by ``validate_space``, ``validate_function`` and
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
 from .records import Frozen, Value
 
-# Used to join ids when forming products; rejected in user-supplied ids so
-# generated ids can never collide with input ones.
+# Joins the factor ids of a product cell (and the parts of an inertia id).
+# File ids may not contain it, so a generated id never equals an input one;
+# ids the program built may, and products of products join them again.
 RESERVED_SEPARATOR = "⊗"  # ⊗
 
 
@@ -174,23 +177,25 @@ def integrate_levelset(f: ConstructibleFunction) -> int:
     return total
 
 
-def product(x: CellSpace, y: CellSpace) -> CellSpace:
-    """Product space: cells are pairs, ids joined by the reserved separator,
-    dimensions add.  chi is multiplicative: chi(x*y) = chi(x)*chi(y).
+def product(*spaces: CellSpace) -> CellSpace:
+    """Product space: one cell per tuple of factor cells, in factor order,
+    its id the factor ids joined by the reserved separator and its
+    dimension their sum.  chi is multiplicative, and products compose:
+    ``product(a, b, c) == product(product(a, b), c)``.
+
+    Only a product in which two cells would get the same id is refused;
+    factor ids may contain the separator, as a product's own ids do.
     """
-    for s in (x, y):
-        for c in s.cells:
-            if RESERVED_SEPARATOR in c.id:
-                raise ValidationError(
-                    f"cell id {c.id!r} contains the reserved separator {RESERVED_SEPARATOR!r}"
-                )
-    return CellSpace(
+    space = CellSpace(
         tuple(
-            Cell(f"{a.id}{RESERVED_SEPARATOR}{b.id}", a.dim + b.dim)
-            for a in x.cells
-            for b in y.cells
+            Cell(RESERVED_SEPARATOR.join(c.id for c in combo), sum(c.dim for c in combo))
+            for combo in itertools.product(*(s.cells for s in spaces))
         )
     )
+    if len(space._index) < len(space.cells):
+        repeated = next(cid for cid, k in Counter(space.ids()).items() if k > 1)
+        raise ValidationError(f"product: cell id {repeated!r} would be formed twice")
+    return space
 
 
 def restrict(x: CellSpace, keep: Iterable[str]) -> CellSpace:

@@ -89,12 +89,11 @@ def chi_z(g: OrbitGroupoid) -> int:
 def product_groupoid(a: OrbitGroupoid, b: OrbitGroupoid) -> OrbitGroupoid:
     """Product space with product labels; chi_gamma is multiplicative."""
     space = cells.product(a.space, b.space)
-    sep = cells.RESERVED_SEPARATOR
-    iso = {}
-    for ca in a.space.ids():
-        for cb in b.space.ids():
-            iso[f"{ca}{sep}{cb}"] = ProductIsotropy((a.label(ca), b.label(cb)))
-    return OrbitGroupoid(space, iso)
+    # the product's cells come in factor order, and so do the label pairs
+    labels = (
+        ProductIsotropy((a.label(ca), b.label(cb))) for ca in a.space.ids() for cb in b.space.ids()
+    )
+    return OrbitGroupoid(space, dict(zip(space.ids(), labels)))
 
 
 def restrict_groupoid(g: OrbitGroupoid, keep: Iterable[str]) -> OrbitGroupoid:

@@ -139,6 +139,17 @@ def test_ad_model_three_factor_cell_count():
     assert max(c.dim for c in model.cells) == 2
 
 
+def test_ad_model_nested_product_ids():
+    # factor order, the first factor varying slowest, as one flat join
+    m = ProductIsotropy((ProductIsotropy((SO3, FiniteIsotropy(cyclic_group(2)))), O2))
+    assert ad_quotient_model(m).ids() == tuple(
+        f"{a}⊗{b}⊗{c}"
+        for a in ("v0", "v1", "e")
+        for b in ("cls0", "cls1")
+        for c in ("v0", "v1", "e", "refl")
+    )
+
+
 def test_finite_entry_agrees_with_independent_reenumeration(
 ):
     # independent route: enumerate and count orbits by brute growth

@@ -216,10 +216,21 @@ def test_product_chi_multiplicative(x, y):
     assert chi(product(x, y)) == chi(x) * chi(y)
 
 
-def test_product_rejects_reserved_separator():
-    tainted = CellSpace((Cell(f"a{RESERVED_SEPARATOR}b", 0),))
-    with pytest.raises(ValidationError, match="reserved"):
-        product(tainted, CIRCLE)
+@given(cell_spaces, cell_spaces, cell_spaces)
+def test_product_composes(x, y, z):
+    assert product(x, y, z) == product(product(x, y), z) == product(x, product(y, z))
+
+
+def test_product_refuses_repeated_ids():
+    sep = RESERVED_SEPARATOR
+    left = CellSpace.from_dims({"a": 0, f"a{sep}b": 0})
+    right = CellSpace.from_dims({f"b{sep}c": 1, "c": 0})
+    with pytest.raises(ValidationError, match=f"'a{sep}b{sep}c' would be formed twice"):
+        product(left, right)
+    # a factor built by hand with a repeated id
+    repeated = CellSpace((Cell("a", 0), Cell("a", 1)))
+    with pytest.raises(ValidationError, match=f"'a{sep}v' would be formed twice"):
+        product(repeated, CIRCLE)
 
 
 def test_restrict_all_and_none():

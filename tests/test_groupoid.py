@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -126,6 +127,15 @@ def test_sphere_groupoid_squared():
     sq = product_groupoid(a, a)
     for k in (1, 2, 3):
         assert chi_gamma(sq, Presentation.cyclic(k)) == (2 * k - 1) ** 2
+
+
+def test_product_of_three_groupoids_multiplies():
+    s3pt = OrbitGroupoid(CellSpace.from_dims({"pt": 0}), {"pt": FiniteIsotropy(symmetric_group(3))})
+    z3pt = OrbitGroupoid(CellSpace.from_dims({"pt": 0}), {"pt": FiniteIsotropy(cyclic_group(3))})
+    factors = (sphere_rotation_groupoid(), s3pt, z3pt)
+    triple = product_groupoid(product_groupoid(factors[0], factors[1]), factors[2])
+    for p in (Z, Presentation.cyclic(2), Presentation.cyclic(3), Presentation.free_abelian(2)):
+        assert chi_gamma(triple, p) == math.prod(chi_gamma(g, p) for g in factors)
 
 
 def test_restrict_identity_and_parts():

@@ -1116,6 +1116,22 @@ def test_product_multiplicativity():
         assert lambda_chi(p, product_complex(a, b)) == lambda_chi(p, a) * lambda_chi(p, b)
 
 
+@pytest.mark.parametrize("route", [chi_gamma_strata, lambda_chi, chi_gamma_noniter])
+def test_product_of_three_complexes_multiplies(route):
+    cosets = coset_complex(S3, groups.subgroup_closure(S3, [1]), dim=1)
+    factors = (point_complex(S3), swap_points(), cosets)
+    triple = product_complex(product_complex(factors[0], factors[1]), factors[2])
+    for p in (Z, Presentation.free_abelian(2), Presentation.cyclic(3)):
+        assert route(p, triple) == math.prod(route(p, x) for x in factors)
+
+
+def test_product_with_an_inertia_complex_multiplies():
+    inertia = inertia_complex(Z, point_complex(S3))
+    y = coset_complex(S3, groups.subgroup_closure(S3, [1]), dim=1)
+    for p in (Z, Presentation.free_abelian(2), Presentation.cyclic(3)):
+        assert lambda_chi(p, product_complex(inertia, y)) == lambda_chi(p, inertia) * lambda_chi(p, y)
+
+
 def test_restrict_complex_additivity():
     x = coset_complex(S3, groups.subgroup_closure(S3, [1]), dim=1)
     y = point_complex(S3)
