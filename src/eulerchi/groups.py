@@ -4,15 +4,16 @@ A finite group is an n x n table over 0..n-1 with the identity pinned at
 index 0.  Every table from outside the program enters through
 ``validate_group``, the one place a table is checked, at every order.  It
 accepts a table after one pass over the entries (integers in range), the
-identity row and column, the rows of the greedy generators (permutations)
-and Light's associativity test on those generators.  That proves a group:
-associativity makes every row a product of generator rows, hence a
-permutation, so every element has a right inverse.  Only a table that
-fails runs the full sweep, whose fixed order of checks words the refusal:
+identity row and column, and then, for the greedy generators less those
+the others already reach, their rows (permutations) and Light's
+associativity test.  That proves a group: associativity makes every row a
+product of generator rows, hence a permutation, so every element has a
+right inverse.  A group keeps the greedy set.  Only a table that fails
+runs the full sweep, whose fixed order of checks words the refusal:
 entries, identity row and column, every row and column a permutation, then
-associativity with a witness triple.  Tables built here from valid groups
-(standard constructors, direct products, subgroups) are groups by
-construction.
+associativity with a witness triple from the greedy set.  Tables built
+here from valid groups (standard constructors, direct products, subgroups)
+are groups by construction.
 
 A presentation is a generator count plus relator words; a word is a list of
 nonzero signed integers, 1-based generator indices with sign meaning
@@ -26,10 +27,12 @@ evaluated.  The output is defined to equal the brute-force filter of the
 full tuple space and is emitted in lexicographic order.
 
 Conjugates, conjugacy classes and centralizers are read from the table as
-they are needed; no group keeps a table of conjugates.  Conjugation by an
-element is one tuple over the elements (``conjugation``), built by its
-caller once per generator, and a tuple is conjugated by mapping it through
-that tuple.
+they are needed; no group keeps a table of conjugates.  The enumeration's
+centralizer bitmasks are built once per group: one row-and-column
+comparison per conjugacy class, conjugated across the class.  Conjugation
+by an element is one tuple over the elements (``conjugation``), built by
+its caller once per generator, and a tuple is conjugated by mapping it
+through that tuple.
 
 ``orbits``, a breadth-first closure under permutations of indices, is the
 one orbit walk behind cell orbits, conjugation orbits of tuples and
@@ -153,11 +156,14 @@ def product_presentation(p1: Presentation, p2: Presentation) -> Presentation:
 def _group_generators(rows: tuple[tuple[int, ...], ...]) -> list[int] | None:
     """The greedy generating set of a square table proved a group, or None.
     The proof does not check every row and column: integer entries in
-    range, 0 a two-sided identity, permutation rows for the greedy
-    generators, and Light's test on them.  With
+    range, 0 a two-sided identity, then permutation rows and Light's test
+    for the greedy generators less those the others already reach.  Light's
+    test makes the elements it passes closed under the product, hence the
+    right-multiplication closure of 0 under the kept generators too; that
+    closure holds every dropped generator, so it is the whole table.  With
     associativity the row of a*b is the row of a composed with the row of
-    b, and every element is a product of generators, so every row is a
-    permutation and every element has a right inverse."""
+    b, so every row is a permutation and every element has a right
+    inverse."""
     n = len(rows)
     # one pass over the entries; the set comparisons below are exact only
     # for ints, since 0.0 and False equal 0
@@ -169,9 +175,14 @@ def _group_generators(rows: tuple[tuple[int, ...], ...]) -> list[int] | None:
     if rows[0] != identity or tuple(map(itemgetter(0), rows)) != identity:
         return None
     gens = _generators(rows)
-    if any(len(set(rows[g])) != n for g in gens):
+    kept = gens
+    for g in gens:
+        others = [h for h in kept if h != g]
+        if g in _close(rows, others, {0}):
+            kept = others
+    if any(len(set(rows[g])) != n for g in kept):
         return None
-    return gens if _associativity_failure(rows, gens) is None else None
+    return gens if _associativity_failure(rows, kept) is None else None
 
 
 def _refuse(rows: tuple[tuple[int, ...], ...]) -> None:
@@ -223,6 +234,17 @@ def _associativity_failure(
     return None
 
 
+def _close(rows: Sequence[Sequence[int]], gens: Sequence[int], reached: set[int]) -> set[int]:
+    """``reached``, closed in place under right multiplication by ``gens``."""
+    frontier = list(reached)
+    while frontier:
+        row = rows[frontier.pop()]
+        new = {row[g] for g in gens} - reached
+        reached |= new
+        frontier.extend(new)
+    return reached
+
+
 def _generators(rows: Sequence[Sequence[int]]) -> list[int]:
     """A generating set, chosen greedily in index order: every element is
     reached from 0 by right multiplication by generators."""
@@ -230,12 +252,7 @@ def _generators(rows: Sequence[Sequence[int]]) -> list[int]:
     for a in range(1, len(rows)):
         if a not in reached:
             gens.append(a)
-            frontier = list(reached)
-            while frontier:
-                row = rows[frontier.pop()]
-                new = {row[g] for g in gens} - reached
-                reached |= new
-                frontier.extend(new)
+            _close(rows, gens, reached)
     return gens
 
 
@@ -265,15 +282,30 @@ class FiniteGroup:
         return self._inv[a]
 
     def centralizer_mask(self, a: int) -> int:
-        """The centralizer of a as a bitmask over the elements, from a
-        cached table of every element's mask."""
+        """The centralizer of a as a bitmask over the elements, from a table
+        of every element's mask built on first use.  Row r and column r of
+        the table are compared only for the first element r of each
+        conjugacy class; a central r has the full mask, and the rest of r's
+        class is filled from C(b r b^-1) = b C(r) b^-1: about n lookups per
+        class, where comparing every row with its column takes n^2."""
         if self._cent is None:
-            bits = [1 << b for b in range(self.order)]
-            # b commutes with a where row a and column a of the table agree
-            self._cent = tuple(
-                sum(itertools.compress(bits, map(eq, row, col)))
-                for row, col in zip(self.table, zip(*self.table))
-            )
+            table, inv, n = self.table, self._inv, self.order
+            bits = [1 << b for b in range(n)]
+            cent = [0] * n  # 0 is no mask: every centralizer holds 0
+            for r in range(n):
+                if cent[r]:
+                    continue
+                column = tuple(map(itemgetter(r), table))  # b*r for every b
+                if column == table[r]:
+                    cent[r] = (1 << n) - 1
+                    continue
+                members = list(itertools.compress(range(n), map(eq, table[r], column)))
+                # each conjugate b r b^-1, keyed to one b that gives it
+                conjugates = [table[br][bi] for br, bi in zip(column, inv)]
+                for s, b in dict(zip(conjugates, range(n))).items():
+                    times_b, bi = table[b], inv[b]
+                    cent[s] = sum(bits[table[times_b[x]][bi]] for x in members)
+            self._cent = tuple(cent)
         return self._cent[a]
 
     def generators(self) -> tuple[int, ...]:
@@ -299,11 +331,12 @@ class FiniteGroup:
 def validate_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
     """Validate a multiplication table at any order and wrap it: the one
     place a table is checked.  A group is accepted by ``_group_generators``:
-    integer entries in range, a two-sided identity 0, permutation rows for
-    the greedy generators, and Light's test on them, which proves
-    associativity and with it that every row is a permutation.  Any other
-    table goes through the full sweep, which raises ValidationError naming
-    the first failed axiom in a fixed order (with a witness triple for
+    integer entries in range, a two-sided identity 0, then permutation rows
+    and Light's test for the greedy generators less the redundant ones,
+    which proves associativity and with it that every row is a permutation.
+    The group keeps the greedy set.  Any other table goes through the full
+    sweep, which raises ValidationError naming the first failed axiom in a
+    fixed order (with a witness triple from the greedy set for
     associativity)."""
     if len(table) == 0:
         raise ValidationError("group table is empty (order must be >= 1)")

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 import re
@@ -291,6 +292,51 @@ def test_validation_accepts_exactly_the_groups():
     assert accepted > 20 and refused > 100
 
 
+def relabelled(table, rng: random.Random) -> list[list[int]]:
+    """The group ``table`` with its elements renamed by a seeded permutation
+    that fixes 0."""
+    n = len(table)
+    sigma = [0] + rng.sample(range(1, n), n - 1)
+    t = [[0] * n for _ in range(n)]
+    for a, row in enumerate(table):
+        for b, v in enumerate(row):
+            t[sigma[a]][sigma[b]] = sigma[v]
+    return t
+
+
+def test_relabelled_symmetric_corruptions_are_refused_as_the_sweep_words_them():
+    """Seeded corruptions of relabelled S5 and S6, whose proofs run on
+    pruned generating sets, and intercalates flipped through an involution,
+    which keep every row and column a permutation: each refusal is worded
+    as the full sweep words it on its own, and each accepted table passes
+    the full sweep."""
+    rng = random.Random(25)
+    refusals = []
+    for n, corruptions, flips in ((5, 12, 3), (6, 6, 2)):
+        sn = symmetric_group(n).table
+        tables = [corrupt(relabelled(sn, rng), rng) for _ in range(corruptions)]
+        for _ in range(flips):
+            t = relabelled(sn, rng)
+            x = next(x for x in range(1, len(t)) if t[x][x] == 0)
+            a, b = rng.randrange(len(t)), rng.randrange(len(t))
+            c, d = t[a][x], t[x][b]  # a*b = c*d and a*d = c*b
+            t[a][b], t[a][d], t[c][b], t[c][d] = t[a][d], t[a][b], t[c][d], t[c][b]
+            tables.append(t)
+        for t in tables:
+            rows = tuple(map(tuple, t))
+            try:
+                g = validate_group(t)
+            except ValidationError as err:
+                with pytest.raises(ValidationError) as sweep:
+                    groups._refuse(rows)
+                assert str(err) == str(sweep.value)
+                refusals.append(str(err).split()[0])
+            else:
+                groups._refuse(rows)
+                assert g.table == rows
+    assert "associativity" in refusals and len(set(refusals)) >= 3, refusals
+
+
 def test_s6_is_accepted_without_the_sweep(monkeypatch):
     monkeypatch.setattr(groups, "_refuse", _sweep_not_reached)
     s6 = symmetric_group(6)
@@ -314,6 +360,33 @@ def test_validated_group_keeps_the_proofs_generators(monkeypatch):
     x = tr.coset_complex(g, [0, 1])
     action = {a: {c: x.act(a, c) for c in x.space.ids()} for a in g.elements()}
     assert len(tr.orbit_space(tr.validate_complex(g, x.space, action))) == 1
+
+
+def test_the_proof_runs_on_the_pruned_generators(monkeypatch):
+    """On a relabelled S6 whose greedy generating set has three elements,
+    Light's test runs once, on two of them that generate the group, and the
+    group keeps the greedy set.  Lexicographic S5's greedy set, the adjacent
+    transpositions, has no redundant element."""
+    rng = random.Random(2)
+    s6 = relabelled(symmetric_group(6).table, rng)
+    greedy = tuple(groups._generators(s6))
+    assert len(greedy) == 3
+    runs = []
+    light = groups._associativity_failure
+
+    def spy(rows, gens):
+        runs.append(tuple(gens))
+        return light(rows, gens)
+
+    monkeypatch.setattr(groups, "_associativity_failure", spy)
+    g = validate_group(s6)
+    assert len(runs) == 1 and len(runs[0]) == 2 and set(runs[0]) < set(greedy)
+    assert subgroup_closure(g, runs[0]) == list(g.elements())
+    assert g.generators() == greedy
+    runs.clear()
+    s5 = symmetric_group(5)
+    assert validate_group(s5.table).generators() == s5.generators() == (1, 2, 6, 24)
+    assert runs == [(1, 2, 6, 24)]
 
 
 def test_argument_checks_without_table_validation():
@@ -563,6 +636,35 @@ def test_centralizer_is_subgroup():
     for g in SMALL_GROUPS:
         for t in [(0,), (g.order - 1,)]:
             assert groups.is_subgroup(g, centralizer(g, t))
+
+
+def test_centralizer_masks_match_rows_and_columns(monkeypatch):
+    """Every centralizer bitmask is the set of b with a*b == b*a, on the
+    harness groups, S5, S6 and relabelled copies of both; the table of
+    masks is built from the multiplication table alone, calling no
+    ``groups`` function."""
+    rng = random.Random(7)
+    tables = [build().table for _, build in harness._GROUP_BUILDERS.values()]
+    for n in (5, 6):
+        sn = symmetric_group(n).table
+        tables += [sn, relabelled(sn, rng), relabelled(sn, rng)]
+
+    def called(name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"groups.{name} called")
+
+        return refuse
+
+    for name, fn in vars(groups).items():
+        if inspect.isfunction(fn) and fn.__module__ == groups.__name__:
+            monkeypatch.setattr(groups, name, called(name))
+    for table in tables:
+        g = FiniteGroup(table)
+        masks = [g.centralizer_mask(a) for a in g.elements()]
+        assert masks == [
+            sum(1 << b for b, (ab, ba) in enumerate(zip(row, column)) if ab == ba)
+            for row, column in zip(g.table, zip(*g.table))
+        ]
 
 
 def test_classes_z4():
