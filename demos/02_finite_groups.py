@@ -3,9 +3,7 @@
 from eulerchi import (
     Presentation,
     abelianize_snf,
-    centralizer,
     conj_orbit_count,
-    conjugacy_classes,
     coset_action,
     hom_enumerate,
     quaternion_group,
@@ -19,10 +17,15 @@ from eulerchi import (
 z2 = validate_group([[0, 1], [1, 0]])
 print("validated a group of order", z2.order)
 
+# Conjugacy classes are the conjugation orbits of homomorphisms from the
+# free group on one generator; a class has |G| / |centralizer| elements.
 s3 = symmetric_group(3)
+one = Presentation.free(1)
+classes = conj_orbit_count(hom_enumerate(one, s3), s3)
 print("\nconjugacy classes of S3 (rep, size):",
-      [(c.rep, c.size) for c in conjugacy_classes(s3)])
-print("conjugacy classes of Q8:", len(conjugacy_classes(quaternion_group())))
+      [(a, s3.order // s3.centralizer_mask(a).bit_count()) for (a,) in classes.reps])
+q8 = quaternion_group()
+print("conjugacy classes of Q8:", conj_orbit_count(hom_enumerate(one, q8), q8).count)
 
 # Homomorphisms from a presented group are tuples of generator images
 # satisfying every relator.  Two commuting generators pick out the
@@ -34,7 +37,7 @@ print("orbits under simultaneous conjugation:", orbits.count)
 print("first three representatives:", orbits.reps[:3])
 
 # Centralizers: a transposition commutes with 2 elements, a 3-cycle with 3.
-print("\ncentralizer sizes:", len(centralizer(s3, (1,))), len(centralizer(s3, (3,))))
+print("\ncentralizer sizes:", s3.centralizer_mask(1).bit_count(), s3.centralizer_mask(3).bit_count())
 
 # Cosets of the subgroup generated by a transposition give the natural
 # 3-point action.

@@ -9,12 +9,11 @@ from eulerchi import (
     CellSpace,
     OrbitGroupoid,
     Presentation,
+    ProductIsotropy,
     SO3,
     TorusIsotropy,
     chi_gamma,
-    chi_z,
-    product_groupoid,
-    restrict_groupoid,
+    product,
     trivial_isotropy,
 )
 
@@ -39,9 +38,13 @@ space3 = OrbitGroupoid(
     CellSpace.from_dims({"origin": 0, "spheres": 1}),
     {"origin": SO3, "spheres": T1},
 )
-print("\nrotations of 3-space, one free generator:", chi_z(space3))
-print("  origin stratum alone:", chi_z(restrict_groupoid(space3, {"origin"})))
-print("  spheres stratum alone:", chi_z(restrict_groupoid(space3, {"spheres"})))
+Z = Presentation.free_abelian(1)
+print("\nrotations of 3-space, one free generator:", chi_gamma(space3, Z))
+# the value is additive over strata: each stratum on its own
+origin = OrbitGroupoid(CellSpace.from_dims({"origin": 0}), {"origin": SO3})
+spheres = OrbitGroupoid(CellSpace.from_dims({"spheres": 1}), {"spheres": T1})
+print("  origin stratum alone:", chi_gamma(origin, Z))
+print("  spheres stratum alone:", chi_gamma(spheres, Z))
 
 # Circle rotations of a half-open axis with a disk attached: the axis is
 # fixed pointwise, so its half-open chi of 0 kills every value.
@@ -62,6 +65,13 @@ full_axis_disk = OrbitGroupoid(
 )
 print("full axis with disk, cyclic(3):", chi_gamma(full_axis_disk, Presentation.cyclic(3)))
 
-# Values multiply under products of groupoids.
-squared = product_groupoid(sphere, sphere)
+# Values multiply under products of groupoids: each cell of the product
+# space (in factor order) is labeled by the product of its factors' labels.
+squared_space = product(sphere.space, sphere.space)
+labels = [
+    ProductIsotropy((sphere.label(a), sphere.label(b)))
+    for a in sphere.space.ids()
+    for b in sphere.space.ids()
+]
+squared = OrbitGroupoid(squared_space, dict(zip(squared_space.ids(), labels)))
 print("\nsphere groupoid squared, cyclic(3):", chi_gamma(squared, Presentation.cyclic(3)))

@@ -13,12 +13,10 @@ from .cells import (
     ConstructibleFunction,
     RESERVED_SEPARATOR,
     chi,
-    fiber_chi,
     integrate,
     integrate_levelset,
     product,
     pushforward,
-    restrict,
     validate_function,
     validate_map,
     validate_space,
@@ -33,8 +31,6 @@ from .catalog import (
     SO3,
     SO3Isotropy,
     TorusIsotropy,
-    ad_quotient_chi,
-    ad_quotient_model,
     chi_hom_quotient,
     hom_chi_abelian,
     trivial_isotropy,
@@ -52,23 +48,17 @@ from .groupoid import (
     OrbitGroupoid,
     abelian_extension_chi,
     chi_gamma,
-    chi_z,
-    product_groupoid,
-    restrict_groupoid,
     validate_extension,
     validate_groupoid,
 )
 from .groups import (
     ConjOrbits,
-    ConjugacyClass,
     FiniteGroup,
     Presentation,
     SnfResult,
     Z,
     abelianize_snf,
-    centralizer,
     conj_orbit_count,
-    conjugacy_classes,
     coset_action,
     cyclic_group,
     dihedral_group,

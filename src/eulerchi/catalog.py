@@ -1,14 +1,10 @@
 """Symbolic catalog of compact isotropy groups.
 
-Each entry answers two questions exactly, for the presentation classes it
-covers:
+Each entry answers one question exactly, for the presentation classes it
+covers: ``chi_hom_quotient``, chi of the conjugation quotient of the space
+of homomorphisms from a finitely presented group into the entry.
 
-* ``chi_hom_quotient`` -- chi of the conjugation quotient of the space of
-  homomorphisms from a finitely presented group into the entry;
-* ``ad_quotient_model`` -- an explicit cell model of the quotient of the
-  entry by its own conjugation action.
-
-Finite entries compute both by direct enumeration.  Torus entries reduce to
+Finite entries compute it by direct enumeration.  Torus entries reduce to
 the abelianization: a homomorphism from a group into a torus factors
 through the abelianization, so chi is 0 when the abelianization has free
 rank and the torsion-point count otherwise.  The two nonabelian
@@ -28,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import groups
-from .cells import Cell, CellSpace, chi, product
+from .cells import CellSpace
 from .errors import UnsupportedCombination, ValidationError
 from .groups import FiniteGroup, Presentation, presentation_class
 from .records import Value
@@ -64,8 +60,10 @@ class ProductIsotropy(Value):
 
 
 class CustomIsotropy(Value):
-    """User-supplied entry: chi values (and optional cell models) keyed by
-    presentation class strings such as "Z" or "cyclic(3)"."""
+    """User-supplied entry: chi values keyed by presentation class strings
+    such as "Z" or "cyclic(3)".  Optional cell models, keyed the same way,
+    are checked and kept with the entry (its repr shows them); no value is
+    computed from them."""
 
     __slots__ = ("name", "chi_table", "cell_models")
 
@@ -81,12 +79,6 @@ class CustomIsotropy(Value):
 
     def chi_for(self, cls: str) -> int | None:
         for key, value in self.chi_table:
-            if key == cls:
-                return value
-        return None
-
-    def cell_model_for(self, cls: str) -> CellSpace | None:
-        for key, value in self.cell_models:
             if key == cls:
                 return value
         return None
@@ -164,44 +156,6 @@ def chi_hom_quotient(m: IsotropyModel, p: Presentation) -> int:
                 return value
         raise UnsupportedCombination(m, p)
     raise ValidationError(f"unknown isotropy model {m!r}")
-
-
-def ad_quotient_model(m: IsotropyModel) -> CellSpace:
-    """Explicit cell model of the conjugation quotient of the entry.
-
-    chi of the model equals chi_hom_quotient(m, Z) in every supported case;
-    tori of dimension >= 2 have no bundled cell model (their chi is still
-    available through chi_hom_quotient).
-    """
-    if isinstance(m, FiniteIsotropy):
-        classes = groups.conjugacy_classes(m.group)
-        return CellSpace(tuple(Cell(f"cls{c.rep}", 0) for c in classes))
-    if isinstance(m, TorusIsotropy):
-        if m.n == 1:
-            return CellSpace((Cell("v", 0), Cell("e", 1)))
-        raise UnsupportedCombination(m, groups.Z)
-    if isinstance(m, SO3Isotropy):
-        return CellSpace((Cell("v0", 0), Cell("v1", 0), Cell("e", 1)))
-    if isinstance(m, O2Isotropy):
-        # rotations-up-to-inversion: a closed interval; reflections: a point
-        return CellSpace((Cell("v0", 0), Cell("v1", 0), Cell("e", 1), Cell("refl", 0)))
-    if isinstance(m, ProductIsotropy):
-        return product(*(ad_quotient_model(factor) for factor in m.factors))
-    if isinstance(m, CustomIsotropy):
-        model = m.cell_model_for("Z")
-        if model is not None:
-            return model
-        raise UnsupportedCombination(m, groups.Z)
-    raise ValidationError(f"unknown isotropy model {m!r}")
-
-
-def ad_quotient_chi(m: IsotropyModel) -> int:
-    """chi of the conjugation quotient, preferring the cell model route and
-    falling back to the homomorphism route where no model is bundled."""
-    try:
-        return chi(ad_quotient_model(m))
-    except UnsupportedCombination:
-        return chi_hom_quotient(m, groups.Z)
 
 
 def is_user_supplied(m: IsotropyModel) -> bool:

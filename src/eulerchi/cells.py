@@ -198,15 +198,6 @@ def product(*spaces: CellSpace) -> CellSpace:
     return space
 
 
-def restrict(x: CellSpace, keep: Iterable[str]) -> CellSpace:
-    """Sub-collection of cells.  chi is additive across a partition."""
-    keep = set(keep)
-    unknown = keep - set(x.ids())
-    if unknown:
-        raise ValidationError(f"restrict: unknown cell ids {sorted(unknown)}")
-    return CellSpace(tuple(c for c in x.cells if c.id in keep))
-
-
 class CellMap(Frozen):
     """A cell-to-cell map with trivialized fibers.
 
@@ -226,10 +217,6 @@ class CellMap(Frozen):
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "assign", {} if assign is None else assign)
 
-    @classmethod
-    def identity(cls, space: CellSpace) -> "CellMap":
-        return cls(space, space, {cid: cid for cid in space.ids()})
-
 
 def validate_map(source: CellSpace, target: CellSpace, assign: Mapping[str, str]) -> CellMap:
     """Check an assignment from outside: each source cell to a cell of the
@@ -247,20 +234,6 @@ def validate_map(source: CellSpace, target: CellSpace, assign: Mapping[str, str]
     if missing:
         raise ValidationError(f"assign: missing source cells {missing}")
     return CellMap(source, target, assign)
-
-
-def fiber_chi(m: CellMap, target_cell: str) -> int:
-    """chi of the fiber over (any point of) a target cell.
-
-    Each source cell s over c contributes a (dim s - dim c)-cell to the
-    fiber, so the value is sum (-1)^(dim s - dim c).
-    """
-    cdim = m.target.dim_of(target_cell)
-    total = 0
-    for s in m.source.cells:
-        if m.assign[s.id] == target_cell:
-            total += -1 if (s.dim - cdim) % 2 else 1
-    return total
 
 
 def pushforward(m: CellMap, f: ConstructibleFunction) -> ConstructibleFunction:

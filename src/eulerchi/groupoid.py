@@ -3,8 +3,11 @@
 An ``OrbitGroupoid`` is a cell space with an isotropy model attached to
 every cell.  The integrand "chi of the homomorphism quotient at the
 isotropy of this stratum" is constant on each cell, so integrating it with
-respect to chi is a finite signed sum; that sum is the groupoid's Euler
-characteristic for a chosen finitely presented group.
+respect to chi is a finite signed sum; that sum, ``chi_gamma``, is the
+groupoid's Euler characteristic for a chosen finitely presented group.  It
+is the one route here: for a translation groupoid it is checked against the
+Burnside count, and at one free generator the test suite checks it against
+explicit cell models of the labels' conjugation quotients.
 
 Labels are compared structurally, which refines the partition into
 isomorphism classes of isotropy; the integrals are computed per cell, so
@@ -14,10 +17,10 @@ once, by ``validate_groupoid``; ``OrbitGroupoid`` only stores its arguments.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from . import catalog, cells
-from .catalog import IsotropyModel, ProductIsotropy, chi_hom_quotient
+from . import catalog
+from .catalog import IsotropyModel, chi_hom_quotient
 from .cells import CellSpace, ConstructibleFunction, integrate
 from .errors import UnsupportedCombination, ValidationError
 from .groups import FiniteGroup, Presentation
@@ -66,40 +69,6 @@ def chi_gamma(g: OrbitGroupoid, p: Presentation) -> int:
     ``translation`` and ``verify`` check it against the Burnside count.
     """
     return integrate(integrand(g, p))
-
-
-def chi_z(g: OrbitGroupoid) -> int:
-    """The one-generator-free case through conjugation-quotient cell models.
-
-    The integrand at each cell is chi of the label's conjugation quotient,
-    an independent route from the homomorphism enumeration that
-    ``chi_gamma(g, Z)`` uses; the two agree by construction of the catalog
-    (and are cross-checked by the test suite).
-    """
-    total = 0
-    for c in g.space.cells:
-        try:
-            value = catalog.ad_quotient_chi(g.label(c.id))
-        except UnsupportedCombination as exc:
-            raise exc.with_cell(c.id) from None
-        total += value * (-1 if c.dim % 2 else 1)
-    return total
-
-
-def product_groupoid(a: OrbitGroupoid, b: OrbitGroupoid) -> OrbitGroupoid:
-    """Product space with product labels; chi_gamma is multiplicative."""
-    space = cells.product(a.space, b.space)
-    # the product's cells come in factor order, and so do the label pairs
-    labels = (
-        ProductIsotropy((a.label(ca), b.label(cb))) for ca in a.space.ids() for cb in b.space.ids()
-    )
-    return OrbitGroupoid(space, dict(zip(space.ids(), labels)))
-
-
-def restrict_groupoid(g: OrbitGroupoid, keep: Iterable[str]) -> OrbitGroupoid:
-    keep = set(keep)
-    space = cells.restrict(g.space, keep)
-    return OrbitGroupoid(space, {cid: g.label(cid) for cid in keep})
 
 
 class ExtensionPrediction(Value):

@@ -26,13 +26,12 @@ the later one's candidates to a centralizer bitmask instead of being
 evaluated.  The output is defined to equal the brute-force filter of the
 full tuple space and is emitted in lexicographic order.
 
-Conjugates, conjugacy classes and centralizers are read from the table as
-they are needed; no group keeps a table of conjugates.  The enumeration's
-centralizer bitmasks are built once per group: one row-and-column
-comparison per conjugacy class, conjugated across the class.  Conjugation
-by an element is one tuple over the elements (``conjugation``), built by
-its caller once per generator, and a tuple is conjugated by mapping it
-through that tuple.
+Conjugates are read from the table as they are needed; no group keeps a
+table of conjugates.  The enumeration's centralizer bitmasks are built once
+per group: one row-and-column comparison per conjugacy class, conjugated
+across the class.  Conjugation by an element is one tuple over the elements
+(``conjugation``), built by its caller once per generator, and a tuple is
+conjugated by mapping it through that tuple.
 
 ``orbits``, a breadth-first closure under permutations of indices, is the
 one orbit walk behind cell orbits, conjugation orbits of tuples and
@@ -584,38 +583,6 @@ def conj_orbit_count(tuples: Sequence[HomTuple], g: FiniteGroup) -> ConjOrbits:
         ) from None
     reps = tuple(ts[i] for i, _ in orbits(perms, range(len(ts))))
     return ConjOrbits(len(reps), reps)
-
-
-def centralizer(g: FiniteGroup, t: HomTuple) -> list[int]:
-    """Sorted elements commuting with every image of the tuple."""
-    table, cent = g.table, list(g.elements())
-    for e in t:
-        if not 0 <= e < g.order:
-            raise ValidationError(f"centralizer: element {e} out of range")
-        cent = [a for a in cent if table[a][e] == table[e][a]]
-    return cent
-
-
-class ConjugacyClass(Value):
-    __slots__ = ("rep", "size")
-
-    def __init__(self, rep: int, size: int):
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "size", size)
-
-
-def conjugacy_classes(g: FiniteGroup) -> list[ConjugacyClass]:
-    """Conjugacy classes with minimal-index representatives, ordered by rep."""
-    table, inv = g.table, g._inv
-    out = []
-    seen: set[int] = set()
-    for a in g.elements():
-        if a in seen:
-            continue
-        orbit = {table[row[a]][inv[b]] for b, row in enumerate(table)}
-        seen |= orbit
-        out.append(ConjugacyClass(min(orbit), len(orbit)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -96,10 +96,6 @@ def load_cell_space(obj: Any, base: Path | None = None) -> CellSpace:
     return cells.validate_space(out)
 
 
-def dump_cell_space(space: CellSpace) -> dict:
-    return {"cells": [{"id": c.id, "dim": c.dim} for c in space.cells]}
-
-
 def load_function(obj: Any, base: Path | None = None) -> ConstructibleFunction:
     obj, base = _resolve(obj, base)
     space = load_cell_space(_require(obj, "space", "function"), base)
@@ -132,10 +128,6 @@ def load_group(obj: Any, base: Path | None = None) -> groups.FiniteGroup:
     if len(table) != order:
         raise ValidationError(f"group: order {order} does not match table size {len(table)}")
     return groups.validate_group(table)
-
-
-def dump_group(g: groups.FiniteGroup) -> dict:
-    return {"order": g.order, "table": [list(row) for row in g.table]}
 
 
 def _count(obj: Any, key: str, what: str, least: int) -> int:
@@ -298,15 +290,6 @@ def load_complex(obj: Any, base: Path | None = None) -> translation.RigidGComple
         key_of[g] = key
         action[g] = mapping
     return translation.validate_complex(group, space, action)
-
-
-def dump_complex(x: translation.RigidGComplex) -> dict:
-    ids = x.space.ids()
-    return {
-        "group": dump_group(x.group),
-        "cells": [{"id": c.id, "dim": c.dim} for c in x.space.cells],
-        "action": {str(g): dict(zip(ids, (ids[j] for j in p))) for g, p in enumerate(x.perms)},
-    }
 
 
 def load_extension(obj: Any, base: Path | None = None) -> dict:

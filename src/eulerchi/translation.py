@@ -122,11 +122,6 @@ class RigidGComplex:
             self._perms = tuple(perms)
         return self._perms
 
-    def act(self, g: int, cell_id: str) -> str:
-        if not 0 <= g < self.group.order:
-            raise ValidationError(f"act: element {g} out of range")
-        return self.space.cells[self.perms[g][self.space.index(cell_id)]].id
-
     def stabilizer_masks(self) -> list[int]:
         """Per cell index, the stabilizer as a bitmask over the elements."""
         if self._stab is None:

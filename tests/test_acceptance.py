@@ -19,10 +19,11 @@ import pytest
 
 from eulerchi import harness, jsonio
 from eulerchi import translation as tr
-from eulerchi.catalog import O2, ad_quotient_model
+from eulerchi.catalog import O2
 from eulerchi.cells import ConstructibleFunction, chi, integrate, integrate_levelset, pushforward
 from eulerchi.groupoid import abelian_extension_chi, chi_gamma
 from eulerchi.groups import Presentation, Z, cyclic_group, symmetric_group
+from test_catalog import ad_quotient_model
 from test_cells import random_cell_map
 
 DATA = Path(str(resources.files("eulerchi") / "data"))

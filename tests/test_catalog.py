@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from eulerchi import catalog, groupoid, groups, jsonio
 from eulerchi.catalog import (
     CustomIsotropy,
     FiniteIsotropy,
@@ -7,19 +10,55 @@ from eulerchi.catalog import (
     ProductIsotropy,
     SO3,
     TorusIsotropy,
-    ad_quotient_chi,
-    ad_quotient_model,
     chi_hom_quotient,
     hom_chi_abelian,
     trivial_isotropy,
 )
-from eulerchi.cells import CellSpace, chi
+from eulerchi.cells import Cell, CellSpace, chi, product
 from eulerchi.errors import UnsupportedCombination
 from eulerchi.groups import Presentation, Z, conjugation, symmetric_group, cyclic_group
+from test_groups import conjugacy_classes
+from test_report_golden import DATA, GOLDEN
 
 S3 = symmetric_group(3)
 T1 = TorusIsotropy(1)
 T2 = TorusIsotropy(2)
+
+
+# --- the Gamma = Z oracle: cell models of conjugation quotients ----------------
+
+
+def ad_quotient_model(m: catalog.IsotropyModel) -> CellSpace:
+    """Explicit cell model of the quotient of the entry by its own
+    conjugation action, whose chi is the entry's value at one free
+    generator.  Tori of dimension >= 2, and custom entries whose file gives
+    no model for "Z", are refused."""
+    if isinstance(m, FiniteIsotropy):
+        classes = conjugacy_classes(m.group)
+        return CellSpace(tuple(Cell(f"cls{c.rep}", 0) for c in classes))
+    if isinstance(m, TorusIsotropy):
+        if m.n == 1:
+            return CellSpace((Cell("v", 0), Cell("e", 1)))
+        raise UnsupportedCombination(m, Z)
+    if isinstance(m, catalog.SO3Isotropy):
+        return CellSpace((Cell("v0", 0), Cell("v1", 0), Cell("e", 1)))
+    if isinstance(m, catalog.O2Isotropy):
+        # rotations-up-to-inversion: a closed interval; reflections: a point
+        return CellSpace((Cell("v0", 0), Cell("v1", 0), Cell("e", 1), Cell("refl", 0)))
+    if isinstance(m, ProductIsotropy):
+        return product(*(ad_quotient_model(factor) for factor in m.factors))
+    if isinstance(m, CustomIsotropy):
+        model = dict(m.cell_models).get("Z")
+        if model is not None:
+            return model
+        raise UnsupportedCombination(m, Z)
+    raise TypeError(f"unknown isotropy model {m!r}")
+
+
+def chi_by_cell_models(g: groupoid.OrbitGroupoid) -> int:
+    """The groupoid's value at one free generator: chi of each stratum's
+    conjugation-quotient model, integrated over the orbit space."""
+    return sum(chi(ad_quotient_model(g.label(c.id))) * (-1) ** c.dim for c in g.space.cells)
 
 
 def test_torus_free_abelian_vanishes():
@@ -110,7 +149,7 @@ def test_ad_model_torus1_is_circle():
 def test_ad_model_torus2_refused_but_chi_available():
     with pytest.raises(UnsupportedCombination):
         ad_quotient_model(T2)
-    assert ad_quotient_chi(T2) == 0
+    assert chi_hom_quotient(T2, Z) == 0
 
 
 @pytest.mark.parametrize(
@@ -192,3 +231,40 @@ def test_trivial_isotropy_is_one_everywhere():
     m = trivial_isotropy()
     for p in (Z, Presentation.trivial(), Presentation.free_abelian(3), Presentation.cyclic(7)):
         assert chi_hom_quotient(m, p) == 1
+
+
+# --- the golden Gamma = Z values, by a second route ------------------------------
+
+
+def test_gamma_chi_goldens_at_one_free_generator_match_the_cell_models(monkeypatch):
+    """Every exit-0 ``gamma-chi ... free_abelian rank 1`` golden result,
+    recomputed from the strata's cell models while the CLI's route (catalog
+    values, the integrand, the enumeration and orbit primitives) raises.
+    A case without a cell model is named by the failure."""
+    golden = json.loads((GOLDEN / "gamma_chi.json").read_text(encoding="utf-8"))
+    cases = {}
+    for key, run in golden.items():
+        _, name, _, gamma = key.split(" ", 3)
+        if run["exit"] == 0 and json.loads(gamma) == {"kind": "free_abelian", "rank": 1}:
+            g, _ = jsonio.load_file(DATA / name, jsonio.load_groupoid)
+            cases[name] = (g, json.loads(run["stdout"])["result"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cell-model route reached the CLI's route")
+
+    for module, names in [
+        (catalog, ["chi_hom_quotient", "_finite_chi", "hom_chi_abelian"]),
+        (groupoid, ["chi_hom_quotient", "integrand", "chi_gamma"]),
+        (groups, ["hom_enumerate", "conj_orbit_count", "orbits"]),
+    ]:
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
+    covered, uncovered = {}, []
+    for name, (g, _) in sorted(cases.items()):
+        try:
+            covered[name] = chi_by_cell_models(g)
+        except UnsupportedCombination:
+            uncovered.append(name)
+    assert uncovered == [], f"no cell-model route for {uncovered}"
+    assert covered == {name: result for name, (_, result) in cases.items()}
+    assert covered == {"so2_s2.json": -1, "so2_x_a.json": 0, "so2_x_aprime.json": 0, "so3_r3.json": 1}

@@ -4,7 +4,6 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerchi import cells
 from eulerchi.cells import (
     Cell,
     CellMap,
@@ -12,12 +11,10 @@ from eulerchi.cells import (
     ConstructibleFunction,
     RESERVED_SEPARATOR,
     chi,
-    fiber_chi,
     integrate,
     integrate_levelset,
     product,
     pushforward,
-    restrict,
     validate_function,
     validate_map,
     validate_space,
@@ -46,6 +43,17 @@ def random_cell_map(rng: random.Random) -> CellMap:
         src.append(Cell(f"s{i}", dim))
         assign[f"s{i}"] = rng.choice(candidates)
     return CellMap(CellSpace(tuple(src)), target, assign)
+
+
+def fiber_chi(m: CellMap, target_cell: str) -> int:
+    """chi of the fiber over (any point of) a target cell c: each source
+    cell s over c contributes a (dim s - dim c)-cell to the fiber."""
+    cdim = m.target.dim_of(target_cell)
+    total = 0
+    for s in m.source.cells:
+        if m.assign[s.id] == target_cell:
+            total += -1 if (s.dim - cdim) % 2 else 1
+    return total
 
 
 # --- hypothesis strategies -------------------------------------------------
@@ -168,7 +176,6 @@ def test_levelset_builds_no_spaces(monkeypatch):
     # each level sums the signs of its cells; no level set becomes a space
     calls = []
     init = CellSpace.__init__
-    monkeypatch.setattr(cells, "restrict", lambda *a: calls.append("restrict") or restrict(*a))
     monkeypatch.setattr(CellSpace, "__init__", lambda *a: calls.append("CellSpace") or init(*a))
     f = ConstructibleFunction(CLOSED_INTERVAL, {"v0": 3, "v1": -2, "e": 1})
     assert integrate_levelset(f) == integrate(f) == 0
@@ -182,7 +189,7 @@ def test_integrate_additive_over_partition(f, rnd):
     rest = set(ids) - keep
     parts = 0
     for sub in (keep, rest):
-        sp = restrict(f.space, sub)
+        sp = CellSpace(tuple(c for c in f.space.cells if c.id in sub))
         parts += integrate(ConstructibleFunction(sp, {c: f.values[c] for c in sub}))
     assert integrate(f) == parts
 
@@ -194,7 +201,7 @@ def test_function_must_be_total():
         validate_function(CIRCLE, {"v": 0, "e": 0, "ghost": 1})
 
 
-# --- product and restrict --------------------------------------------------
+# --- products ---------------------------------------------------------------
 
 def test_product_with_empty():
     assert product(CLOSED_INTERVAL, EMPTY) == EMPTY
@@ -233,18 +240,9 @@ def test_product_refuses_repeated_ids():
         product(repeated, CIRCLE)
 
 
-def test_restrict_all_and_none():
-    assert restrict(CLOSED_INTERVAL, CLOSED_INTERVAL.ids()) == CLOSED_INTERVAL
-    assert restrict(CLOSED_INTERVAL, set()) == EMPTY
-
-
 def test_restrict_open_interval():
-    assert chi(restrict(CLOSED_INTERVAL, {"e"})) == -1
-
-
-def test_restrict_unknown_id():
-    with pytest.raises(ValidationError, match="unknown"):
-        restrict(CIRCLE, {"nope"})
+    # the open edge of a closed interval, on its own
+    assert chi(CellSpace(c for c in CLOSED_INTERVAL.cells if c.id == "e")) == -1
 
 
 # --- maps, fibers, pushforward ----------------------------------------------
@@ -262,7 +260,7 @@ def square_projection() -> CellMap:
 
 
 def test_fiber_chi_identity():
-    m = CellMap.identity(CIRCLE)
+    m = CellMap(CIRCLE, CIRCLE, {cid: cid for cid in CIRCLE.ids()})
     assert all(fiber_chi(m, cid) == 1 for cid in CIRCLE.ids())
 
 
@@ -285,7 +283,8 @@ def test_map_rejects_dimension_increase():
 
 def test_pushforward_identity():
     f = ConstructibleFunction(CIRCLE, {"v": 3, "e": -2})
-    assert pushforward(CellMap.identity(CIRCLE), f).values == f.values
+    identity = CellMap(CIRCLE, CIRCLE, {cid: cid for cid in CIRCLE.ids()})
+    assert pushforward(identity, f).values == f.values
 
 
 def test_pushforward_square_projection():
@@ -300,6 +299,12 @@ def test_pushforward_collapse_circle():
     m = CellMap(CIRCLE, point, {"v": "pt", "e": "pt"})
     pushed = pushforward(m, ConstructibleFunction.constant(CIRCLE, 1))
     assert pushed.values == {"pt": 0}
+
+
+@given(cell_maps())
+def test_pushforward_of_one_is_fiber_chi(m):
+    pushed = pushforward(m, ConstructibleFunction.constant(m.source, 1))
+    assert pushed.values == {cid: fiber_chi(m, cid) for cid in m.target.ids()}
 
 
 def test_pushforward_space_mismatch():

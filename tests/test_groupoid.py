@@ -3,23 +3,38 @@ import random
 
 import pytest
 
-from eulerchi.catalog import FiniteIsotropy, O2, SO3, TorusIsotropy, trivial_isotropy
-from eulerchi.cells import CellSpace, chi
+from eulerchi.catalog import FiniteIsotropy, O2, ProductIsotropy, SO3, TorusIsotropy, trivial_isotropy
+from eulerchi.cells import CellSpace, chi, product
 from eulerchi.errors import UnsupportedCombination, ValidationError
 from eulerchi.groupoid import (
     OrbitGroupoid,
     abelian_extension_chi,
     chi_gamma,
-    chi_z,
-    product_groupoid,
-    restrict_groupoid,
     validate_extension,
     validate_groupoid,
 )
 from eulerchi.groups import Presentation, Z, cyclic_group, symmetric_group
 from eulerchi import translation as tr
+from test_catalog import ad_quotient_model, chi_by_cell_models
+from test_jsonio import action_maps
 
 T1 = TorusIsotropy(1)
+
+
+def product_groupoid(a: OrbitGroupoid, b: OrbitGroupoid) -> OrbitGroupoid:
+    """Product space with product labels; chi_gamma is multiplicative."""
+    space = product(a.space, b.space)
+    labels = (
+        ProductIsotropy((a.label(ca), b.label(cb))) for ca in a.space.ids() for cb in b.space.ids()
+    )
+    return OrbitGroupoid(space, dict(zip(space.ids(), labels)))
+
+
+def sub_groupoid(g: OrbitGroupoid, keep) -> OrbitGroupoid:
+    """The strata in ``keep``, with their labels."""
+    keep = set(keep)
+    space = CellSpace(tuple(c for c in g.space.cells if c.id in keep))
+    return OrbitGroupoid(space, {cid: g.label(cid) for cid in space.ids()})
 
 
 def sphere_rotation_groupoid() -> OrbitGroupoid:
@@ -70,26 +85,9 @@ def test_half_open_axis_with_disk():
         assert chi_gamma(g, p) == 0
 
 
-def test_chi_z_space_rotations():
-    assert chi_z(space_rotation_groupoid()) == 1
-
-
-def test_chi_z_point_s3():
-    g = OrbitGroupoid(
-        CellSpace.from_dims({"pt": 0}), {"pt": FiniteIsotropy(symmetric_group(3))}
-    )
-    assert chi_z(g) == 3
-
-
-def test_chi_z_trivially_labeled_circle():
-    circle = CellSpace.from_dims({"v": 0, "e": 1})
-    g = OrbitGroupoid(circle, {"v": trivial_isotropy(), "e": trivial_isotropy()})
-    assert chi_z(g) == 0
-
-
 def test_chi_z_equals_chi_gamma_at_free_rank_one():
     for g in (sphere_rotation_groupoid(), space_rotation_groupoid()):
-        assert chi_z(g) == chi_gamma(g, Presentation.free_abelian(1))
+        assert chi_by_cell_models(g) == chi_gamma(g, Presentation.free_abelian(1))
 
 
 def test_trivial_group_gives_space_chi():
@@ -140,9 +138,9 @@ def test_product_of_three_groupoids_multiplies():
 
 def test_restrict_identity_and_parts():
     g = space_rotation_groupoid()
-    assert chi_gamma(restrict_groupoid(g, g.space.ids()), Z) == chi_gamma(g, Z)
-    assert chi_gamma(restrict_groupoid(g, {"origin"}), Z) == 1
-    assert chi_gamma(restrict_groupoid(g, {"ray"}), Z) == 0
+    assert chi_gamma(sub_groupoid(g, g.space.ids()), Z) == chi_gamma(g, Z)
+    assert chi_gamma(sub_groupoid(g, {"origin"}), Z) == 1
+    assert chi_gamma(sub_groupoid(g, {"ray"}), Z) == 0
 
 
 def test_additivity_over_random_bipartitions():
@@ -153,8 +151,8 @@ def test_additivity_over_random_bipartitions():
         part = {cid for cid in ids if rng.random() < 0.5}
         rest = set(ids) - part
         whole = chi_gamma(g, Presentation.cyclic(2))
-        assert whole == chi_gamma(restrict_groupoid(g, part), Presentation.cyclic(2)) + chi_gamma(
-            restrict_groupoid(g, rest), Presentation.cyclic(2)
+        assert whole == chi_gamma(sub_groupoid(g, part), Presentation.cyclic(2)) + chi_gamma(
+            sub_groupoid(g, rest), Presentation.cyclic(2)
         )
 
 
@@ -179,9 +177,7 @@ def test_atlas_matches_whole_complex_decomposition():
     y = tr.point_complex(s3, "b")
     # saturated pieces of a disjoint union against the union itself
     cells = list(x.space.cells) + list(y.space.cells)
-    action = {
-        g: {c: z.act(g, c) for z in (x, y) for c in z.space.ids()} for g in s3.elements()
-    }
+    action = {g: {**action_maps(x)[g], **action_maps(y)[g]} for g in s3.elements()}
     whole = tr.validate_complex(s3, CellSpace(tuple(cells)), action)
     p = Presentation.free_abelian(2)
     assert atlas_sum([x, y], p) == tr.chi_gamma_strata(p, whole)
@@ -229,8 +225,6 @@ def test_flip_extension_counterexample():
     """The plane-rotation group extended by a flip: the abelian prediction
     is 0 but the actual conjugation-quotient chi is 2, so the abelian
     factorization genuinely fails for nonabelian extensions."""
-    from eulerchi.catalog import ad_quotient_model
-
     h = cyclic_group(2)
     pred = abelian_extension_chi(T1, tr.point_complex(h), 1)
     actual = chi(ad_quotient_model(O2))

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import tracemalloc
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,9 +15,7 @@ from eulerchi.groups import (
     FiniteGroup,
     Presentation,
     abelianize_snf,
-    centralizer,
     conj_orbit_count,
-    conjugacy_classes,
     coset_action,
     cyclic_group,
     dihedral_group,
@@ -33,9 +32,36 @@ from eulerchi.groups import (
     validate_group,
     validate_presentation,
 )
+from test_jsonio import action_maps
 
 S3 = symmetric_group(3)
 Q8 = quaternion_group()
+
+
+# --- references: classes and centralizers read straight from the table -------
+# No command needs them; other test modules import them from here.
+
+ConjugacyClass = namedtuple("ConjugacyClass", "rep size")
+
+
+def centralizer(g: FiniteGroup, t: tuple[int, ...]) -> list[int]:
+    """Sorted elements commuting with every image of the tuple."""
+    return [a for a in g.elements() if all(g.table[a][e] == g.table[e][a] for e in t)]
+
+
+def conjugacy_classes(g: FiniteGroup) -> list[ConjugacyClass]:
+    """Conjugacy classes with minimal-index representatives, ordered by rep."""
+    table, inv = g.table, g._inv
+    out = []
+    seen: set[int] = set()
+    for a in g.elements():
+        if a in seen:
+            continue
+        orbit = {table[row[a]][inv[b]] for b, row in enumerate(table)}
+        seen |= orbit
+        out.append(ConjugacyClass(min(orbit), len(orbit)))
+    return out
+
 
 SMALL_GROUPS = [
     trivial_group(),
@@ -358,7 +384,7 @@ def test_validated_group_keeps_the_proofs_generators(monkeypatch):
     monkeypatch.setattr(groups, "_generators", computed_again)
     assert g.generators() == gens
     x = tr.coset_complex(g, [0, 1])
-    action = {a: {c: x.act(a, c) for c in x.space.ids()} for a in g.elements()}
+    action = action_maps(x)
     assert len(tr.orbit_space(tr.validate_complex(g, x.space, action))) == 1
 
 

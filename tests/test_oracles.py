@@ -17,7 +17,6 @@ from eulerchi.cells import CellSpace, chi
 from eulerchi.groups import (
     Presentation,
     Z,
-    conjugacy_classes,
     dihedral_group,
     smith_normal_form,
 )
@@ -31,6 +30,7 @@ from eulerchi.translation import (
     orbit_space,
     validate_complex,
 )
+from test_groups import conjugacy_classes
 
 
 # --- Smith normal form vs sympy ---------------------------------------------

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import random
+import re
 import sys
 from importlib import resources
 
@@ -15,7 +16,6 @@ from eulerchi.cells import (
     CellSpace,
     ConstructibleFunction,
     chi,
-    fiber_chi,
     integrate,
     integrate_levelset,
     pushforward,
@@ -27,7 +27,6 @@ from eulerchi.errors import (
     UnsupportedCombination,
     ValidationError,
 )
-from eulerchi.groupoid import product_groupoid
 from eulerchi.groups import Presentation, Z, cyclic_group, quaternion_group, symmetric_group
 from eulerchi.translation import (
     InertiaComplex,
@@ -48,6 +47,10 @@ from eulerchi.translation import (
     restrict_complex,
     validate_complex,
 )
+from test_cells import fiber_chi
+from test_groupoid import product_groupoid
+from test_groups import centralizer, conjugacy_classes
+from test_jsonio import action_maps, complex_obj
 
 S3 = symmetric_group(3)
 Z2 = cyclic_group(2)
@@ -69,7 +72,7 @@ def fixed_subcomplex(x: RigidGComplex, t: tuple[int, ...]) -> RigidGComplex:
     reference that the in-place counts of ``fixed_orbit_chi`` and the
     order-ell walk are checked against."""
     fixed = _fixed_ids(x, t, "fixed_subcomplex")
-    cgroup, elems = groups.subgroup_group(x.group, groups.centralizer(x.group, t))
+    cgroup, elems = groups.subgroup_group(x.group, centralizer(x.group, t))
     # element s of cgroup acts as elems[s] does in x
     pos, xperms = {i: k for k, i in enumerate(fixed)}, x.perms
     gens = tuple(tuple(pos[xperms[elems[s]][i]] for i in fixed) for s in cgroup.generators())
@@ -81,7 +84,7 @@ def fixed_orbit_chi(x: RigidGComplex, t: tuple[int, ...]) -> int:
     which maps the fixed set to itself, counted in x's own indices by the
     orbit count the order-ell walk's leaves use."""
     fixed, xperms = _fixed_ids(x, t, "fixed_orbit_chi"), x.perms
-    return translation._orbit_chi(x, fixed, [xperms[e] for e in groups.centralizer(x.group, t)])
+    return translation._orbit_chi(x, fixed, [xperms[e] for e in centralizer(x.group, t)])
 
 
 def stabilizer(x: RigidGComplex, cell_id: str) -> list[int]:
@@ -145,7 +148,7 @@ def test_tampered_actions_name_the_first_failing_pair():
         if not swappable:
             continue
         for g in [rng.choice(pool) for pool in (gens, rest) if pool]:
-            action = {int(e): m for e, m in jsonio.dump_complex(x)["action"].items()}
+            action = action_maps(x)
             a, b = rng.sample(rng.choice(swappable), 2)
             action[g][a], action[g][b] = action[g][b], action[g][a]
             expected = _first_non_homomorphism(x.group, x.space, action)
@@ -168,7 +171,7 @@ def test_action_must_preserve_dimension():
 def test_identity_entry_optional_and_checked():
     space = CellSpace.from_dims({"a": 0, "b": 0})
     x = validate_complex(Z2, space, {1: {"a": "b", "b": "a"}})
-    assert x.act(0, "a") == "a"
+    assert x.perms[0] == (0, 1)
     with pytest.raises(ValidationError, match="identity"):
         validate_complex(Z2, space, {0: {"a": "b", "b": "a"}, 1: {"a": "b", "b": "a"}})
 
@@ -181,18 +184,17 @@ def test_missing_element_entry():
 
 def test_unknown_cell_and_element_refused():
     x = swap_points()
-    with pytest.raises(ValidationError, match="unknown cell id 'nope'"):
-        x.act(1, "nope")
+    with pytest.raises(ValidationError, match=re.escape("unknown cell ids ['nope']")):
+        restrict_complex(x, {"nope"})
     with pytest.raises(ValidationError, match="unknown cell id 'nope'"):
         stabilizer(x, "nope")
     for g in (2, -1):
         with pytest.raises(ValidationError, match=f"element {g} out of range"):
-            x.act(g, "a")
+            fixed_orbit_chi(x, (g,))
 
 
 def _revalidated_perms(x: RigidGComplex):
-    action = jsonio.dump_complex(x)["action"]
-    return validate_complex(x.group, x.space, {int(g): m for g, m in action.items()}).perms
+    return validate_complex(x.group, x.space, action_maps(x)).perms
 
 
 def test_derived_complexes_are_valid_actions():
@@ -236,7 +238,7 @@ def test_validate_complex_runs_only_at_the_edge(monkeypatch):
             chi_gamma_noniter(p, x)
         chi_order_ell(x, 2)
     assert calls == []
-    jsonio.load_complex(jsonio.dump_complex(xs[1]))
+    jsonio.load_complex(complex_obj(xs[1]))
     assert len(calls) == 1
 
 
@@ -305,7 +307,7 @@ def test_cell_validators_run_only_at_the_edge(monkeypatch):
             {"strata": [{"id": "pt", "dim": 0, "isotropy": {"kind": "torus", "n": 1}}]},
             ["validate_space", "validate_groupoid"],
         ),
-        (jsonio.load_complex, jsonio.dump_complex(coset_complex(S3, [0, 1])), ["validate_space"]),
+        (jsonio.load_complex, complex_obj(coset_complex(S3, [0, 1])), ["validate_space"]),
     ]
     for load, obj, expected in loads:
         calls.clear()
@@ -416,8 +418,8 @@ def _generated_complexes(n: int = 30):
 
 def _brute_orbits(x: RigidGComplex) -> list[list[str]]:
     """The orbit partition of x's cells by union-find along the edges
-    c -> act(g, c): each orbit in cell order, orbits ordered by their first
-    cell."""
+    from each cell to its image under each element: each orbit in cell
+    order, orbits ordered by their first cell."""
     ids = x.space.ids()
     parent = {c: c for c in ids}
 
@@ -426,9 +428,9 @@ def _brute_orbits(x: RigidGComplex) -> list[list[str]]:
             c = parent[c]
         return c
 
-    for g in x.group.elements():
+    for images in action_maps(x).values():
         for c in ids:
-            parent[root(x.act(g, c))] = root(c)
+            parent[root(images[c])] = root(c)
     blocks: dict[str, list[str]] = {}
     for c in ids:
         blocks.setdefault(root(c), []).append(c)
@@ -437,8 +439,8 @@ def _brute_orbits(x: RigidGComplex) -> list[list[str]]:
 
 def test_orbit_walk_matches_a_brute_force_partition():
     """``cell_orbits``, ``orbit_space`` and ``anchor_map`` give the
-    partition a union-find over ``act`` gives, with each representative
-    its orbit's first cell in cell order."""
+    partition a union-find over the action maps gives, with each
+    representative its orbit's first cell in cell order."""
     for x in _generated_complexes():
         inertias = {p: inertia_complex(p, x) for p in (Z, Presentation.free_abelian(2))}
         fixed = [fixed_subcomplex(x, (a,)) for a in x.group.elements()]
@@ -509,7 +511,7 @@ def test_noniter_and_order_ell_leaves_build_no_fixed_subcomplex(monkeypatch):
         monkeypatch,
         [(translation, name) for name in ("CellSpace", "RigidGComplex")]
         + [(groups, name) for name in
-           ("subgroup_group", "conj_orbit_count", "centralizer", "conjugacy_classes", "hom_enumerate", "orbits")],
+           ("subgroup_group", "conj_orbit_count", "hom_enumerate", "orbits")],
     )
     for x in xs:
         for p in (Presentation.trivial(), Z, Presentation.free_abelian(2), Presentation.cyclic(3)):
@@ -610,7 +612,7 @@ def test_lazy_space_matches_an_eager_reference():
         half = [c for c in x.space.ids() if rep_of[c] in reps[::2]]
         rest = [c for c in x.space.ids() if rep_of[c] not in reps[::2]]
         for part in (half, rest):
-            assert restrict_complex(x, part).space == cells.restrict(x.space, part)
+            assert restrict_complex(x, part).space == CellSpace(c for c in x.space.cells if c.id in part)
         for y in (swap_points(), point_complex(Z2, "b")):
             assert product_complex(x, y).space == cells.product(x.space, y.space)
         for p in (Z, Presentation.free_abelian(2)):
@@ -631,7 +633,7 @@ def _reference_order_ell_walk(x: RigidGComplex, ell: int) -> tuple[int, list[int
         if depth == ell:
             return chi(orbit_space(y))
         total = 0
-        for cls in groups.conjugacy_classes(y.group):
+        for cls in conjugacy_classes(y.group):
             branches[depth] += 1
             total += walk(fixed_subcomplex(y, (cls.rep,)), depth + 1)
         return total
@@ -690,7 +692,7 @@ def _per_tuple_burnside(p: Presentation, x: RigidGComplex) -> int:
     commute with t and fix i, divided by |G|."""
     perms, total = x.perms, 0
     for t in groups.hom_enumerate(p, x.group):
-        cent = groups.centralizer(x.group, t)
+        cent = centralizer(x.group, t)
         for i, cell in enumerate(x.space.cells):
             if all(perms[e][i] == i for e in t):
                 total += (-1) ** cell.dim * sum(perms[b][i] == i for b in cent)
@@ -770,9 +772,9 @@ def test_order_zero_is_orbit_chi():
 def test_order_two_s3_point():
     # oracle: sum over class representatives of the centralizer class count
     total = 0
-    for cls in groups.conjugacy_classes(S3):
-        cent, _ = groups.subgroup_group(S3, groups.centralizer(S3, (cls.rep,)))
-        total += len(groups.conjugacy_classes(cent))
+    for cls in conjugacy_classes(S3):
+        cent, _ = groups.subgroup_group(S3, centralizer(S3, (cls.rep,)))
+        total += len(conjugacy_classes(cent))
     assert total == 8
     assert chi_order_ell(point_complex(S3), 2) == 8
 
@@ -1136,7 +1138,7 @@ def test_restrict_complex_additivity():
     x = coset_complex(S3, groups.subgroup_closure(S3, [1]), dim=1)
     y = point_complex(S3)
     cells = list(x.space.cells) + list(y.space.cells)
-    action = {g: {c: z.act(g, c) for z in (x, y) for c in z.space.ids()} for g in S3.elements()}
+    action = {g: {**action_maps(x)[g], **action_maps(y)[g]} for g in S3.elements()}
     whole = validate_complex(S3, CellSpace(tuple(cells)), action)
     p = Presentation.cyclic(2)
     total = chi_gamma_strata(p, whole)
