@@ -8,6 +8,7 @@ free-abelian cases also fall out of a recursion over centralizers.
 
 from eulerchi import (
     CellSpace,
+    InertiaComplex,
     Presentation,
     Z,
     anchor_map,
@@ -16,7 +17,6 @@ from eulerchi import (
     chi_order_ell,
     coset_complex,
     cyclic_group,
-    inertia_complex,
     lambda_chi,
     orbit_space,
     point_complex,
@@ -66,7 +66,7 @@ print("\nS3 on three cosets, two commuting generators:",
 # orbit space has fibers counting subgroup orbits, and pushing 1 forward
 # recovers the inertia chi.
 p = Presentation.free_abelian(2)
-ic = inertia_complex(p, cosets)
+ic = InertiaComplex(p, cosets)
 print("inertia complex size:", len(ic.space), "cells")
 m = anchor_map(p, cosets)
 pushed = pushforward(m, ConstructibleFunction.constant(m.source, 1))

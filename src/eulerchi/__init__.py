@@ -43,14 +43,7 @@ from .errors import (
     UnsupportedCombination,
     ValidationError,
 )
-from .groupoid import (
-    ExtensionPrediction,
-    OrbitGroupoid,
-    abelian_extension_chi,
-    chi_gamma,
-    validate_extension,
-    validate_groupoid,
-)
+from .groupoid import OrbitGroupoid, chi_gamma, validate_groupoid
 from .groups import (
     ConjOrbits,
     FiniteGroup,
@@ -76,16 +69,16 @@ from .groups import (
     validate_presentation,
 )
 from .translation import (
+    ExtensionPrediction,
     InertiaComplex,
     RigidGComplex,
+    abelian_extension_chi,
     anchor_map,
     cell_orbits,
     chi_gamma_noniter,
     chi_gamma_strata,
     chi_order_ell,
     coset_complex,
-    inertia_complex,
-    iterate_inertia,
     lambda_chi,
     orbit_groupoid,
     orbit_space,
@@ -93,6 +86,7 @@ from .translation import (
     product_complex,
     restrict_complex,
     validate_complex,
+    validate_extension,
 )
 
 __version__ = "0.1.0"

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 input validation failure, 2 unsupported
-(model, group) combination, 3 cross-check disagreement between routes that
-must agree.  Reports are deterministic for identical inputs and flags;
-``--report json`` emits the machine-readable form.  Input files are read
-only by ``jsonio``, once each; the report records what it read.
+Exit codes: 0 on success; otherwise the ``exit_code`` that the raised error
+carries (see ``errors``), 1 for a file that cannot be read or written, and
+3, as for a ``CrossCheckError``, for a report whose checks disagree.
+Reports are deterministic for identical inputs and flags; ``--report json``
+emits the machine-readable form.  Input files are read only by ``jsonio``,
+once each; the report records what it read.
 
 The order-ell command takes its recursion cap from ``--cap``, else from the
 EULERCHI_RECURSION_CAP environment variable, which no other command reads.
@@ -22,18 +23,8 @@ import sys
 from pathlib import Path
 
 from . import catalog, cells, groupoid, jsonio, translation as tr
-from .errors import (
-    CrossCheckError,
-    EulerchiError,
-    UnsupportedCombination,
-    ValidationError,
-)
+from .errors import CrossCheckError, EulerchiError, ValidationError
 from .report import Report
-
-EXIT_OK = 0
-EXIT_VALIDATION = 1
-EXIT_UNSUPPORTED = 2
-EXIT_CROSSCHECK = 3
 
 
 def _emit(report: Report, args) -> int:
@@ -48,7 +39,7 @@ def _emit(report: Report, args) -> int:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    return EXIT_OK if report.all_pass() else EXIT_CROSSCHECK
+    return 0 if report.all_pass() else CrossCheckError.exit_code
 
 
 def _load(report: Report, label: str, path: str, loader):
@@ -139,7 +130,7 @@ def cmd_inertia(args) -> int:
     report = Report("inertia")
     x = _load(report, "complex", args.complex, jsonio.load_complex)
     p, report.inputs["gamma"] = jsonio.load_gamma(args.gamma)
-    ic = tr.inertia_complex(p, x)
+    ic = tr.InertiaComplex(p, x)
     reps = tr._orbit_reps(ic)
     report.result = sum(-1 if ic.dims[k] % 2 else 1 for k in reps)
     report.breakdown = {
@@ -168,7 +159,7 @@ def cmd_atlas(args) -> int:
 def cmd_extension(args) -> int:
     report = Report("extension")
     ext = _load(report, "extension", args.extension, jsonio.load_extension)
-    pred = groupoid.abelian_extension_chi(ext["fiber"], ext["complex"], ext["ell"])
+    pred = tr.abelian_extension_chi(ext["fiber"], ext["complex"], ext["ell"])
     report.result = pred.predicted
     report.breakdown = {
         "fiber_factor": pred.factor_b,
@@ -293,21 +284,12 @@ def main(argv: list[str] | None = None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         return args.func(args)
-    except UnsupportedCombination as exc:
-        print(f"eulerchi: unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except ValidationError as exc:
-        print(f"eulerchi: invalid input: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except CrossCheckError as exc:
-        print(f"eulerchi: cross-check failure: {exc}", file=sys.stderr)
-        return EXIT_CROSSCHECK
+    except EulerchiError as exc:
+        print(f"eulerchi: {exc.prefix}{exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"eulerchi: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except EulerchiError as exc:
-        print(f"eulerchi: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EulerchiError.exit_code
 
 
 if __name__ == "__main__":

@@ -13,18 +13,18 @@ Labels are compared structurally, which refines the partition into
 isomorphism classes of isotropy; the integrals are computed per cell, so
 the refinement never changes a value.  Labels from outside are checked
 once, by ``validate_groupoid``; ``OrbitGroupoid`` only stores its arguments.
+Group actions, and the extension prediction over one, live in ``translation``.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from . import catalog
 from .catalog import IsotropyModel, chi_hom_quotient
 from .cells import CellSpace, ConstructibleFunction, integrate
 from .errors import UnsupportedCombination, ValidationError
-from .groups import FiniteGroup, Presentation
-from .records import Frozen, Value
+from .groups import Presentation
+from .records import Frozen
 
 
 class OrbitGroupoid(Frozen):
@@ -69,49 +69,3 @@ def chi_gamma(g: OrbitGroupoid, p: Presentation) -> int:
     ``translation`` and ``verify`` check it against the Burnside count.
     """
     return integrate(integrand(g, p))
-
-
-class ExtensionPrediction(Value):
-    __slots__ = ("predicted", "factor_b", "factor_h")
-
-    def __init__(self, predicted: int, factor_b: int, factor_h: int):
-        object.__setattr__(self, "predicted", predicted)
-        object.__setattr__(self, "factor_b", factor_b)
-        object.__setattr__(self, "factor_h", factor_h)
-
-
-def validate_extension(bundle_fiber: IsotropyModel, h: FiniteGroup, x, ell: int) -> dict:
-    """Check an extension from outside, the one place one is checked: the
-    fiber is a finite abelian group or a torus, and x is an action of h."""
-    if isinstance(bundle_fiber, catalog.FiniteIsotropy):
-        b = bundle_fiber.group
-        # abelian exactly when the table is its own transpose
-        if b.table != tuple(zip(*b.table)):
-            raise ValidationError("abelian_extension_chi: finite fiber is not abelian")
-    elif not isinstance(bundle_fiber, catalog.TorusIsotropy):
-        raise ValidationError(
-            "abelian_extension_chi: fiber must be a finite abelian or torus entry"
-        )
-    if x.group != h:
-        raise ValidationError("abelian_extension_chi: complex is not an action of the given group")
-    return {"fiber": bundle_fiber, "group": h, "complex": x, "ell": ell}
-
-
-def abelian_extension_chi(bundle_fiber: IsotropyModel, x, ell: int) -> ExtensionPrediction:
-    """Prediction for a groupoid extending the action of ``x.group`` on x
-    by a bundle with the given abelian fiber: the free-abelian chi of the
-    fiber times the free-abelian chi of the base action.
-
-    Both factors are reported so a disagreement with a directly computed
-    value can be audited.  The factorization needs the abelian fiber that
-    ``validate_extension`` checks for; it genuinely fails without one.
-    """
-    from . import translation
-
-    za = Presentation.free_abelian(ell)
-    if isinstance(bundle_fiber, catalog.FiniteIsotropy):
-        factor_b = bundle_fiber.group.order ** ell
-    else:
-        factor_b = catalog.hom_chi_abelian(bundle_fiber, za)
-    factor_h = translation.chi_gamma_strata(za, x)
-    return ExtensionPrediction(factor_b * factor_h, factor_b, factor_h)

@@ -117,12 +117,15 @@ class CaseSpec(Record):
         self.presentation = presentation
 
     def to_jsonable(self) -> dict:
-        from .jsonio import dump_presentation
-
+        p = self.presentation
         return {
             "group": self.group_key,
             "strata": [{"subgroup": list(s), "dim": d} for s, d in self.strata],
-            "presentation": dump_presentation(self.presentation),
+            "presentation": {
+                "kind": "presentation",
+                "generators": p.generators,
+                "relators": [list(w) for w in p.relators],
+            },
         }
 
 
@@ -229,7 +232,7 @@ class CheckResult(Record):
 
 
 class SuiteResult(Record):
-    __slots__ = ("seed", "cases", "checks_run", "failures", "failing_spec", "corpus")
+    __slots__ = ("seed", "cases", "checks_run", "failures", "failing_spec")
 
     def __init__(
         self,
@@ -238,14 +241,12 @@ class SuiteResult(Record):
         checks_run: dict[str, int] | None = None,
         failures: list[CheckResult] | None = None,
         failing_spec: dict | None = None,
-        corpus: list[tuple[CaseSpec, tr.RigidGComplex]] | None = None,
     ):
         self.seed = seed
         self.cases = cases
         self.checks_run = {} if checks_run is None else checks_run
         self.failures = [] if failures is None else failures
         self.failing_spec = failing_spec
-        self.corpus = [] if corpus is None else corpus
 
     @property
     def passed(self) -> bool:
@@ -338,8 +339,9 @@ def iterate_check(rng: random.Random) -> Check:
     while g.order ** (p1.generators + p2.generators) > ITERATE_TUPLES:
         p1 = random_presentation(rng, max_rank=1)
         p2 = random_presentation(rng, max_rank=1)
-    both = cache(partial(tr.iterate_inertia, p1, p2, build_complex(spec)))
-    return ("iterate_inertia", lambda: both()[0], lambda: both()[1])
+    x = build_complex(spec)
+    return ("iterate_inertia", lambda: tr.lambda_chi(p2, tr.InertiaComplex(p1, x)),
+            lambda: tr.lambda_chi(groups.product_presentation(p1, p2), x))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +406,6 @@ def run_suite(
     max_group: int = 24,
     max_cells: int = 60,
     inject_fault: str | None = None,
-    collect: bool = False,
     extra_checks: bool = True,
 ) -> SuiteResult:
     if inject_fault is not None and inject_fault not in FAULTS:
@@ -416,8 +417,6 @@ def run_suite(
         rng = random.Random(master.randrange(2**63))
         spec = random_case(rng, max_group, max_cells)
         x = build_complex(spec)
-        if collect:
-            result.corpus.append((spec, x))
         _run_checks(result, case_index, _case_checks(spec, rng, x), inject_fault)
         if result.failures:
             first = result.failures[0]

@@ -1,6 +1,6 @@
-"""JSON schemas for every value the library exchanges with files.
+"""JSON schemas for every value the library reads from files.
 
-This module is the one reader of input files.  ``load_file`` reads a file
+This module is the one reader of input files, and it only reads.  ``load_file`` reads a file
 once and returns the loaded value with the report's record of its bytes;
 ``load_gamma`` does the same for a ``--gamma`` file or inline JSON.  Wherever
 a schema allows a nested value (a function's space, a map's source, a
@@ -155,14 +155,6 @@ def load_presentation(obj: Any, base: Path | None = None) -> groups.Presentation
     raise ValidationError(f"presentation: unknown kind {kind!r}")
 
 
-def dump_presentation(p: groups.Presentation) -> dict:
-    return {
-        "kind": "presentation",
-        "generators": p.generators,
-        "relators": [list(w) for w in p.relators],
-    }
-
-
 def _names_file(arg: str) -> bool:
     """Whether arg is an existing path; a string too long to be one is not."""
     try:
@@ -298,7 +290,7 @@ def load_extension(obj: Any, base: Path | None = None) -> dict:
     ell = _require(obj, "ell", "extension")
     if not isinstance(ell, int) or isinstance(ell, bool) or ell < 0:
         raise ValidationError("extension: 'ell' must be a non-negative integer")
-    return groupoid.validate_extension(
+    return translation.validate_extension(
         load_isotropy(_require(obj, "fiber", "extension"), base),
         load_group(_require(obj, "group", "extension"), base),
         load_complex(_require(obj, "complex", "extension"), base),

@@ -15,7 +15,8 @@ indices 0..n-1 per generator of its group (``RigidGComplex.gens``), one
 dimension per cell (``dims``) and a function from a cell index to its id
 (``cell_id``); each stabilizer is a bitmask over the elements.  No builder
 forms a cell: ids are formed where a value names cells, for orbit
-representatives and, on first use of ``space``, for every cell.
+representatives and, on first use of ``space``, for every cell;
+``validate_complex`` and ``product_complex`` hand on the space they hold.
 ``validate_complex`` checks a string-keyed action where it enters
 (``jsonio.load_complex``); complexes derived here are trusted.
 
@@ -55,18 +56,25 @@ is refused (``ResourceLimitExceeded``).  A leaf's
 fixed set modulo its centralizer is counted by walking every element of
 the centralizer.  Nothing reindexes a centralizer into a group or a
 complex of its own.
+
+The extension prediction: an abelian extension of an action's groupoid has
+the free-abelian chi of its fiber times that of the action, which
+``abelian_extension_chi`` reports factor by factor, the second by
+``chi_gamma_strata``; ``validate_extension`` checks an extension where it
+enters (``jsonio.load_extension``).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import groups
-from .catalog import FiniteIsotropy
+from . import catalog, groups
+from .catalog import FiniteIsotropy, IsotropyModel
 from .cells import Cell, CellMap, CellSpace, RESERVED_SEPARATOR, product as space_product
 from .errors import CrossCheckError, RecursionCapExceeded, ResourceLimitExceeded, ValidationError
 from .groupoid import OrbitGroupoid, chi_gamma
 from .groups import FiniteGroup, HomTuple, Presentation
+from .records import Value
 
 DEFAULT_RECURSION_CAP = 4
 
@@ -77,9 +85,10 @@ class RigidGComplex:
     sends cell i to cell ``gens[k][i]``.  Cell i has dimension ``dims[i]``
     and id ``cell_id(i)``.  Every element's permutation is built from the
     generators' once, on first use of ``perms``, and the cell space once,
-    on first use of ``space``.  The core reads a cell only as its index and
-    its dimension.  The arguments are trusted; a string-keyed action from
-    outside goes through ``validate_complex``."""
+    on first use of ``space``, unless its builder hands it over.  The core
+    reads a cell only as its index and its dimension.  The arguments are
+    trusted; a string-keyed action from outside goes through
+    ``validate_complex``."""
 
     __slots__ = ("group", "gens", "dims", "cell_id", "_space", "_perms", "_stab")
 
@@ -191,7 +200,9 @@ def validate_complex(
                             f"({g}*{h}) and composition disagree at cell {cid!r}"
                         )
     gens = tuple(perms[s] for s in group.generators())
-    return RigidGComplex(group, gens, tuple(c.dim for c in space.cells), cell_id=ids.__getitem__)
+    x = RigidGComplex(group, gens, tuple(c.dim for c in space.cells), cell_id=ids.__getitem__)
+    x._space = space
+    return x
 
 
 def _cells(x: RigidGComplex, indices: Iterable[int]) -> CellSpace:
@@ -268,7 +279,9 @@ def product_complex(x: RigidGComplex, y: RigidGComplex) -> RigidGComplex:
         tuple(pa[i] * n + pb[j] for i in range(len(x.dims)) for j in range(n))
         for pa, pb in ((xperms[e // m], yperms[e % m]) for e in group.generators())
     )
-    return RigidGComplex(group, gens, tuple(c.dim for c in space.cells), cell_id=space.ids().__getitem__)
+    xy = RigidGComplex(group, gens, tuple(c.dim for c in space.cells), cell_id=space.ids().__getitem__)
+    xy._space = space
+    return xy
 
 
 def _orbit_chi(x: RigidGComplex, fixed: Sequence[int], perms: Sequence[Sequence[int]]) -> int:
@@ -417,14 +430,10 @@ def _inertia_perms(
     return tuple(out)
 
 
-def inertia_complex(p: Presentation, x: RigidGComplex) -> InertiaComplex:
-    return InertiaComplex(p, x)
-
-
 def lambda_chi(p: Presentation, x: RigidGComplex) -> int:
     """chi of the orbit space of the inertia complex, counted on its
     generators' permutations and dimensions, as order 0 of the walk is."""
-    ic = inertia_complex(p, x)
+    ic = InertiaComplex(p, x)
     return _orbit_chi(ic, range(len(ic.dims)), ic.gens)
 
 
@@ -475,7 +484,7 @@ def anchor_map(p: Presentation, x: RigidGComplex) -> CellMap:
     Dimensions match cell by cell, and pushing the constant function 1
     forward along this map integrates to ``lambda_chi(p, x)``.
     """
-    ic = inertia_complex(p, x)
+    ic = InertiaComplex(p, x)
     reps = _orbit_reps(ic)
     source = _cells(ic, reps)
     # the pairs run in x's cell order, and an inertia orbit lies over a
@@ -484,14 +493,45 @@ def anchor_map(p: Presentation, x: RigidGComplex) -> CellMap:
     return CellMap(source, orbit_space(x), assign)
 
 
-def iterate_inertia(
-    p1: Presentation, p2: Presentation, x: RigidGComplex
-) -> tuple[int, int]:
-    """Compare iterating the inertia construction against the product
-    presentation: (chi via inertia of inertia, chi via the product).
+class ExtensionPrediction(Value):
+    __slots__ = ("predicted", "factor_b", "factor_h")
 
-    The two are equal; both are returned so callers can assert it.
+    def __init__(self, predicted: int, factor_b: int, factor_h: int):
+        object.__setattr__(self, "predicted", predicted)
+        object.__setattr__(self, "factor_b", factor_b)
+        object.__setattr__(self, "factor_h", factor_h)
+
+
+def validate_extension(bundle_fiber: IsotropyModel, h: FiniteGroup, x: RigidGComplex, ell: int) -> dict:
+    """Check an extension from outside, the one place one is checked: the
+    fiber is a finite abelian group or a torus, and x is an action of h."""
+    if isinstance(bundle_fiber, FiniteIsotropy):
+        b = bundle_fiber.group
+        # abelian exactly when the table is its own transpose
+        if b.table != tuple(zip(*b.table)):
+            raise ValidationError("abelian_extension_chi: finite fiber is not abelian")
+    elif not isinstance(bundle_fiber, catalog.TorusIsotropy):
+        raise ValidationError(
+            "abelian_extension_chi: fiber must be a finite abelian or torus entry"
+        )
+    if x.group != h:
+        raise ValidationError("abelian_extension_chi: complex is not an action of the given group")
+    return {"fiber": bundle_fiber, "group": h, "complex": x, "ell": ell}
+
+
+def abelian_extension_chi(bundle_fiber: IsotropyModel, x: RigidGComplex, ell: int) -> ExtensionPrediction:
+    """Prediction for a groupoid extending the action of ``x.group`` on x
+    by a bundle with the given abelian fiber: the free-abelian chi of the
+    fiber times the free-abelian chi of the base action.
+
+    Both factors are reported so a disagreement with a directly computed
+    value can be audited.  The factorization needs the abelian fiber that
+    ``validate_extension`` checks for; it genuinely fails without one.
     """
-    chi_iterated = lambda_chi(p2, inertia_complex(p1, x))
-    chi_product = lambda_chi(groups.product_presentation(p1, p2), x)
-    return chi_iterated, chi_product
+    za = Presentation.free_abelian(ell)
+    if isinstance(bundle_fiber, FiniteIsotropy):
+        factor_b = bundle_fiber.group.order ** ell
+    else:
+        factor_b = catalog.hom_chi_abelian(bundle_fiber, za)
+    factor_h = chi_gamma_strata(za, x)
+    return ExtensionPrediction(factor_b * factor_h, factor_b, factor_h)

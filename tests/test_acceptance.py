@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Every value asserted here is an exact integer with zero tolerance.  The
-module-scoped fixture re-runs the randomized cross-validation corpus
-(seed 42, 200 cases) in process so the corpus-based criteria share it;
-criterion 5 additionally runs the same suite through the installed CLI.
+module-scoped fixture draws the randomized cross-validation corpus (seed
+42, 200 cases) in process, as the suite draws it, so the corpus-based
+criteria share it; criterion 5 runs the same suite through the installed
+CLI.
 """
 
 import functools
@@ -21,10 +22,12 @@ from eulerchi import harness, jsonio
 from eulerchi import translation as tr
 from eulerchi.catalog import O2
 from eulerchi.cells import ConstructibleFunction, chi, integrate, integrate_levelset, pushforward
-from eulerchi.groupoid import abelian_extension_chi, chi_gamma
+from eulerchi.groupoid import chi_gamma
 from eulerchi.groups import Presentation, Z, cyclic_group, symmetric_group
+from eulerchi.translation import abelian_extension_chi
 from test_catalog import ad_quotient_model
 from test_cells import random_cell_map
+from test_harness import drawn_cases
 
 DATA = Path(str(resources.files("eulerchi") / "data"))
 
@@ -47,7 +50,7 @@ def criterion(number, description):
 
 @pytest.fixture(scope="module")
 def corpus():
-    return harness.run_suite(seed=42, cases=200, collect=True)
+    return drawn_cases(seed=42, cases=200)
 
 
 def load_groupoid(name):
@@ -122,7 +125,7 @@ def test_criterion_6_order_ell(corpus):
     start = time.perf_counter()
     assert tr.chi_order_ell(tr.point_complex(symmetric_group(3)), 2) == 8
     checked = 0
-    for spec, x in corpus.corpus:
+    for spec, x in corpus:
         top = 3 if x.group.order ** 3 <= 2000 else 2
         for ell in range(top + 1):
             assert tr.chi_order_ell(x, ell) == tr.chi_gamma_noniter(
@@ -142,8 +145,8 @@ def test_criterion_7_fubini(corpus):
             m.source, {cid: rng.randint(-5, 5) for cid in m.source.ids()}
         )
         assert integrate(pushforward(m, f)) == integrate(f)
-    assert len(corpus.corpus) == 200
-    for spec, x in corpus.corpus:
+    assert len(corpus) == 200
+    for spec, x in corpus:
         anchor = tr.anchor_map(spec.presentation, x)
         pushed = pushforward(anchor, ConstructibleFunction.constant(anchor.source, 1))
         assert integrate(pushed) == chi(anchor.source)
@@ -156,7 +159,7 @@ def test_criterion_8_product_and_bipartition(corpus):
         _, lhs, rhs = harness.multiplicativity_check(rng)
         assert lhs() == rhs()
     done = 0
-    for spec, x in corpus.corpus:
+    for spec, x in corpus:
         reps, rep_of = tr.cell_orbits(x)
         if len(reps) < 2:
             continue

@@ -11,7 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from eulerchi import cli
+from eulerchi import cli, translation
+from eulerchi.errors import (
+    CrossCheckError,
+    EulerchiError,
+    ResourceLimitExceeded,
+    UnsupportedCombination,
+    ValidationError,
+)
 
 DATA = Path(str(resources.files("eulerchi") / "data"))
 
@@ -358,6 +365,39 @@ def test_verify_fault_injection_exits_3(tmp_path):
     assert dump.exists()
     payload = json.loads(dump.read_text())
     assert "instance" in payload and "check" in payload
+
+
+def test_verify_report_of_200_cases_is_pinned(capsys):
+    assert cli.main(["--report", "json", "verify", "--seed", "42", "--cases", "200"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode("utf-8")).hexdigest() == "3100b973e34655b09aadaa6943d661c7"
+
+
+@pytest.mark.parametrize(
+    "error,code,line",
+    [
+        (ValidationError("bad table"), 1, "eulerchi: invalid input: bad table\n"),
+        (
+            UnsupportedCombination("M", "P"), 2,
+            "eulerchi: unsupported: no exact value for isotropy model 'M' with group 'P'\n",
+        ),
+        (
+            ResourceLimitExceeded("walk", "too deep", "pt"), 2,
+            "eulerchi: unsupported: walk: too deep at 'pt'\n",
+        ),
+        (CrossCheckError("routes disagree"), 3, "eulerchi: cross-check failure: routes disagree\n"),
+        (EulerchiError("plain"), 1, "eulerchi: plain\n"),
+    ],
+    ids=["ValidationError", "UnsupportedCombination", "ResourceLimitExceeded", "CrossCheckError", "EulerchiError"],
+)
+def test_each_error_exits_with_its_code_and_one_line(monkeypatch, capsys, error, code, line):
+    def route(p, x):
+        raise error
+
+    monkeypatch.setattr(translation, "chi_gamma_strata", route)
+    argv = ["translation", str(DATA / "s3_point.json"), "--gamma", '{"kind":"trivial"}', "--method", "strata"]
+    assert cli.main(argv) == code
+    assert capsys.readouterr() == ("", line)
 
 
 @pytest.mark.parametrize(

@@ -6,15 +6,10 @@ import pytest
 from eulerchi.catalog import FiniteIsotropy, O2, ProductIsotropy, SO3, TorusIsotropy, trivial_isotropy
 from eulerchi.cells import CellSpace, chi, product
 from eulerchi.errors import UnsupportedCombination, ValidationError
-from eulerchi.groupoid import (
-    OrbitGroupoid,
-    abelian_extension_chi,
-    chi_gamma,
-    validate_extension,
-    validate_groupoid,
-)
+from eulerchi.groupoid import OrbitGroupoid, chi_gamma, validate_groupoid
 from eulerchi.groups import Presentation, Z, cyclic_group, symmetric_group
 from eulerchi import translation as tr
+from eulerchi.translation import abelian_extension_chi, validate_extension
 from test_catalog import ad_quotient_model, chi_by_cell_models
 from test_jsonio import action_maps
 

@@ -6,6 +6,18 @@ from eulerchi import catalog, cells, groups, harness, translation as tr
 from eulerchi.groups import Presentation, presentation_class
 
 
+def drawn_cases(seed: int, cases: int) -> list[tuple[harness.CaseSpec, tr.RigidGComplex]]:
+    """The (spec, complex) pairs ``run_suite`` checks at its default limits,
+    drawn as it draws them: one generator per case, seeded from the master
+    generator."""
+    master = random.Random(seed)
+    out = []
+    for _ in range(cases):
+        spec = harness.random_case(random.Random(master.randrange(2**63)), 24, 60)
+        out.append((spec, harness.build_complex(spec)))
+    return out
+
+
 def test_suite_small_run_green():
     result = harness.run_suite(seed=1, cases=10)
     assert result.passed
@@ -75,11 +87,11 @@ def test_draws_build_only_the_groups_drawn(monkeypatch):
     assert "C2xS4" not in harness._group_cache
 
 
-def test_collect_exposes_corpus_and_anchors():
-    result = harness.run_suite(seed=3, cases=6, collect=True, extra_checks=False)
-    assert len(result.corpus) == 6
+def test_drawn_cases_rebuild_their_anchors():
+    corpus = drawn_cases(seed=3, cases=6)
+    assert len(corpus) == 6
     # each case's anchor map rebuilds from its corpus entry
-    for spec, x in result.corpus:
+    for spec, x in corpus:
         anchor = tr.anchor_map(spec.presentation, x)
         assert cells.chi(anchor.source) == tr.lambda_chi(spec.presentation, x)
 

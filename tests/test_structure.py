@@ -1,0 +1,72 @@
+"""The package's import structure, read from its source with ``ast``.
+
+Every import of a package module sits at module level, so a module's
+dependencies are read from its head; the one exception is the CLI's late
+import of the harness, which only ``verify`` needs.  The modules import
+each other without a cycle.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "eulerchi"
+MODULES = {path.stem: path for path in sorted(SRC.glob("*.py"))}
+# (module, function) -> the package modules that function may import itself
+LATE = {("cli", "cmd_verify"): {"harness"}}
+
+
+def _targets(node: ast.AST) -> set[str]:
+    """The package modules an import statement names."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("eulerchi.")}
+    if not isinstance(node, ast.ImportFrom):
+        return set()
+    if node.level:
+        within = node.module or ""
+    elif node.module == "eulerchi" or node.module.startswith("eulerchi."):
+        within = node.module[len("eulerchi."):]
+    else:
+        return set()
+    return {within.split(".")[0]} if within else {alias.name for alias in node.names}
+
+
+def _imports(name: str) -> list[tuple[str | None, set[str]]]:
+    """Per package import in module ``name``: the function or class it sits
+    in (None at module level) and the modules it names."""
+    tree = ast.parse(MODULES[name].read_text(encoding="utf-8"))
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+
+    def visit(node: ast.AST, scope: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            targets = _targets(child)
+            if targets:
+                out.append((scope, targets))
+            visit(child, child.name if isinstance(child, scopes) else scope)
+
+    visit(tree, None)
+    return out
+
+
+def test_package_imports_sit_at_module_level():
+    late = {}
+    for name in MODULES:
+        for scope, targets in _imports(name):
+            if scope is not None:
+                late.setdefault((name, scope), set()).update(targets)
+    assert late == LATE
+
+
+def test_module_imports_have_no_cycle():
+    graph = {name: set().union(*(t for _, t in _imports(name))) & set(MODULES) for name in MODULES}
+    done: set[str] = set()
+
+    def walk(name: str, path: list[str]) -> None:
+        assert name not in path, " -> ".join(path + [name])
+        if name not in done:
+            for target in sorted(graph[name]):
+                walk(target, path + [name])
+            done.add(name)
+
+    for name in graph:
+        walk(name, [])

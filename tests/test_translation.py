@@ -37,8 +37,6 @@ from eulerchi.translation import (
     chi_gamma_strata,
     chi_order_ell,
     coset_complex,
-    inertia_complex,
-    iterate_inertia,
     lambda_chi,
     orbit_groupoid,
     orbit_space,
@@ -210,12 +208,12 @@ def test_derived_complexes_are_valid_actions():
         product_complex(point_complex(Z2), free_circle()),
         restrict_complex(product_complex(cosets, swap_points()), []),
         point_complex(groups.trivial_group()),
-    ] + [inertia_complex(Z, inertia_complex(Z, y)) for y in (cosets, free_circle())] + generated
+    ] + [InertiaComplex(Z, InertiaComplex(Z, y)) for y in (cosets, free_circle())] + generated
     for x in generated + [cosets, free_circle()]:
         reps, rep_of = cell_orbits(x)
         derived.append(restrict_complex(x, [c for c in x.space.ids() if rep_of[c] in reps[::2]]))
         derived += [fixed_subcomplex(x, (e,)) for e in x.group.elements()]
-        derived += [inertia_complex(p, x) for p in (Z, Presentation.free_abelian(2))]
+        derived += [InertiaComplex(p, x) for p in (Z, Presentation.free_abelian(2))]
     for x in derived:
         assert _revalidated_perms(x) == x.perms
 
@@ -260,7 +258,7 @@ def _derived_cell_values():
             m = anchor_map(p, x)
             yield m
             yield pushforward(m, ConstructibleFunction.constant(m.source, 1))
-            yield inertia_complex(p, x).space
+            yield InertiaComplex(p, x).space
 
 
 def test_cell_validators_run_only_at_the_edge(monkeypatch):
@@ -442,7 +440,7 @@ def test_orbit_walk_matches_a_brute_force_partition():
     partition a union-find over the action maps gives, with each
     representative its orbit's first cell in cell order."""
     for x in _generated_complexes():
-        inertias = {p: inertia_complex(p, x) for p in (Z, Presentation.free_abelian(2))}
+        inertias = {p: InertiaComplex(p, x) for p in (Z, Presentation.free_abelian(2))}
         fixed = [fixed_subcomplex(x, (a,)) for a in x.group.elements()]
         for y in [x, *inertias.values(), *fixed]:
             orbits = _brute_orbits(y)
@@ -537,7 +535,8 @@ def test_inertia_ids_are_formed_only_at_the_edge(monkeypatch, capsys):
     ``validate_complex``, ``point_complex``, ``coset_complex``,
     ``restrict_complex`` and the inertia complex, of a complex or of an
     inertia complex, construct no cell until ``space`` is read, and reading
-    it forms each cell once.  The inertia routes read cells by index and
+    it forms each cell once; ``validate_complex`` hands on the space it
+    checked, so reading that forms none.  The inertia routes read cells by index and
     dimension: ``lambda_chi``, ``iterate_inertia``, the Burnside count and
     the ``inertia`` command form no cell and no cell space.  ``anchor_map``
     forms a cell for each orbit representative alone, of the inertia
@@ -557,7 +556,8 @@ def test_inertia_ids_are_formed_only_at_the_edge(monkeypatch, capsys):
     for x in built:
         counts["Cell"] = 0
         assert len(x.space) == len(x.dims) and x.space is x.space
-        assert counts["Cell"] == len(x.dims)
+        assert counts["Cell"] == (0 if x is xs[1] else len(x.dims))
+    assert xs[1].space is circle
     for x in xs:
         reps, rep_of = cell_orbits(x)
         keep = [c for c in x.space.ids() if rep_of[c] in reps[::2]]
@@ -616,11 +616,34 @@ def test_lazy_space_matches_an_eager_reference():
         for y in (swap_points(), point_complex(Z2, "b")):
             assert product_complex(x, y).space == cells.product(x.space, y.space)
         for p in (Z, Presentation.free_abelian(2)):
-            ic = inertia_complex(p, x)
+            ic = InertiaComplex(p, x)
             assert ic.space == _eager_inertia_space(ic, x)
-            iic = inertia_complex(Z, ic)
+            iic = InertiaComplex(Z, ic)
             assert iic.space == _eager_inertia_space(iic, ic)
             assert iic.dims == tuple(c.dim for c in iic.space.cells)
+
+
+def test_loaded_and_product_complexes_form_each_cell_once(monkeypatch):
+    """``validate_complex`` and ``product_complex`` hand the space they
+    hold (the loaded one, that of ``cells.product``) to the complex they
+    return, so reading its ``space`` forms no cell a second time."""
+    x = harness.build_complex(harness.CaseSpec("S3", [([0], 0), ([0], 1)], Z))
+    obj, y = complex_obj(x), coset_complex(S3, [0])
+    assert len(y.space) == 6
+    formed = 0
+    original = cells.Cell.__init__
+
+    def counting(self, *args):
+        nonlocal formed
+        formed += 1
+        original(self, *args)
+
+    monkeypatch.setattr(cells.Cell, "__init__", counting)
+    loaded = jsonio.load_complex(obj)
+    assert len(loaded.space) == formed == 12
+    formed = 0
+    xy = product_complex(loaded, y)
+    assert len(xy.space) == formed == 72
 
 
 def _reference_order_ell_walk(x: RigidGComplex, ell: int) -> tuple[int, list[int]]:
@@ -819,19 +842,19 @@ def test_an_order_deeper_than_the_stack_is_refused():
 
 def test_inertia_trivial_presentation_mirrors_base():
     x = free_circle()
-    ic = inertia_complex(Presentation.trivial(), x)
+    ic = InertiaComplex(Presentation.trivial(), x)
     assert len(ic.space) == len(x.space)
     assert chi(orbit_space(ic)) == chi(orbit_space(x))
 
 
 def test_inertia_free_action_identity_labels_only():
     x = free_circle()
-    ic = inertia_complex(Z, x)
+    ic = InertiaComplex(Z, x)
     assert all(ic.tuples[i] == (0,) for i, _ in ic.pairs)
 
 
 def test_inertia_s3_point_counts():
-    ic = inertia_complex(Z, point_complex(S3))
+    ic = InertiaComplex(Z, point_complex(S3))
     assert len(ic.space) == 6
     reps, _ = cell_orbits(ic)
     assert len(reps) == 3
@@ -1091,6 +1114,12 @@ def test_anchor_pushforward_integrates_to_lambda():
 
 # --- iteration, products, restriction ------------------------------------------------
 
+def iterate_inertia(p1: Presentation, p2: Presentation, x: RigidGComplex) -> tuple[int, int]:
+    """chi via the inertia complex of an inertia complex, and via the
+    product presentation: the two sides of the ``iterate_inertia`` check."""
+    return lambda_chi(p2, InertiaComplex(p1, x)), lambda_chi(groups.product_presentation(p1, p2), x)
+
+
 def test_iterate_trivial_first_factor():
     x = point_complex(S3)
     it, prod = iterate_inertia(Presentation.trivial(), Z, x)
@@ -1128,7 +1157,7 @@ def test_product_of_three_complexes_multiplies(route):
 
 
 def test_product_with_an_inertia_complex_multiplies():
-    inertia = inertia_complex(Z, point_complex(S3))
+    inertia = InertiaComplex(Z, point_complex(S3))
     y = coset_complex(S3, groups.subgroup_closure(S3, [1]), dim=1)
     for p in (Z, Presentation.free_abelian(2), Presentation.cyclic(3)):
         assert lambda_chi(p, product_complex(inertia, y)) == lambda_chi(p, inertia) * lambda_chi(p, y)
