@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from functools import cache, partial
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import catalog, cells, groups, translation as tr
 # the cells functions are looked up at call time: the CLI imports this
@@ -253,11 +253,8 @@ class SuiteResult(Record):
         return not self.failures
 
 
-def _case_checks(
-    spec: CaseSpec, rng: random.Random, x: tr.RigidGComplex | None = None
-) -> list[Check]:
-    if x is None:
-        x = build_complex(spec)
+def _case_checks(spec: CaseSpec, rng: random.Random) -> list[Check]:
+    x = build_complex(spec)
     p = spec.presentation
     # shared by several checks, so computed at most once; the anchor map's
     # source is the inertia orbit space, so its chi is lambda_chi(p, x)
@@ -400,6 +397,16 @@ def _run_checks(
             result.failures.append(CheckResult(case, name, left, right))
 
 
+def draw_cases(
+    master: random.Random, cases: int, max_group: int = 24, max_cells: int = 60
+) -> Iterator[tuple[random.Random, CaseSpec]]:
+    """``run_suite``'s draws: per case, a generator seeded from ``master``
+    and the spec drawn from it; the case's checks go on drawing from it."""
+    for _ in range(cases):
+        rng = random.Random(master.randrange(2**63))
+        yield rng, random_case(rng, max_group, max_cells)
+
+
 def run_suite(
     seed: int,
     cases: int,
@@ -413,11 +420,8 @@ def run_suite(
     master = random.Random(seed)
     result = SuiteResult(seed=seed, cases=cases)
 
-    for case_index in range(cases):
-        rng = random.Random(master.randrange(2**63))
-        spec = random_case(rng, max_group, max_cells)
-        x = build_complex(spec)
-        _run_checks(result, case_index, _case_checks(spec, rng, x), inject_fault)
+    for case_index, (rng, spec) in enumerate(draw_cases(master, cases, max_group, max_cells)):
+        _run_checks(result, case_index, _case_checks(spec, rng), inject_fault)
         if result.failures:
             first = result.failures[0]
 

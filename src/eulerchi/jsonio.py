@@ -1,8 +1,9 @@
 """JSON schemas for every value the library reads from files.
 
-This module is the one reader of input files, and it only reads.  ``load_file`` reads a file
-once and returns the loaded value with the report's record of its bytes;
-``load_gamma`` does the same for a ``--gamma`` file or inline JSON.  Wherever
+This module is the one reader of input files, and it only reads.
+``load_file`` reads a file once and returns the loaded value with the
+report's record of its bytes; ``load_gamma`` does the same for a
+``--gamma`` file or inline JSON.  Wherever
 a schema allows a nested value (a function's space, a map's source, a
 complex's group) it may be given inline or as a path string, resolved
 relative to the referring file and decoded as a top-level file is.  Errors
@@ -11,8 +12,8 @@ the validator of what it builds (``validate_space`` and the like): the one
 check of an input.
 
 The id separator "⊗" is reserved for generated ids (products, inertia
-cells) and rejected in all input ids; a dumped product space is therefore
-not re-loadable, by design.
+cells) and rejected in all input ids, so no generated id can be read back
+as an input, by design.
 """
 
 from __future__ import annotations

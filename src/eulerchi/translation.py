@@ -511,9 +511,7 @@ def validate_extension(bundle_fiber: IsotropyModel, h: FiniteGroup, x: RigidGCom
         if b.table != tuple(zip(*b.table)):
             raise ValidationError("abelian_extension_chi: finite fiber is not abelian")
     elif not isinstance(bundle_fiber, catalog.TorusIsotropy):
-        raise ValidationError(
-            "abelian_extension_chi: fiber must be a finite abelian or torus entry"
-        )
+        raise ValidationError("abelian_extension_chi: fiber must be a finite abelian or torus entry")
     if x.group != h:
         raise ValidationError("abelian_extension_chi: complex is not an action of the given group")
     return {"fiber": bundle_fiber, "group": h, "complex": x, "ell": ell}

@@ -27,7 +27,6 @@ from eulerchi.groups import Presentation, Z, cyclic_group, symmetric_group
 from eulerchi.translation import abelian_extension_chi
 from test_catalog import ad_quotient_model
 from test_cells import random_cell_map
-from test_harness import drawn_cases
 
 DATA = Path(str(resources.files("eulerchi") / "data"))
 
@@ -50,7 +49,8 @@ def criterion(number, description):
 
 @pytest.fixture(scope="module")
 def corpus():
-    return drawn_cases(seed=42, cases=200)
+    draws = harness.draw_cases(random.Random(42), 200)
+    return [(spec, harness.build_complex(spec)) for _, spec in draws]
 
 
 def load_groupoid(name):

@@ -6,18 +6,6 @@ from eulerchi import catalog, cells, groups, harness, translation as tr
 from eulerchi.groups import Presentation, presentation_class
 
 
-def drawn_cases(seed: int, cases: int) -> list[tuple[harness.CaseSpec, tr.RigidGComplex]]:
-    """The (spec, complex) pairs ``run_suite`` checks at its default limits,
-    drawn as it draws them: one generator per case, seeded from the master
-    generator."""
-    master = random.Random(seed)
-    out = []
-    for _ in range(cases):
-        spec = harness.random_case(random.Random(master.randrange(2**63)), 24, 60)
-        out.append((spec, harness.build_complex(spec)))
-    return out
-
-
 def test_suite_small_run_green():
     result = harness.run_suite(seed=1, cases=10)
     assert result.passed
@@ -88,10 +76,11 @@ def test_draws_build_only_the_groups_drawn(monkeypatch):
 
 
 def test_drawn_cases_rebuild_their_anchors():
-    corpus = drawn_cases(seed=3, cases=6)
+    corpus = list(harness.draw_cases(random.Random(3), 6))
     assert len(corpus) == 6
     # each case's anchor map rebuilds from its corpus entry
-    for spec, x in corpus:
+    for _, spec in corpus:
+        x = harness.build_complex(spec)
         anchor = tr.anchor_map(spec.presentation, x)
         assert cells.chi(anchor.source) == tr.lambda_chi(spec.presentation, x)
 
@@ -165,8 +154,7 @@ SIDES = {
 def _side_calls(monkeypatch, spec, name, side):
     """The group primitives that one side of a check calls, run from a fresh
     check list (so no shared value is cached) and a cleared chi cache."""
-    x = harness.build_complex(spec)
-    check = next(c for c in harness._case_checks(spec, random.Random(0), x) if c[0] == name)
+    check = next(c for c in harness._case_checks(spec, random.Random(0)) if c[0] == name)
     catalog._finite_chi.cache_clear()
     called = set()
 
