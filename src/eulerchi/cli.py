@@ -131,7 +131,7 @@ def cmd_inertia(args) -> int:
     x = _load(report, "complex", args.complex, jsonio.load_complex)
     p, report.inputs["gamma"] = jsonio.load_gamma(args.gamma)
     ic = tr.InertiaComplex(p, x)
-    reps = tr._orbit_reps(ic)
+    reps = tr.cell_orbits(ic)
     report.result = sum(-1 if ic.dims[k] % 2 else 1 for k in reps)
     report.breakdown = {
         "labels": len(ic.tuples),

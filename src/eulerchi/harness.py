@@ -282,11 +282,11 @@ def _case_checks(spec: CaseSpec, rng: random.Random) -> list[Check]:
     ]
 
     # additivity: split the orbits into two invariant halves
-    reps, rep_of = tr.cell_orbits(x)
-    if len(reps) >= 2:
-        half = set(rng.sample(reps, rng.randint(1, len(reps) - 1)))
-        part1 = [cid for cid in x.space.ids() if rep_of[cid] in half]
-        part2 = [cid for cid in x.space.ids() if rep_of[cid] not in half]
+    orbits = tr.cell_orbits(x)
+    if len(orbits) >= 2:
+        half = set(rng.sample(list(orbits), rng.randint(1, len(orbits) - 1)))
+        part1 = [i for r, orbit in orbits.items() if r in half for i in orbit]
+        part2 = [i for r, orbit in orbits.items() if r not in half for i in orbit]
 
         def halves() -> int:
             return sum(tr.chi_gamma_strata(p, tr.restrict_complex(x, part)) for part in (part1, part2))
@@ -345,43 +345,23 @@ def iterate_check(rng: random.Random) -> Check:
 # suite driver and shrinking
 
 
-def shrink_spec(
-    spec: CaseSpec, failing: Callable[[CaseSpec], bool], rounds: int = 40
-) -> CaseSpec:
-    """Greedy shrink: drop strata, then relators, while the failure stays."""
-    current = spec
-    budget = rounds
-    changed = True
-    while changed and budget > 0:
-        changed = False
-        for i in range(len(current.strata)):
-            if len(current.strata) <= 1:
-                break
-            trial = CaseSpec(
-                current.group_key,
-                current.strata[:i] + current.strata[i + 1:],
-                current.presentation,
-            )
-            budget -= 1
-            if failing(trial):
-                current = trial
-                changed = True
-                break
-        if changed or budget <= 0:
-            continue
-        rels = current.presentation.relators
-        for i in range(len(rels)):
-            trial = CaseSpec(
-                current.group_key,
-                current.strata,
-                Presentation(current.presentation.generators, rels[:i] + rels[i + 1:]),
-            )
-            budget -= 1
-            if failing(trial):
-                current = trial
-                changed = True
-                break
-    return current
+def _drops(spec: CaseSpec) -> Iterator[CaseSpec]:
+    """The spec with one stratum dropped, each in turn while more than one
+    remains, then with one relator dropped, each in turn."""
+    key, strata, p = spec.group_key, spec.strata, spec.presentation
+    if len(strata) > 1:
+        for i in range(len(strata)):
+            yield CaseSpec(key, strata[:i] + strata[i + 1:], p)
+    for i in range(len(p.relators)):
+        yield CaseSpec(key, strata, Presentation(p.generators, p.relators[:i] + p.relators[i + 1:]))
+
+
+def shrink_spec(spec: CaseSpec, failing: Callable[[CaseSpec], bool]) -> CaseSpec:
+    """Greedy shrink: take the first drop that still fails, until none
+    does.  Every drop makes the spec smaller, so the loop ends."""
+    while (smaller := next(filter(failing, _drops(spec)), None)) is not None:
+        spec = smaller
+    return spec
 
 
 def _run_checks(

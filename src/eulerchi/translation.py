@@ -38,7 +38,8 @@ Every orbit of cells is walked on cell indices by ``groups.orbits``, a
 breadth-first closure under the permutations it is given, and an orbit's
 representative is its first cell in cell order.  Orbits of a whole group,
 order 0 of the order-ell route among them, are walked on ``gens``, by
-``_orbit_reps`` where the representatives are wanted.
+``cell_orbits`` where the orbits themselves are wanted, each a set of cell
+indices keyed by its first cell; ``restrict_complex`` takes indices too.
 ``validate_complex`` checks the homomorphism law on the pairs (generator,
 element), which implies it on every pair.  The order-ell route walks its
 whole recursion in the given complex's own element and cell indices: a
@@ -224,48 +225,40 @@ def coset_complex(
     return RigidGComplex(group, ca.gens, (dim,) * len(ca.reps), cell_id=lambda i: f"{prefix}{i}")
 
 
-def _orbit_reps(x: RigidGComplex) -> dict[int, set[int]]:
-    """Each orbit of x's cells, keyed by its first cell, in cell order."""
+def cell_orbits(x: RigidGComplex) -> dict[int, set[int]]:
+    """Each orbit of x's cell indices, keyed by its first cell, in cell order."""
     return dict(groups.orbits(x.gens, range(len(x.dims))))
-
-
-def cell_orbits(x: RigidGComplex) -> tuple[tuple[str, ...], dict[str, str]]:
-    """Orbits of cells: (representatives, cell -> representative map),
-    each representative its orbit's first cell, in cell order."""
-    ids, orbits = x.space.ids(), _orbit_reps(x)
-    rep_of = {ids[j]: ids[i] for i, orbit in orbits.items() for j in orbit}
-    return tuple(ids[i] for i in orbits), rep_of
 
 
 def orbit_space(x: RigidGComplex) -> CellSpace:
     """Cell space of orbit representatives, each orbit's first cell, in
     cell order (dimension is preserved)."""
-    return _cells(x, _orbit_reps(x))
+    return _cells(x, cell_orbits(x))
 
 
 def orbit_groupoid(x: RigidGComplex) -> OrbitGroupoid:
     """Orbit space with each representative labeled by its stabilizer."""
-    reps, masks = _orbit_reps(x), x.stabilizer_masks()
+    reps, masks = cell_orbits(x), x.stabilizer_masks()
     space = _cells(x, reps)
     stabs = {c.id: [g for g in x.group.elements() if masks[i] >> g & 1] for i, c in zip(reps, space.cells)}
     iso = {r: FiniteIsotropy(groups.subgroup_group(x.group, s)[0]) for r, s in stabs.items()}
     return OrbitGroupoid(space, iso)
 
 
-def restrict_complex(x: RigidGComplex, keep: Iterable[str]) -> RigidGComplex:
-    """Restriction to an invariant set of cells (checked)."""
-    keep, ids = set(keep), x.space.ids()
-    unknown = keep - set(ids)
-    if unknown:
-        raise ValidationError(f"restrict_complex: unknown cell ids {sorted(unknown)}")
-    idx = [i for i, cid in enumerate(ids) if cid in keep]
+def restrict_complex(x: RigidGComplex, keep: Iterable[int]) -> RigidGComplex:
+    """Restriction to an invariant set of cell indices (checked); cells keep their ids."""
+    keep, n = list(keep), len(x.dims)
+    for i in keep:
+        if type(i) is not int or not 0 <= i < n:
+            raise ValidationError(f"restrict_complex: cell index {i!r} is not in range({n})")
+    idx = sorted(set(keep))
     # a set each generator keeps is kept by the whole group
     for perm in x.gens:
         if {perm[i] for i in idx} != set(idx):
             raise ValidationError("restrict_complex: cell set is not invariant")
     pos = {i: k for k, i in enumerate(idx)}
     gens = tuple(tuple(pos[perm[i]] for i in idx) for perm in x.gens)
-    return RigidGComplex(x.group, gens, tuple(x.dims[i] for i in idx), cell_id=lambda k: ids[idx[k]])
+    return RigidGComplex(x.group, gens, tuple(x.dims[i] for i in idx), cell_id=lambda k: x.cell_id(idx[k]))
 
 
 def product_complex(x: RigidGComplex, y: RigidGComplex) -> RigidGComplex:
@@ -485,7 +478,7 @@ def anchor_map(p: Presentation, x: RigidGComplex) -> CellMap:
     forward along this map integrates to ``lambda_chi(p, x)``.
     """
     ic = InertiaComplex(p, x)
-    reps = _orbit_reps(ic)
+    reps = cell_orbits(ic)
     source = _cells(ic, reps)
     # the pairs run in x's cell order, and an inertia orbit lies over a
     # whole orbit of x, so its first cell lies over that orbit's first cell

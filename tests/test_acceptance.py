@@ -160,12 +160,12 @@ def test_criterion_8_product_and_bipartition(corpus):
         assert lhs() == rhs()
     done = 0
     for spec, x in corpus:
-        reps, rep_of = tr.cell_orbits(x)
-        if len(reps) < 2:
+        orbits = tr.cell_orbits(x)
+        if len(orbits) < 2:
             continue
-        half = set(rng.sample(reps, rng.randint(1, len(reps) - 1)))
-        part1 = [c for c in x.space.ids() if rep_of[c] in half]
-        part2 = [c for c in x.space.ids() if rep_of[c] not in half]
+        half = set(rng.sample(list(orbits), rng.randint(1, len(orbits) - 1)))
+        part1 = [i for r, orbit in orbits.items() if r in half for i in orbit]
+        part2 = [i for r, orbit in orbits.items() if r not in half for i in orbit]
         p = spec.presentation
         whole = tr.chi_gamma_strata(p, x)
         split = tr.chi_gamma_strata(p, tr.restrict_complex(x, part1)) + tr.chi_gamma_strata(

@@ -167,6 +167,10 @@ def test_order_ell():
     assert json.loads(r.stdout)["result"] == 5
     r = run_cli("--report", "json", "order-ell", str(DATA / "s3_point.json"), "--ell", "0")
     assert json.loads(r.stdout)["result"] == 1
+    r = run_cli("--report", "json", "order-ell", str(DATA / "q8_point.json"), "--ell", "10", "--cap", "10")
+    report = json.loads(r.stdout)
+    assert report["result"] == 1572352
+    assert [b["branches"] for b in report["breakdown"]["recursion"]] == [5, 22]
 
 
 def test_order_ell_cap_exit_2():

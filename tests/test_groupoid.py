@@ -185,11 +185,11 @@ def test_atlas_three_random_saturated_pieces():
     for _ in range(10):
         spec = random_case(rng, 12, 40)
         x = build_complex(spec)
-        reps, rep_of = tr.cell_orbits(x)
-        buckets = {r: rng.randrange(3) for r in reps}
+        orbits = tr.cell_orbits(x)
+        buckets = {r: rng.randrange(3) for r in orbits}
         pieces = []
         for b in range(3):
-            keep = [c for c in x.space.ids() if buckets[rep_of[c]] == b]
+            keep = [i for r, orbit in orbits.items() if buckets[r] == b for i in orbit]
             pieces.append(tr.restrict_complex(x, keep))
         p = spec.presentation
         assert atlas_sum(pieces, p) == tr.chi_gamma_strata(p, x)

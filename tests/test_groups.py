@@ -363,6 +363,16 @@ def test_relabelled_symmetric_corruptions_are_refused_as_the_sweep_words_them():
     assert "associativity" in refusals and len(set(refusals)) >= 3, refusals
 
 
+def test_relabelled_s5_is_accepted_with_its_centralizer_masks():
+    """``validate_group`` accepts S5 with its elements renamed, and each
+    centralizer mask of the group it returns is the set of b with
+    a*b == b*a in the renamed table."""
+    t = relabelled(symmetric_group(5).table, random.Random(5))
+    g = validate_group(t)
+    assert g.table != symmetric_group(5).table
+    assert all(g.centralizer_mask(a) == sum(1 << b for b in range(120) if t[a][b] == t[b][a]) for a in range(120))
+
+
 def test_s6_is_accepted_without_the_sweep(monkeypatch):
     monkeypatch.setattr(groups, "_refuse", _sweep_not_reached)
     s6 = symmetric_group(6)

@@ -50,6 +50,23 @@ def test_unknown_fault_rejected():
         harness.run_suite(seed=0, cases=1, inject_fault="gremlins")
 
 
+def test_case_checks_read_no_cell_space(monkeypatch):
+    """Both sides of every per-case check of ``verify --seed 42 --cases
+    200`` hold with ``RigidGComplex.space`` raising: the checks read a
+    complex's cells by index and form ids only for values that name cells."""
+
+    def no_space(x):
+        raise AssertionError("a per-case check read a complex's cell space")
+
+    monkeypatch.setattr(tr.RigidGComplex, "space", property(no_space))
+    names = []
+    for rng, spec in harness.draw_cases(random.Random(42), 200):
+        for name, lhs, rhs in harness._case_checks(spec, rng):
+            assert lhs() == rhs(), name
+            names.append(name)
+    assert names.count("three_way_strata_vs_lambda") == 200 and "additivity" in names
+
+
 def test_case_specs_rebuild_identically():
     rng = random.Random(5)
     for _ in range(20):

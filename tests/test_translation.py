@@ -182,13 +182,19 @@ def test_missing_element_entry():
 
 def test_unknown_cell_and_element_refused():
     x = swap_points()
-    with pytest.raises(ValidationError, match=re.escape("unknown cell ids ['nope']")):
+    with pytest.raises(ValidationError, match=re.escape("cell index 'nope' is not in range(2)")):
         restrict_complex(x, {"nope"})
     with pytest.raises(ValidationError, match="unknown cell id 'nope'"):
         stabilizer(x, "nope")
     for g in (2, -1):
         with pytest.raises(ValidationError, match=f"element {g} out of range"):
             fixed_orbit_chi(x, (g,))
+
+
+def _every_other_orbit(x: RigidGComplex) -> list[int]:
+    """The cell indices of x's first, third, ... orbit, in cell order."""
+    orbits = cell_orbits(x)
+    return sorted(i for r in list(orbits)[::2] for i in orbits[r])
 
 
 def _revalidated_perms(x: RigidGComplex):
@@ -210,8 +216,7 @@ def test_derived_complexes_are_valid_actions():
         point_complex(groups.trivial_group()),
     ] + [InertiaComplex(Z, InertiaComplex(Z, y)) for y in (cosets, free_circle())] + generated
     for x in generated + [cosets, free_circle()]:
-        reps, rep_of = cell_orbits(x)
-        derived.append(restrict_complex(x, [c for c in x.space.ids() if rep_of[c] in reps[::2]]))
+        derived.append(restrict_complex(x, _every_other_orbit(x)))
         derived += [fixed_subcomplex(x, (e,)) for e in x.group.elements()]
         derived += [InertiaComplex(p, x) for p in (Z, Presentation.free_abelian(2))]
     for x in derived:
@@ -443,11 +448,9 @@ def test_orbit_walk_matches_a_brute_force_partition():
         inertias = {p: InertiaComplex(p, x) for p in (Z, Presentation.free_abelian(2))}
         fixed = [fixed_subcomplex(x, (a,)) for a in x.group.elements()]
         for y in [x, *inertias.values(), *fixed]:
-            orbits = _brute_orbits(y)
-            reps, rep_of = cell_orbits(y)
-            assert reps == tuple(o[0] for o in orbits)
-            assert rep_of == {c: o[0] for o in orbits for c in o}
-            assert orbit_space(y).cells == tuple(y.space.cells[y.space.index(o[0])] for o in orbits)
+            orbits, index = _brute_orbits(y), y.space.index
+            assert list(cell_orbits(y).items()) == [(index(o[0]), {index(c) for c in o}) for o in orbits]
+            assert orbit_space(y).cells == tuple(y.space.cells[index(o[0])] for o in orbits)
         base_orbits = _brute_orbits(x)
         base_rep = {c: o[0] for o in base_orbits for c in o}
         for p, ic in inertias.items():
@@ -559,12 +562,11 @@ def test_inertia_ids_are_formed_only_at_the_edge(monkeypatch, capsys):
         assert counts["Cell"] == (0 if x is xs[1] else len(x.dims))
     assert xs[1].space is circle
     for x in xs:
-        reps, rep_of = cell_orbits(x)
-        keep = [c for c in x.space.ids() if rep_of[c] in reps[::2]]
+        keep = _every_other_orbit(x)
         counts["Cell"] = 0
         y = restrict_complex(x, keep)
         assert counts["Cell"] == 0
-        assert y.space.ids() == tuple(keep) and counts["Cell"] == len(keep)
+        assert y.space.ids() == tuple(map(x.cell_id, keep)) and counts["Cell"] == len(keep)
     counts.update(dict.fromkeys(counts, 0))
     for x in xs:
         for p in (Z, Presentation.free_abelian(2)):
@@ -608,11 +610,10 @@ def test_lazy_space_matches_an_eager_reference():
             for i in range(len(groups.coset_action(g, sub).reps))
         ))
         assert x.dims == tuple(c.dim for c in x.space.cells)
-        reps, rep_of = cell_orbits(x)
-        half = [c for c in x.space.ids() if rep_of[c] in reps[::2]]
-        rest = [c for c in x.space.ids() if rep_of[c] not in reps[::2]]
+        half = _every_other_orbit(x)
+        rest = sorted(set(range(len(x.dims))) - set(half))
         for part in (half, rest):
-            assert restrict_complex(x, part).space == CellSpace(c for c in x.space.cells if c.id in part)
+            assert restrict_complex(x, part).space == CellSpace(x.space.cells[i] for i in part)
         for y in (swap_points(), point_complex(Z2, "b")):
             assert product_complex(x, y).space == cells.product(x.space, y.space)
         for p in (Z, Presentation.free_abelian(2)):
@@ -856,8 +857,7 @@ def test_inertia_free_action_identity_labels_only():
 def test_inertia_s3_point_counts():
     ic = InertiaComplex(Z, point_complex(S3))
     assert len(ic.space) == 6
-    reps, _ = cell_orbits(ic)
-    assert len(reps) == 3
+    assert len(cell_orbits(ic)) == 3
 
 
 def test_inertia_complex_conjugates_by_generators_only(monkeypatch):
@@ -1093,7 +1093,6 @@ def test_anchor_fiber_counts_subgroup_orbits():
     p = Presentation.free_abelian(2)
     x = coset_complex(S3, groups.subgroup_closure(S3, [1]))
     m = anchor_map(p, x)
-    _, rep_of = cell_orbits(x)
     for tid in m.target.ids():
         h, _ = groups.subgroup_group(S3, stabilizer(x, tid))
         expected = groups.conj_orbit_count(groups.hom_enumerate(p, h), h).count
@@ -1161,6 +1160,10 @@ def test_product_with_an_inertia_complex_multiplies():
     y = coset_complex(S3, groups.subgroup_closure(S3, [1]), dim=1)
     for p in (Z, Presentation.free_abelian(2), Presentation.cyclic(3)):
         assert lambda_chi(p, product_complex(inertia, y)) == lambda_chi(p, inertia) * lambda_chi(p, y)
+    # a product whose first factor is itself a product composes with it too
+    a, b = point_complex(S3), point_complex(Z2)
+    triple = product_complex(product_complex(a, b), inertia)
+    assert lambda_chi(Z, triple) == lambda_chi(Z, a) * lambda_chi(Z, b) * lambda_chi(Z, inertia) == 48
 
 
 def test_restrict_complex_additivity():
@@ -1171,15 +1174,34 @@ def test_restrict_complex_additivity():
     whole = validate_complex(S3, CellSpace(tuple(cells)), action)
     p = Presentation.cyclic(2)
     total = chi_gamma_strata(p, whole)
-    part1 = chi_gamma_strata(p, restrict_complex(whole, x.space.ids()))
-    part2 = chi_gamma_strata(p, restrict_complex(whole, y.space.ids()))
+    n = len(x.dims)
+    part1 = chi_gamma_strata(p, restrict_complex(whole, range(n)))
+    part2 = chi_gamma_strata(p, restrict_complex(whole, range(n, len(whole.dims))))
     assert total == part1 + part2
 
 
 def test_restrict_complex_requires_invariance():
     x = free_circle()
     with pytest.raises(ValidationError, match="invariant"):
-        restrict_complex(x, {"v0"})
+        restrict_complex(x, {x.space.index("v0")})
+
+
+def test_restrict_complex_refusals():
+    """A cell index that is not an int in range, a bool among them, or a
+    set no generator keeps is refused; the empty set is an empty complex."""
+    x = free_circle()
+    for keep, message in [
+        (["v0"], "cell index 'v0' is not in range(4)"),
+        ([True], "cell index True is not in range(4)"),
+        ([-1], "cell index -1 is not in range(4)"),
+        ([4], "cell index 4 is not in range(4)"),
+        ([0, 2], "cell set is not invariant"),
+    ]:
+        with pytest.raises(ValidationError) as err:
+            restrict_complex(x, keep)
+        assert str(err.value) == f"restrict_complex: {message}"
+    empty = restrict_complex(x, set())
+    assert (empty.group, empty.gens, empty.dims, len(empty.space)) == (x.group, ((),), (), 0)
 
 
 # --- the coset reduction ---------------------------------------------------------------
