@@ -120,8 +120,10 @@ def cmd_order_ell(args) -> int:
             raise ValidationError(f"EULERCHI_RECURSION_CAP must be an integer, got {raw!r}") from None
     report = Report("order-ell")
     x = _load(report, "complex", args.complex, jsonio.load_complex)
-    report.result, branches = tr._order_ell_walk(x, args.ell, cap)
-    tree = [{"depth": d + 1, "branches": b} for d, b in enumerate(branches[:2])]
+    report.result = tr.chi_order_ell(x, args.ell, cap)
+    # depth d branches once per class of commuting d-tuples, whatever the complex: chi on a point
+    point = tr.point_complex(x.group)
+    tree = [{"depth": d, "branches": tr.chi_order_ell(point, d)} for d in (1, 2) if d <= args.ell]
     report.breakdown = {"ell": args.ell, "recursion": tree}
     return _emit(report, args)
 

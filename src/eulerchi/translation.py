@@ -42,21 +42,9 @@ order 0 of the order-ell route among them, are walked on ``gens``, by
 indices keyed by its first cell; ``restrict_complex`` takes indices too.
 ``validate_complex`` checks the homomorphism law on the pairs (generator,
 element), which implies it on every pair.  The order-ell route walks its
-whole recursion in the given complex's own element and cell indices: a
-centralizer is a sorted list of the group's elements, its conjugacy classes
-are read from the group's table, and a branch carries the list of cells its
-tuple fixes, which each depth filters.  A class representative central in
-its centralizer is a class of its own, so its class set is not built.  A
-subtree depends only on its centralizer, its fixed cells and its depth, and
-few distinct ones occur, so within one call each is walked once: the walk
-is memoized on that key, and a repeat returns the subtree's value and its
-branch counts at every depth below.  The cost then grows with the number
-of distinct subtrees, not with the product of class counts.  The walk
-recurses once per depth, and an order deeper than the interpreter's stack
-is refused (``ResourceLimitExceeded``).  A leaf's
-fixed set modulo its centralizer is counted by walking every element of
-the centralizer.  Nothing reindexes a centralizer into a group or a
-complex of its own.
+recursion in the given complex's own element and cell indices, memoized
+within one call (``chi_order_ell`` describes the walk); nothing reindexes a
+centralizer into a group or a complex of its own.
 
 The extension prediction: an abelian extension of an action's groupoid has
 the free-abelian chi of its fiber times that of the action, which
@@ -291,19 +279,10 @@ def chi_order_ell(
 ) -> int:
     """Order-ell characteristic, recursing over conjugacy classes.
 
-    Order 0 is chi of the orbit space; order 1 is the classical
-    one-generator sum, over conjugacy classes, of chi of the centralizer
-    quotient of the class representative's fixed set.  The recursion cap
-    (default 4) bounds ell.  The walk is memoized on (centralizer, fixed
-    cells, depth), so its cost grows with the number of distinct subtrees
-    rather than with products of class counts.
-    """
-    return _order_ell_walk(x, ell, cap)[0]
-
-
-def _order_ell_walk(x: RigidGComplex, ell: int, cap: int) -> tuple[int, list[int]]:
-    """``chi_order_ell`` and the number of branches, one per conjugacy
-    class, at every depth 1..ell of its recursion.
+    Order 0 is chi of the orbit space, the orbits of the whole group walked
+    on its generators; order 1 is the classical one-generator sum, over
+    conjugacy classes, of chi of the centralizer quotient of the class
+    representative's fixed set.  The recursion cap (default 4) bounds ell.
 
     Every branch stays in x's own element and cell indices.  It carries its
     centralizer, a sorted list of x's elements, starting from the whole
@@ -316,18 +295,15 @@ def _order_ell_walk(x: RigidGComplex, ell: int, cap: int) -> tuple[int, list[int
     the representative fixes.  A representative its whole centralizer
     commutes with is central there, and its class is itself alone
     (orbit-stabilizer), so that class set is not built.  A leaf counts its
-    centralizer's orbits on its cells (``_orbit_chi``).  Nothing is built
-    below the root, and every class is a branch, also one that fixes no
-    cell; a leaf that fixes no cell adds 0 and walks no orbit.  Order 0
-    has no branches: it counts the orbits of the whole group, walked on
-    its generators.
+    centralizer's orbits on its cells (``_orbit_chi``); one that fixes no
+    cell adds 0 and walks no orbit.  Nothing is built below the root.
 
     A subtree is a function of its centralizer, its cells and its depth
     alone, so ``walk`` is memoized on those, as an element bitmask, a cell
-    bitmask and the depth, for the length of one call.  It returns the
-    subtree's value and its branch counts at its own depth and every depth
-    below; a miss adds each child's counts into its own, and a hit returns
-    the stored pair, so the counts are those of the unmemoized recursion.
+    bitmask and the depth, for the length of one call: its cost grows with
+    the number of distinct subtrees rather than with products of class
+    counts.  The walk recurses once per depth, and an order deeper than the
+    interpreter's stack is refused (``ResourceLimitExceeded``).
     """
     if ell < 0:
         raise ValidationError("ell must be >= 0")
@@ -336,35 +312,30 @@ def _order_ell_walk(x: RigidGComplex, ell: int, cap: int) -> tuple[int, list[int
     if ell > cap:
         raise RecursionCapExceeded(ell, cap)
     if ell == 0:
-        return _orbit_chi(x, range(len(x.dims)), x.gens), []
+        return _orbit_chi(x, range(len(x.dims)), x.gens)
     table, inv = x.group.table, x.group._inv
     masks, xperms = x.stabilizer_masks(), x.perms
-    memo: dict[tuple[int, int, int], tuple[int, list[int]]] = {}
+    memo: dict[tuple[int, int, int], int] = {}
 
-    def walk(cent: list[int], fixed: list[int], depth: int) -> tuple[int, list[int]]:
+    def walk(cent: list[int], fixed: list[int], depth: int) -> int:
         key = (sum(1 << b for b in cent), sum(1 << i for i in fixed), depth)
         if key in memo:
             return memo[key]
         total, seen, last = 0, set(), depth + 1 == ell
-        branches = [0] * (ell - depth)
         for a in cent:
             if a in seen:
                 continue
-            branches[0] += 1
             row = table[a]
             child = [b for b in cent if table[b][a] == row[b]]
             if len(child) < len(cent):
                 seen |= {table[table[b][a]][inv[b]] for b in cent}
             below = [i for i in fixed if masks[i] >> a & 1]
             if not last:
-                value, under = walk(child, below, depth + 1)
-                total += value
-                for k, n in enumerate(under, 1):
-                    branches[k] += n
+                total += walk(child, below, depth + 1)
             elif below:
                 total += _orbit_chi(x, below, [xperms[b] for b in child])
-        memo[key] = total, branches
-        return total, branches
+        memo[key] = total
+        return total
 
     try:
         return walk(list(x.group.elements()), list(range(len(masks))), 0)

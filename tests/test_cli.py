@@ -19,6 +19,9 @@ from eulerchi.errors import (
     UnsupportedCombination,
     ValidationError,
 )
+from eulerchi.groups import Presentation, symmetric_group
+
+from test_jsonio import complex_obj
 
 DATA = Path(str(resources.files("eulerchi") / "data"))
 
@@ -195,6 +198,22 @@ def test_order_ell_eleven_on_q8_runs_through_main():
     report = json.loads(out.getvalue())
     assert report["result"] == 6290432
     assert [b["branches"] for b in report["breakdown"]["recursion"]] == [5, 22]
+
+
+def test_order_ell_breakdown_is_the_groups_value_on_a_point(tmp_path, capsys):
+    """The breakdown of a complex that is not a point lists its group's
+    order-1 and order-2 values on a point: S4 has 5 classes of elements
+    and 21 classes of commuting pairs."""
+    s4 = symmetric_group(4)
+    involution = next(a for a in s4.elements() if a and s4.mul(a, a) == 0)
+    x = translation.coset_complex(s4, [0, involution])
+    path = tmp_path / "s4_cosets.json"
+    path.write_text(json.dumps(complex_obj(x)))
+    assert cli.main(["--report", "json", "order-ell", str(path), "--ell", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"] == translation.chi_gamma_noniter(Presentation.free_abelian(3), x) == 8
+    assert translation.chi_order_ell(translation.point_complex(s4), 3) == 84
+    assert report["breakdown"]["recursion"] == [{"depth": 1, "branches": 5}, {"depth": 2, "branches": 21}]
 
 
 def test_stack_overflows_are_refused_with_exit_2(tmp_path, capsys):

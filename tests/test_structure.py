@@ -70,3 +70,32 @@ def test_module_imports_have_no_cycle():
 
     for name in graph:
         walk(name, [])
+
+
+def _module_aliases(tree: ast.AST) -> set[str]:
+    """The names an import binds to a package module, as in
+    ``from . import translation as tr``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module, node.level) in (("eulerchi", 0), (None, 1)):
+            out |= {alias.asname or alias.name for alias in node.names if alias.name in MODULES}
+        elif isinstance(node, ast.Import):
+            out |= {a.asname for a in node.names if a.asname and a.name.startswith("eulerchi.")}
+    return out
+
+
+def test_no_module_reads_another_modules_private_names():
+    reads = []
+    for name, path in MODULES.items():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = _module_aliases(tree)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+            ):
+                reads.append(f"{name}.py:{node.lineno}: {node.value.id}.{node.attr}")
+    assert reads == []

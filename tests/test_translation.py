@@ -522,14 +522,13 @@ def test_noniter_and_order_ell_leaves_build_no_fixed_subcomplex(monkeypatch):
     for x in xs:
         for ell in range(4):
             counts.update(dict.fromkeys(counts, 0))
-            _, branches = translation._order_ell_walk(x, ell, 4)
+            chi_order_ell(x, ell)
             assert counts["hom_enumerate"] == counts["conj_orbit_count"] == masks["centralizer_mask"] == 0
             assert counts["RigidGComplex"] == counts["CellSpace"] == counts["subgroup_group"] == 0
             assert counts["orbits"] > 0  # the counter sees the walk's orbits
     chi_gamma_noniter(Z, point_complex(S3))
     assert masks["centralizer_mask"] > 0  # the counter sees the count's bitmasks
-    value, branches = translation._order_ell_walk(point_complex(S3), 2, 4)
-    assert (value, branches) == (8, [3, 8])
+    assert [chi_order_ell(point_complex(S3), d) for d in (1, 2)] == [3, 8]
 
 
 def test_inertia_ids_are_formed_only_at_the_edge(monkeypatch, capsys):
@@ -666,9 +665,10 @@ def _reference_order_ell_walk(x: RigidGComplex, ell: int) -> tuple[int, list[int
 
 
 def test_order_ell_walk_matches_the_reindexed_recursion():
-    """The in-place walk gives the value and the per-depth branch counts of
-    the recursion that reindexes every centralizer into its own group.  The
-    cyclic point, the product with an abelian factor and the cosets of a
+    """The in-place walk gives the value of the recursion that reindexes
+    every centralizer into its own group, and that recursion's branch count
+    at every depth d is the walk's order-d value of the group on a point.
+    The cyclic point, the product with an abelian factor and the cosets of a
     large normal subgroup take the walk's central-class shortcut often, and
     the coset complexes have last-depth leaves that fix no cell."""
     d6 = groups.dihedral_group(6)
@@ -681,8 +681,41 @@ def test_order_ell_walk_matches_the_reindexed_recursion():
     ]
     xs += _generated_complexes(30)
     for x in xs:
+        pt = point_complex(x.group)
         for ell in range(4):
-            assert translation._order_ell_walk(x, ell, 4) == _reference_order_ell_walk(x, ell), ell
+            value, branches = _reference_order_ell_walk(x, ell)
+            assert chi_order_ell(x, ell) == value, ell
+            assert branches == [chi_order_ell(pt, d) for d in range(1, ell + 1)], ell
+
+
+def _commuting_tuples_over_order(table) -> tuple[int, int]:
+    """The numbers of commuting pairs and of commuting triples of a group,
+    each divided by its order, counted from its multiplication table alone:
+    the classes of commuting 1- and 2-tuples by Burnside's lemma."""
+    n = len(table)
+    # per element, the bitmask of the elements it commutes with
+    cent = [sum(1 << b for b in range(n) if table[a][b] == table[b][a]) for a in range(n)]
+    pairs = sum(c.bit_count() for c in cent)
+    triples = sum((cent[a] & cent[b]).bit_count() for a in range(n) for b in range(n) if cent[a] >> b & 1)
+    assert pairs % n == triples % n == 0
+    return pairs // n, triples // n
+
+
+POINT_VALUES = {"S3": [3, 8], "Q8": [5, 22], "S4": [5, 21], "C2xS4": [10, 84], "S5": [7, 39], "S6": [11, 92]}
+
+
+def test_order_ell_on_a_point_counts_classes_of_commuting_tuples():
+    """At order d the walk on a point counts the conjugacy classes of
+    commuting d-tuples, |Hom(Z^(d+1), G)| / |G| (Bryan and Fulman 1998 for
+    S_n); the count here shares no code with the walk."""
+    gs = {key: harness.group_by_key(key) for key in harness._GROUP_BUILDERS}
+    gs |= {"S5": symmetric_group(5), "S6": symmetric_group(6)}
+    values = {}
+    for key, g in gs.items():
+        pt = point_complex(g)
+        values[key] = [chi_order_ell(pt, d) for d in (1, 2)]
+        assert values[key] == list(_commuting_tuples_over_order(g.table)), key
+    assert {k: values[k] for k in POINT_VALUES} == POINT_VALUES
 
 
 def _class_sum(p: Presentation, x: RigidGComplex) -> int:
