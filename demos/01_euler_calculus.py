@@ -4,7 +4,6 @@ Run as a script; every value printed is an exact integer.
 """
 
 from eulerchi import (
-    CellMap,
     CellSpace,
     ConstructibleFunction,
     chi,
@@ -12,6 +11,8 @@ from eulerchi import (
     integrate_levelset,
     product,
     pushforward,
+    validate_function,
+    validate_map,
 )
 
 # A space is just a list of open cells with dimensions.  The combinatorial
@@ -29,9 +30,10 @@ print("chi of an open interval:", chi(open_interval))      # -1
 square = product(closed_interval, closed_interval)
 print("\nthe square has", len(square), "cells and chi", chi(square))
 
-# A constructible function assigns an integer to each cell.  Its integral
-# with respect to chi weights each value by the cell's sign.
-f = ConstructibleFunction(half_open, {"v0": 2, "e": -1})
+# A constructible function assigns an integer to each cell; the validator
+# checks one per cell id and keeps them in cell order.  Its integral with
+# respect to chi weights each value by the cell's sign.
+f = validate_function(half_open, {"v0": 2, "e": -1})
 print("\nintegral of f:", integrate(f))
 print("same integral via level sets:", integrate_levelset(f))
 
@@ -40,7 +42,7 @@ print("same integral via level sets:", integrate_levelset(f))
 # endpoints while horizontal edges and the face sit over the open edge.
 from eulerchi import RESERVED_SEPARATOR as SEP
 
-projection = CellMap(
+projection = validate_map(
     square,
     closed_interval,
     {
@@ -54,7 +56,7 @@ projection = CellMap(
 ones = ConstructibleFunction.constant(square, 1)
 pushed = pushforward(projection, ones)
 print("\nfiber chi over each interval cell:")
-for cid in closed_interval.ids():
-    print(f"  over {cid}: {pushed.values[cid]}")
-print("pushforward of 1:", dict(sorted(pushed.values.items())))
+for cid, value in zip(closed_interval.ids(), pushed.values):
+    print(f"  over {cid}: {value}")
+print("pushforward of 1:", dict(sorted(zip(closed_interval.ids(), pushed.values))))
 print("integral before:", integrate(ones), " after:", integrate(pushed))

@@ -21,9 +21,13 @@ meets a source cell s assigned to c in a single open cell of dimension
 dim(s) - dim(c).  That convention makes the Fubini identity
 ``integrate(pushforward(m, f)) == integrate(f)`` exact on the nose.
 
-Constructors only store their arguments: values from outside are checked
-once, as they enter, by ``validate_space``, ``validate_function`` and
-``validate_map``, and values built here are trusted.
+The calculus works on cell positions: a function's values and a map's
+assignment are tuples in the order of the cells, and the target of a
+source cell is a position in the target.  Ids are resolved to positions
+once, as values from outside enter, by ``validate_function`` and
+``validate_map`` (``validate_space`` checks the cells themselves); they
+are named again only in reports and refusals.  Constructors only store
+their arguments, and values built here are trusted.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from collections import Counter
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
-from .records import Frozen, Value
+from .records import Value
 
 # Joins the factor ids of a product cell (and the parts of an inertia id).
 # File ids may not contain it, so a generated id never equals an input one;
@@ -52,12 +56,10 @@ class Cell(Value):
 class CellSpace(Value):
     """A finite disjoint union of open cells.  The empty space is allowed."""
 
-    __slots__ = ("cells", "_index")
+    __slots__ = ("cells",)
 
     def __init__(self, cells: Iterable[Cell] = ()):
-        cells = tuple(cells)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "_index", {c.id: i for i, c in enumerate(cells)})
+        object.__setattr__(self, "cells", tuple(cells))
 
     @classmethod
     def from_dims(cls, dims: Mapping[str, int]) -> "CellSpace":
@@ -66,17 +68,10 @@ class CellSpace(Value):
     def ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.cells)
 
-    def index(self, cell_id: str) -> int:
-        try:
-            return self._index[cell_id]
-        except KeyError:
-            raise ValidationError(f"unknown cell id {cell_id!r}") from None
-
-    def dim_of(self, cell_id: str) -> int:
-        return self.cells[self.index(cell_id)].dim
-
-    def has_cell(self, cell_id: str) -> bool:
-        return cell_id in self._index
+    def positions(self) -> dict[str, int]:
+        """Each cell id's position in ``cells``, built anew on each call:
+        the validators resolve ids from outside with it, once each."""
+        return {c.id: i for i, c in enumerate(self.cells)}
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -104,32 +99,33 @@ def chi(space: CellSpace) -> int:
     return sum(-1 if c.dim % 2 else 1 for c in space.cells)
 
 
-class ConstructibleFunction(Frozen):
-    """An integer value per cell; the function is constant on each cell."""
+class ConstructibleFunction(Value):
+    """An integer value per cell, ``values[k]`` on cell k; the function is
+    constant on each cell."""
 
     __slots__ = ("space", "values")
 
-    def __init__(self, space: CellSpace, values: Mapping[str, int] | None = None):
+    def __init__(self, space: CellSpace, values: tuple[int, ...]):
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "values", {} if values is None else values)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def constant(cls, space: CellSpace, c: int) -> "ConstructibleFunction":
-        return cls(space, {cid: c for cid in space.ids()})
+        return cls(space, (c,) * len(space))
 
 
 def validate_function(space: CellSpace, values: Mapping[str, int]) -> ConstructibleFunction:
-    """Check values from outside: one integer per cell."""
-    vals = dict(values)
+    """Check values from outside, keyed by cell id: one integer per cell."""
+    vals, pos = dict(values), space.positions()
     for cid, v in vals.items():
-        if not space.has_cell(cid):
+        if cid not in pos:
             raise ValidationError(f"values: {cid!r} is not a cell of the space")
         if not isinstance(v, int) or isinstance(v, bool):
             raise ValidationError(f"values[{cid!r}]: expected an integer, got {v!r}")
     missing = [c.id for c in space.cells if c.id not in vals]
     if missing:
         raise ValidationError(f"values: missing cells {missing}")
-    return ConstructibleFunction(space, vals)
+    return ConstructibleFunction(space, tuple(vals[c.id] for c in space.cells))
 
 
 def integrate(f: ConstructibleFunction) -> int:
@@ -138,9 +134,7 @@ def integrate(f: ConstructibleFunction) -> int:
     Equivalently sum_k k * chi({f = k}); the cell-wise sum is the faster
     route and is exact.
     """
-    return sum(
-        f.values[c.id] * (-1 if c.dim % 2 else 1) for c in f.space.cells
-    )
+    return sum(v * (-1 if c.dim % 2 else 1) for c, v in zip(f.space.cells, f.values))
 
 
 # The level-set route's cost does not grow with max |f|; the refusal stays
@@ -162,13 +156,13 @@ def integrate_levelset(f: ConstructibleFunction) -> int:
     """
     if not f.space.cells:
         return 0
-    bound = max(abs(v) for v in f.values.values())
+    bound = max(map(abs, f.values))
     if bound > LEVELSET_VALUE_BOUND:
         raise ValidationError(
             f"level-set integration got a value of size {bound}; "
             f"values beyond {LEVELSET_VALUE_BOUND} are refused (use integrate)"
         )
-    signed = [(f.values[c.id], -1 if c.dim % 2 else 1) for c in f.space.cells]
+    signed = [(v, -1 if c.dim % 2 else 1) for c, v in zip(f.space.cells, f.values)]
     total = previous = 0
     for t in sorted({abs(v) for v, _ in signed} - {0}):
         # chi({f >= t}) - chi({f <= -t}), summed over the cells of both sets
@@ -192,48 +186,46 @@ def product(*spaces: CellSpace) -> CellSpace:
             for combo in itertools.product(*(s.cells for s in spaces))
         )
     )
-    if len(space._index) < len(space.cells):
-        repeated = next(cid for cid, k in Counter(space.ids()).items() if k > 1)
-        raise ValidationError(f"product: cell id {repeated!r} would be formed twice")
+    repeated = [cid for cid, k in Counter(space.ids()).items() if k > 1]
+    if repeated:
+        raise ValidationError(f"product: cell id {repeated[0]!r} would be formed twice")
     return space
 
 
-class CellMap(Frozen):
+class CellMap(Value):
     """A cell-to-cell map with trivialized fibers.
 
-    ``assign`` sends each source cell to a target cell of dimension at most
-    its own.  The fiber over a point of target cell c meets source cell s
-    (with assign(s) = c) in one open cell of dimension dim(s) - dim(c);
-    maps violating the dimension inequality cannot arise that way and are
-    rejected by ``validate_map``.
+    ``assign[k]`` is the position in the target of the cell that source
+    cell k goes to, a cell of dimension at most its own.  The fiber over a
+    point of target cell c meets source cell s (with assign(s) = c) in one
+    open cell of dimension dim(s) - dim(c); maps violating the dimension
+    inequality cannot arise that way and are rejected by ``validate_map``.
     """
 
     __slots__ = ("source", "target", "assign")
 
-    def __init__(
-        self, source: CellSpace, target: CellSpace, assign: Mapping[str, str] | None = None
-    ):
+    def __init__(self, source: CellSpace, target: CellSpace, assign: tuple[int, ...]):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "assign", {} if assign is None else assign)
+        object.__setattr__(self, "assign", assign)
 
 
 def validate_map(source: CellSpace, target: CellSpace, assign: Mapping[str, str]) -> CellMap:
-    """Check an assignment from outside: each source cell to a cell of the
-    target of dimension at most its own."""
-    assign = dict(assign)
+    """Check an assignment from outside, source cell id to target cell id:
+    each source cell to a cell of the target of dimension at most its own."""
+    assign, spos, tpos = dict(assign), source.positions(), target.positions()
     for sid, tid in assign.items():
-        if not source.has_cell(sid):
+        if sid not in spos:
             raise ValidationError(f"assign: {sid!r} is not a cell of the source")
-        if not target.has_cell(tid):
+        if tid not in tpos:
             raise ValidationError(f"assign[{sid!r}]: {tid!r} is not a cell of the target")
-        sdim, tdim = source.dim_of(sid), target.dim_of(tid)
+        sdim, tdim = source.cells[spos[sid]].dim, target.cells[tpos[tid]].dim
         if sdim < tdim:
             raise ValidationError(f"assign[{sid!r}]: dimension {sdim} maps onto higher dimension {tdim}")
     missing = [c.id for c in source.cells if c.id not in assign]
     if missing:
         raise ValidationError(f"assign: missing source cells {missing}")
-    return CellMap(source, target, assign)
+    return CellMap(source, target, tuple(tpos[assign[c.id]] for c in source.cells))
 
 
 def pushforward(m: CellMap, f: ConstructibleFunction) -> ConstructibleFunction:
@@ -245,9 +237,7 @@ def pushforward(m: CellMap, f: ConstructibleFunction) -> ConstructibleFunction:
     """
     if f.space != m.source:
         raise ValidationError("pushforward: function space differs from map source")
-    out = {cid: 0 for cid in m.target.ids()}
-    for s in m.source.cells:
-        tid = m.assign[s.id]
-        sign = -1 if (s.dim - m.target.dim_of(tid)) % 2 else 1
-        out[tid] += f.values[s.id] * sign
-    return ConstructibleFunction(m.target, out)
+    targets, out = m.target.cells, [0] * len(m.target)
+    for s, t, v in zip(m.source.cells, m.assign, f.values):
+        out[t] += v * (-1 if (s.dim - targets[t].dim) % 2 else 1)
+    return ConstructibleFunction(m.target, tuple(out))

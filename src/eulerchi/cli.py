@@ -71,7 +71,7 @@ def cmd_pushforward(args) -> int:
     m = _load(report, "map", args.map, jsonio.load_cell_map)
     f = _load(report, "function", args.function, jsonio.load_function)
     pushed = cells.pushforward(m, f)
-    report.result = {cid: pushed.values[cid] for cid in sorted(pushed.values)}
+    report.result = dict(sorted(zip(pushed.space.ids(), pushed.values)))
     report.check("fubini", cells.integrate(pushed), cells.integrate(f))
     return _emit(report, args)
 
@@ -83,17 +83,12 @@ def cmd_gamma_chi(args) -> int:
     f = groupoid.integrand(g, p)
     report.result = cells.integrate(f)
     report.breakdown = [
-        {
-            "stratum": c.id,
-            "dim": c.dim,
-            "integrand": f.values[c.id],
-            "term": f.values[c.id] * (-1 if c.dim % 2 else 1),
-        }
-        for c in g.space.cells
+        {"stratum": c.id, "dim": c.dim, "integrand": v, "term": v * (-1 if c.dim % 2 else 1)}
+        for c, v in zip(g.space.cells, f.values)
     ]
-    for cid in g.space.ids():
-        if catalog.is_user_supplied(g.label(cid)):
-            report.warnings.append(f"stratum {cid}: user-supplied catalog entry")
+    for c, label in zip(g.space.cells, g.isotropy):
+        if catalog.is_user_supplied(label):
+            report.warnings.append(f"stratum {c.id}: user-supplied catalog entry")
     return _emit(report, args)
 
 

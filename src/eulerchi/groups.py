@@ -260,25 +260,23 @@ class FiniteGroup:
 
     The table is trusted, not checked: a table from outside the program
     goes through ``validate_group``.  Besides the table and its inverses
-    a group keeps only the enumeration's centralizer bitmasks and its
-    greedy generating set, which ``validate_group`` passes in.
+    (``inverses[a]`` is a^-1) a group keeps only the enumeration's
+    centralizer bitmasks and its greedy generating set, which
+    ``validate_group`` passes in.
     """
 
-    __slots__ = ("order", "table", "_inv", "_cent", "_gens")
+    __slots__ = ("order", "table", "inverses", "_cent", "_gens")
 
     def __init__(self, table: Sequence[Sequence[int]], generators: Sequence[int] | None = None):
         self.table = tuple(map(tuple, table))
         self.order = len(self.table)
         # a * a^-1 = 0: the inverse is the column holding 0 in row a
-        self._inv = tuple(self.table[a].index(0) for a in range(self.order))
+        self.inverses = tuple(self.table[a].index(0) for a in range(self.order))
         self._cent: tuple[int, ...] | None = None
         self._gens = None if generators is None else tuple(generators)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self._inv[a]
 
     def centralizer_mask(self, a: int) -> int:
         """The centralizer of a as a bitmask over the elements, from a table
@@ -288,7 +286,7 @@ class FiniteGroup:
         class is filled from C(b r b^-1) = b C(r) b^-1: about n lookups per
         class, where comparing every row with its column takes n^2."""
         if self._cent is None:
-            table, inv, n = self.table, self._inv, self.order
+            table, inv, n = self.table, self.inverses, self.order
             bits = [1 << b for b in range(n)]
             cent = [0] * n  # 0 is no mask: every centralizer holds 0
             for r in range(n):
@@ -461,7 +459,7 @@ def hom_enumerate(p: Presentation, g: FiniteGroup) -> list[HomTuple]:
     ell = p.generators
     if ell == 0:
         return [()]
-    table, inv, n = g.table, g._inv, g.order
+    table, inv, n = g.table, g.inverses, g.order
     partners: list[list[int]] = [[] for _ in range(ell)]
     words: list[list[tuple[tuple[int, bool], ...]]] = [[] for _ in range(ell)]
     for w in p.relators:
@@ -537,7 +535,7 @@ def orbits(perms: Sequence[Sequence[int]], points: Iterable[int]) -> list[tuple[
 def conjugation(g: FiniteGroup, a: int) -> tuple[int, ...]:
     """Conjugation by a as a permutation of the elements: position x holds
     a x a^-1, read from row a and then column a^-1 of the table."""
-    table, ai = g.table, g._inv[a]
+    table, ai = g.table, g.inverses[a]
     return tuple(table[ax][ai] for ax in table[a])
 
 
@@ -594,7 +592,7 @@ def is_subgroup(g: FiniteGroup, elements: Iterable[int]) -> bool:
     if 0 not in elems or not elems <= set(g.elements()):
         return False
     return all(g.mul(a, b) in elems for a in elems for b in elems) and all(
-        g.inv(a) in elems for a in elems
+        g.inverses[a] in elems for a in elems
     )
 
 

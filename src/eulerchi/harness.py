@@ -205,9 +205,7 @@ def random_case(rng: random.Random, max_group: int, max_cells: int) -> CaseSpec:
 
 
 def random_function(rng: random.Random, space: CellSpace) -> ConstructibleFunction:
-    return ConstructibleFunction(
-        space, {cid: rng.randint(-4, 4) for cid in space.ids()}
-    )
+    return ConstructibleFunction(space, tuple(rng.randint(-4, 4) for _ in space.cells))
 
 
 # ---------------------------------------------------------------------------
@@ -234,19 +232,12 @@ class CheckResult(Record):
 class SuiteResult(Record):
     __slots__ = ("seed", "cases", "checks_run", "failures", "failing_spec")
 
-    def __init__(
-        self,
-        seed: int,
-        cases: int,
-        checks_run: dict[str, int] | None = None,
-        failures: list[CheckResult] | None = None,
-        failing_spec: dict | None = None,
-    ):
+    def __init__(self, seed: int, cases: int):
         self.seed = seed
         self.cases = cases
-        self.checks_run = {} if checks_run is None else checks_run
-        self.failures = [] if failures is None else failures
-        self.failing_spec = failing_spec
+        self.checks_run: dict[str, int] = {}
+        self.failures: list[CheckResult] = []
+        self.failing_spec: dict | None = None
 
     @property
     def passed(self) -> bool:

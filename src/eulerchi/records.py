@@ -1,16 +1,14 @@
 """Plain slotted records: the package's values and results.
 
-A record's fields are the names in its class's own ``__slots__``, in order,
-less those starting with an underscore (derived state, such as a cell
-space's index).  Each class writes its own ``__init__``.  The three bases
-differ only in mutability and in what equality means:
+A record's fields are the names in its class's own ``__slots__``, in order.
+Each class writes its own ``__init__``.  The two bases differ only in
+mutability:
 
 * ``Record`` -- mutable; ``repr`` and equality field by field, and equal
   only to an instance of the same class; unhashable.
 * ``Value`` -- a ``Record`` that is immutable and hashed field by field, so
   it can key a cache.  Its ``__init__`` sets fields with
   ``object.__setattr__``.
-* ``Frozen`` -- a ``Value`` compared and hashed by identity.
 
 Plain classes, not generated ones: a command-line run is a fresh process,
 and generating every record's methods at import, and importing the
@@ -26,7 +24,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(f for f in cls.__dict__.get("__slots__", ()) if not f.startswith("_"))
+        cls._fields = tuple(cls.__dict__.get("__slots__", ()))
 
     def _key(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -54,9 +52,3 @@ class Value(Record):
 
     def __hash__(self) -> int:
         return hash(self._key())
-
-
-class Frozen(Value):
-    __slots__ = ()
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__

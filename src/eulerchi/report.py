@@ -28,21 +28,13 @@ class Assertion(Record):
 class Report(Record):
     __slots__ = ("command", "inputs", "result", "breakdown", "assertions", "warnings")
 
-    def __init__(
-        self,
-        command: str,
-        inputs: dict[str, dict] | None = None,
-        result: Any = None,
-        breakdown: Any = None,
-        assertions: list[Assertion] | None = None,
-        warnings: list[str] | None = None,
-    ):
+    def __init__(self, command: str):
         self.command = command
-        self.inputs = {} if inputs is None else inputs
-        self.result = result
-        self.breakdown = breakdown
-        self.assertions = [] if assertions is None else assertions
-        self.warnings = [] if warnings is None else warnings
+        self.inputs: dict[str, dict] = {}
+        self.result: Any = None
+        self.breakdown: Any = None
+        self.assertions: list[Assertion] = []
+        self.warnings: list[str] = []
 
     def check(self, name: str, lhs: Any, rhs: Any) -> bool:
         ok = lhs == rhs

@@ -142,8 +142,8 @@ def validate_complex(
     pairs (generator, element); a failure there runs the sweep over every
     pair, so the refusal names the first failing pair in element order.
     """
-    ids = space.ids()
-    idset = set(ids)
+    ids, pos = space.ids(), space.positions()
+    idset, dims = set(ids), tuple(c.dim for c in space.cells)
     perms = []
     for g in group.elements():
         if g in action:
@@ -158,12 +158,12 @@ def validate_complex(
         if set(m.values()) != idset:
             raise ValidationError(f"action[{g}] is not a bijection of cells")
         for cid, img in m.items():
-            if space.dim_of(cid) != space.dim_of(img):
+            if dims[pos[cid]] != dims[pos[img]]:
                 raise ValidationError(
-                    f"action[{g}] maps {cid!r} (dim {space.dim_of(cid)}) "
-                    f"to {img!r} (dim {space.dim_of(img)})"
+                    f"action[{g}] maps {cid!r} (dim {dims[pos[cid]]}) "
+                    f"to {img!r} (dim {dims[pos[img]]})"
                 )
-        perms.append(tuple(space.index(m[cid]) for cid in ids))
+        perms.append(tuple(pos[m[cid]] for cid in ids))
     extra = set(action) - set(group.elements())
     if extra:
         raise ValidationError(f"action: entries for non-elements {sorted(extra)}")
@@ -189,7 +189,7 @@ def validate_complex(
                             f"({g}*{h}) and composition disagree at cell {cid!r}"
                         )
     gens = tuple(perms[s] for s in group.generators())
-    x = RigidGComplex(group, gens, tuple(c.dim for c in space.cells), cell_id=ids.__getitem__)
+    x = RigidGComplex(group, gens, dims, cell_id=ids.__getitem__)
     x._space = space
     return x
 
@@ -225,12 +225,12 @@ def orbit_space(x: RigidGComplex) -> CellSpace:
 
 
 def orbit_groupoid(x: RigidGComplex) -> OrbitGroupoid:
-    """Orbit space with each representative labeled by its stabilizer."""
+    """Orbit space with each representative labeled by its stabilizer, the
+    labels in the order of the representatives."""
     reps, masks = cell_orbits(x), x.stabilizer_masks()
-    space = _cells(x, reps)
-    stabs = {c.id: [g for g in x.group.elements() if masks[i] >> g & 1] for i, c in zip(reps, space.cells)}
-    iso = {r: FiniteIsotropy(groups.subgroup_group(x.group, s)[0]) for r, s in stabs.items()}
-    return OrbitGroupoid(space, iso)
+    stabs = ([g for g in x.group.elements() if masks[i] >> g & 1] for i in reps)
+    iso = tuple(FiniteIsotropy(groups.subgroup_group(x.group, s)[0]) for s in stabs)
+    return OrbitGroupoid(_cells(x, reps), iso)
 
 
 def restrict_complex(x: RigidGComplex, keep: Iterable[int]) -> RigidGComplex:
@@ -313,7 +313,7 @@ def chi_order_ell(
         raise RecursionCapExceeded(ell, cap)
     if ell == 0:
         return _orbit_chi(x, range(len(x.dims)), x.gens)
-    table, inv = x.group.table, x.group._inv
+    table, inv = x.group.table, x.group.inverses
     masks, xperms = x.stabilizer_masks(), x.perms
     memo: dict[tuple[int, int, int], int] = {}
 
@@ -446,15 +446,17 @@ def anchor_map(p: Presentation, x: RigidGComplex) -> CellMap:
     of x, sending the class of (t, c) to the class of c.
 
     Dimensions match cell by cell, and pushing the constant function 1
-    forward along this map integrates to ``lambda_chi(p, x)``.
+    forward along this map integrates to ``lambda_chi(p, x)``.  Both
+    spaces list their orbits' first cells in cell order, and the map
+    assigns each source orbit the position of its base orbit.
     """
     ic = InertiaComplex(p, x)
-    reps = cell_orbits(ic)
-    source = _cells(ic, reps)
+    reps, base = cell_orbits(ic), cell_orbits(x)
+    position = {r: k for k, r in enumerate(base)}
     # the pairs run in x's cell order, and an inertia orbit lies over a
     # whole orbit of x, so its first cell lies over that orbit's first cell
-    assign = {s.id: x.cell_id(ic.pairs[k][1]) for k, s in zip(reps, source.cells)}
-    return CellMap(source, orbit_space(x), assign)
+    assign = tuple(position[ic.pairs[k][1]] for k in reps)
+    return CellMap(_cells(ic, reps), _cells(x, base), assign)
 
 
 class ExtensionPrediction(Value):

@@ -21,7 +21,9 @@ import pytest
 from eulerchi import harness, jsonio
 from eulerchi import translation as tr
 from eulerchi.catalog import O2
-from eulerchi.cells import ConstructibleFunction, chi, integrate, integrate_levelset, pushforward
+from eulerchi.cells import (
+    ConstructibleFunction, chi, integrate, integrate_levelset, pushforward, validate_function,
+)
 from eulerchi.groupoid import chi_gamma
 from eulerchi.groups import Presentation, Z, cyclic_group, symmetric_group
 from eulerchi.translation import abelian_extension_chi
@@ -141,7 +143,7 @@ def test_criterion_7_fubini(corpus):
     rng = random.Random(2024)
     for _ in range(500):
         m = random_cell_map(rng)
-        f = ConstructibleFunction(
+        f = validate_function(
             m.source, {cid: rng.randint(-5, 5) for cid in m.source.ids()}
         )
         assert integrate(pushforward(m, f)) == integrate(f)
@@ -199,7 +201,7 @@ def test_criterion_11_integral_formulations():
     rng = random.Random(1111)
     for _ in range(500):
         m = random_cell_map(rng)
-        f = ConstructibleFunction(
+        f = validate_function(
             m.source, {cid: rng.randint(-7, 7) for cid in m.source.ids()}
         )
         assert integrate_levelset(f) == integrate(f)

@@ -58,7 +58,7 @@ def ad_quotient_model(m: catalog.IsotropyModel) -> CellSpace:
 def chi_by_cell_models(g: groupoid.OrbitGroupoid) -> int:
     """The groupoid's value at one free generator: chi of each stratum's
     conjugation-quotient model, integrated over the orbit space."""
-    return sum(chi(ad_quotient_model(g.label(c.id))) * (-1) ** c.dim for c in g.space.cells)
+    return sum(chi(ad_quotient_model(label)) * (-1) ** c.dim for c, label in zip(g.space.cells, g.isotropy))
 
 
 def test_torus_free_abelian_vanishes():

@@ -19,30 +19,27 @@ T1 = TorusIsotropy(1)
 def product_groupoid(a: OrbitGroupoid, b: OrbitGroupoid) -> OrbitGroupoid:
     """Product space with product labels; chi_gamma is multiplicative."""
     space = product(a.space, b.space)
-    labels = (
-        ProductIsotropy((a.label(ca), b.label(cb))) for ca in a.space.ids() for cb in b.space.ids()
-    )
-    return OrbitGroupoid(space, dict(zip(space.ids(), labels)))
+    return OrbitGroupoid(space, tuple(ProductIsotropy((la, lb)) for la in a.isotropy for lb in b.isotropy))
 
 
 def sub_groupoid(g: OrbitGroupoid, keep) -> OrbitGroupoid:
     """The strata in ``keep``, with their labels."""
     keep = set(keep)
-    space = CellSpace(tuple(c for c in g.space.cells if c.id in keep))
-    return OrbitGroupoid(space, {cid: g.label(cid) for cid in space.ids()})
+    kept = [(c, label) for c, label in zip(g.space.cells, g.isotropy) if c.id in keep]
+    return OrbitGroupoid(CellSpace(c for c, _ in kept), tuple(label for _, label in kept))
 
 
 def sphere_rotation_groupoid() -> OrbitGroupoid:
     """Rotation action on the 2-sphere: orbit space a closed interval whose
     endpoints carry the full rotation group."""
     space = CellSpace.from_dims({"n": 0, "s": 0, "mid": 1})
-    return OrbitGroupoid(space, {"n": T1, "s": T1, "mid": trivial_isotropy()})
+    return validate_groupoid(space, {"n": T1, "s": T1, "mid": trivial_isotropy()})
 
 
 def space_rotation_groupoid() -> OrbitGroupoid:
     """Rotations of 3-space: a ray with the full group at the origin."""
     space = CellSpace.from_dims({"origin": 0, "ray": 1})
-    return OrbitGroupoid(space, {"origin": SO3, "ray": T1})
+    return validate_groupoid(space, {"origin": SO3, "ray": T1})
 
 
 def test_labels_must_cover_space():
@@ -66,14 +63,14 @@ def test_sphere_cyclic():
 
 
 def test_point_with_trivial_label():
-    g = OrbitGroupoid(CellSpace.from_dims({"pt": 0}), {"pt": trivial_isotropy()})
+    g = validate_groupoid(CellSpace.from_dims({"pt": 0}), {"pt": trivial_isotropy()})
     for p in (Z, Presentation.trivial(), Presentation.cyclic(4)):
         assert chi_gamma(g, p) == 1
 
 
 def test_half_open_axis_with_disk():
     space = CellSpace.from_dims({"a0": 0, "a1": 1, "d1": 1, "d0": 0})
-    g = OrbitGroupoid(
+    g = validate_groupoid(
         space, {"a0": T1, "a1": T1, "d1": trivial_isotropy(), "d0": trivial_isotropy()}
     )
     for p in (Z, Presentation.free_abelian(2), Presentation.cyclic(3)):
@@ -101,14 +98,14 @@ def test_unsupported_label_names_cell():
 
 def test_product_with_trivial_point():
     a = sphere_rotation_groupoid()
-    point = OrbitGroupoid(CellSpace.from_dims({"pt": 0}), {"pt": trivial_isotropy()})
+    point = validate_groupoid(CellSpace.from_dims({"pt": 0}), {"pt": trivial_isotropy()})
     prod = product_groupoid(a, point)
     for p in (Z, Presentation.cyclic(3)):
         assert chi_gamma(prod, p) == chi_gamma(a, p)
 
 
 def test_product_two_z2_points():
-    z2pt = OrbitGroupoid(
+    z2pt = validate_groupoid(
         CellSpace.from_dims({"pt": 0}), {"pt": FiniteIsotropy(cyclic_group(2))}
     )
     prod = product_groupoid(z2pt, z2pt)
@@ -123,8 +120,8 @@ def test_sphere_groupoid_squared():
 
 
 def test_product_of_three_groupoids_multiplies():
-    s3pt = OrbitGroupoid(CellSpace.from_dims({"pt": 0}), {"pt": FiniteIsotropy(symmetric_group(3))})
-    z3pt = OrbitGroupoid(CellSpace.from_dims({"pt": 0}), {"pt": FiniteIsotropy(cyclic_group(3))})
+    s3pt = validate_groupoid(CellSpace.from_dims({"pt": 0}), {"pt": FiniteIsotropy(symmetric_group(3))})
+    z3pt = validate_groupoid(CellSpace.from_dims({"pt": 0}), {"pt": FiniteIsotropy(cyclic_group(3))})
     factors = (sphere_rotation_groupoid(), s3pt, z3pt)
     triple = product_groupoid(product_groupoid(factors[0], factors[1]), factors[2])
     for p in (Z, Presentation.cyclic(2), Presentation.cyclic(3), Presentation.free_abelian(2)):

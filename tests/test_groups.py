@@ -51,7 +51,7 @@ def centralizer(g: FiniteGroup, t: tuple[int, ...]) -> list[int]:
 
 def conjugacy_classes(g: FiniteGroup) -> list[ConjugacyClass]:
     """Conjugacy classes with minimal-index representatives, ordered by rep."""
-    table, inv = g.table, g._inv
+    table, inv = g.table, g.inverses
     out = []
     seen: set[int] = set()
     for a in g.elements():
@@ -80,7 +80,7 @@ def evaluate_word(word, images, g: FiniteGroup) -> int:
     """Substitute generator images into a relator word, left to right."""
     acc = 0
     for letter in word:
-        e = images[letter - 1] if letter > 0 else g.inv(images[-letter - 1])
+        e = images[letter - 1] if letter > 0 else g.inverses[images[-letter - 1]]
         acc = g.mul(acc, e)
     return acc
 
@@ -104,7 +104,7 @@ def brute_orbits(tuples, g: FiniteGroup) -> int:
         while frontier:
             t = frontier.pop()
             for a in range(g.order):
-                img = tuple(g.mul(g.mul(a, e), g.inv(a)) for e in t)
+                img = tuple(g.mul(g.mul(a, e), g.inverses[a]) for e in t)
                 if img in left:
                     left.remove(img)
                     frontier.append(img)
@@ -116,7 +116,7 @@ def brute_orbits(tuples, g: FiniteGroup) -> int:
 
 def test_z2_valid():
     g = validate_group([[0, 1], [1, 0]])
-    assert g.order == 2 and g.inv(1) == 1
+    assert g.order == 2 and g.inverses[1] == 1
 
 
 def test_non_permutation_row():
@@ -597,7 +597,7 @@ def test_conj_orbits_match_an_all_element_partition():
             p = harness.random_presentation(rng, max_rank=2)
             tuples = hom_enumerate(p, g)
             orbits = {
-                frozenset(tuple(g.mul(g.mul(a, e), g.inv(a)) for e in t) for a in g.elements())
+                frozenset(tuple(g.mul(g.mul(a, e), g.inverses[a]) for e in t) for a in g.elements())
                 for t in tuples
             }
             result = conj_orbit_count(tuples, g)
@@ -786,7 +786,7 @@ def test_subgroup_closure_matches_products_and_inverses():
             gens = [rng.randrange(g.order) for _ in range(rng.randint(1, 3))]
             closed = {0, *gens}
             while True:
-                grown = closed | {g.mul(a, b) for a in closed for b in closed} | {g.inv(a) for a in closed}
+                grown = closed | {g.mul(a, b) for a in closed for b in closed} | {g.inverses[a] for a in closed}
                 if grown == closed:
                     break
                 closed = grown
@@ -856,7 +856,7 @@ def test_commuting_pairs_class_equation(g):
     classes, seen = [], set()
     for a in g.elements():
         if a not in seen:
-            orbit = {g.mul(g.mul(b, a), g.inv(b)) for b in g.elements()}
+            orbit = {g.mul(g.mul(b, a), g.inverses[b]) for b in g.elements()}
             seen |= orbit
             classes.append((min(orbit), len(orbit)))
     assert [(cls.rep, cls.size) for cls in conjugacy_classes(g)] == classes

@@ -58,7 +58,7 @@ def test_function_space_by_path(tmp_path):
     fn_path = tmp_path / "fn.json"
     fn_path.write_text(json.dumps({"space": "space.json", "values": {"a": 7}}))
     f, _ = jsonio.load_file(fn_path, jsonio.load_function)
-    assert f.values == {"a": 7}
+    assert dict(zip(f.space.ids(), f.values)) == {"a": 7}
 
 
 def test_presentation_kinds():
@@ -179,7 +179,7 @@ def test_groupoid_loader():
         }
     )
     assert g.space.ids() == ("a", "b")
-    assert g.label("a") == TorusIsotropy(1)
+    assert dict(zip(g.space.ids(), g.isotropy))["a"] == TorusIsotropy(1)
 
 
 def test_complex_roundtrip_and_group_by_path(tmp_path):

@@ -118,7 +118,7 @@ def test_square_boundary_encoding_is_a_valid_action():
 def test_square_boundary_stabilizers():
     x = subdivided_square_boundary()
     og = orbit_groupoid(x)
-    orders = sorted(og.label(cid).group.order for cid in og.space.ids())
+    orders = sorted(label.group.order for label in og.isotropy)
     # corners and midpoints keep a reflection, half-edges are free
     assert orders == [1, 2, 2]
 

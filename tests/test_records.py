@@ -1,4 +1,4 @@
-"""The package's records: equality, hashing, immutability, fresh default
+"""The package's records: equality, hashing, immutability, fresh
 containers, and the exact ``repr`` strings that reach refusal messages."""
 
 import pytest
@@ -12,14 +12,15 @@ from eulerchi.catalog import (
     SO3Isotropy,
     TorusIsotropy,
 )
-from eulerchi.cells import Cell, CellMap, CellSpace, ConstructibleFunction
+from eulerchi.cells import Cell, CellSpace, ConstructibleFunction, validate_function, validate_map
 from eulerchi.errors import UnsupportedCombination
-from eulerchi.groupoid import OrbitGroupoid
+from eulerchi.groupoid import validate_groupoid
 from eulerchi.groups import Presentation
 from eulerchi.harness import SuiteResult
 from eulerchi.report import Report
 
 CUSTOM = CustomIsotropy("U", (("Z", 3),), (("Z", CellSpace((Cell("v", 0), Cell("e", 1)))),))
+POINT = CellSpace((Cell("v", 0),))
 
 
 def test_equal_presentations_share_a_cache_entry():
@@ -45,6 +46,9 @@ def test_equal_presentations_share_a_cache_entry():
         lambda: CustomIsotropy("U", (("Z", 3),)),
         lambda: Presentation.cyclic(4),
         lambda: groups.abelianize_snf(Presentation.cyclic(4)),
+        lambda: validate_function(POINT, {"v": 1}),
+        lambda: validate_map(POINT, POINT, {"v": "v"}),
+        lambda: validate_groupoid(POINT, {"v": SO3Isotropy()}),
     ],
 )
 def test_values_compare_and_hash_by_field(make):
@@ -68,7 +72,7 @@ def test_values_of_different_classes_differ():
         (CellSpace(), "cells"),
         (TorusIsotropy(1), "n"),
         (Presentation(1), "relators"),
-        (ConstructibleFunction(CellSpace()), "values"),
+        (ConstructibleFunction(CellSpace(), ()), "values"),
     ],
 )
 def test_frozen_fields_refuse_assignment(value, name):
@@ -76,15 +80,6 @@ def test_frozen_fields_refuse_assignment(value, name):
         setattr(value, name, None)
     with pytest.raises(AttributeError):
         delattr(value, name)
-
-
-def test_identity_records_compare_by_identity():
-    space = CellSpace((Cell("v", 0),))
-    f, g = ConstructibleFunction(space, {"v": 1}), ConstructibleFunction(space, {"v": 1})
-    assert f != g and f == f
-    assert CellMap(space, space, {"v": "v"}) != CellMap(space, space, {"v": "v"})
-    assert OrbitGroupoid(space, {"v": SO3Isotropy()}) != OrbitGroupoid(space, {"v": SO3Isotropy()})
-    assert len({f, g}) == 2
 
 
 def test_mutable_records_compare_by_field_and_do_not_hash():
@@ -98,14 +93,13 @@ def test_mutable_records_compare_by_field_and_do_not_hash():
     s.checks_run["c"] = 1
     s.failures.append(None)
     assert (t.checks_run, t.failures) == ({}, [])
-    u, v = ConstructibleFunction(CellSpace()), ConstructibleFunction(CellSpace())
-    assert u.values is not v.values
 
 
-def test_cell_space_keeps_its_index_out_of_equality():
+def test_cell_space_resolves_ids_to_positions():
     space = CellSpace([Cell("v", 0), Cell("e", 1)])
     assert space.cells == (Cell("v", 0), Cell("e", 1))
-    assert space.index("e") == 1 and space.has_cell("v")
+    assert space.positions() == {"v": 0, "e": 1}
+    assert space.positions() is not space.positions()
     assert space == CellSpace((Cell("v", 0), Cell("e", 1)))
 
 

@@ -3,7 +3,8 @@
 Every import of a package module sits at module level, so a module's
 dependencies are read from its head; the one exception is the CLI's late
 import of the harness, which only ``verify`` needs.  The modules import
-each other without a cycle.
+each other without a cycle, every name a module imports is used in it, and
+no module reads a private name that it does not define itself.
 """
 
 import ast
@@ -84,18 +85,61 @@ def _module_aliases(tree: ast.AST) -> set[str]:
     return out
 
 
+def _class_members(tree: ast.AST) -> set[str]:
+    """The names the module's classes define: slots, methods and class
+    attributes."""
+    out = set()
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for stmt in cls.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.add(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+                out |= names
+                if "__slots__" in names:
+                    out |= {
+                        c.value for c in ast.walk(stmt.value)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    }
+    return out
+
+
 def test_no_module_reads_another_modules_private_names():
+    """A private name is read through a module alias, or off an object
+    other than ``self``/``cls`` when no class of the reading module
+    defines it."""
     reads = []
     for name, path in MODULES.items():
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        aliases = _module_aliases(tree)
+        aliases, members = _module_aliases(tree), _class_members(tree)
         for node in ast.walk(tree):
-            if (
+            if not (
                 isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id in aliases
                 and node.attr.startswith("_")
                 and not node.attr.startswith("__")
             ):
-                reads.append(f"{name}.py:{node.lineno}: {node.value.id}.{node.attr}")
+                continue
+            base = node.value.id if isinstance(node.value, ast.Name) else None
+            if base in aliases or (base not in ("self", "cls") and node.attr not in members):
+                reads.append(f"{name}.py:{node.lineno}: {ast.unparse(node)}")
     assert reads == []
+
+
+def test_module_level_imports_are_used():
+    """Every name a module imports at module level is read in it, save
+    ``from __future__`` and the package's re-exports in ``__init__``."""
+    unused = []
+    for name, path in MODULES.items():
+        if name == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound |= {(a.asname or a.name.split(".")[0]): node.lineno for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound |= {(a.asname or a.name): node.lineno for a in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}.py:{line}: {alias}" for alias, line in bound.items() if alias not in read]
+    assert unused == []
