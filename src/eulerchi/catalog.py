@@ -31,17 +31,15 @@ from .records import Value
 
 
 class FiniteIsotropy(Value):
-    __slots__ = ("group",)
+    """A finite isotropy group, given by its table (a ``FiniteGroup``)."""
 
-    def __init__(self, group: FiniteGroup):
-        object.__setattr__(self, "group", group)
+    __slots__ = ("group",)
 
 
 class TorusIsotropy(Value):
-    __slots__ = ("n",)
+    """The torus of dimension ``n``."""
 
-    def __init__(self, n: int):
-        object.__setattr__(self, "n", n)
+    __slots__ = ("n",)
 
 
 class SO3Isotropy(Value):
@@ -53,10 +51,9 @@ class O2Isotropy(Value):
 
 
 class ProductIsotropy(Value):
-    __slots__ = ("factors",)
+    """A product of isotropy models: ``factors`` is a tuple of them."""
 
-    def __init__(self, factors: tuple["IsotropyModel", ...]):
-        object.__setattr__(self, "factors", factors)
+    __slots__ = ("factors",)
 
 
 class CustomIsotropy(Value):
@@ -73,9 +70,7 @@ class CustomIsotropy(Value):
         chi_table: tuple[tuple[str, int], ...],
         cell_models: tuple[tuple[str, CellSpace], ...] = (),
     ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "chi_table", chi_table)
-        object.__setattr__(self, "cell_models", cell_models)
+        super().__init__(name, chi_table, cell_models)
 
     def chi_for(self, cls: str) -> int | None:
         for key, value in self.chi_table:
@@ -127,18 +122,19 @@ def chi_hom_quotient(m: IsotropyModel, p: Presentation) -> int:
     Raises UnsupportedCombination when the catalog holds no exact value for
     the pair.
     """
-    cls = presentation_class(p)
     if isinstance(m, FiniteIsotropy):
         return _finite_chi(m.group, p)
     if isinstance(m, TorusIsotropy):
         return hom_chi_abelian(m, p)
     if isinstance(m, SO3Isotropy):
+        cls = presentation_class(p)
         if cls == "trivial":
             return 1
         if cls == "Z":
             return 1  # conjugation classes of rotations form a closed interval
         raise UnsupportedCombination(m, p)
     if isinstance(m, O2Isotropy):
+        cls = presentation_class(p)
         if cls == "trivial":
             return 1
         if cls == "Z":
@@ -150,6 +146,7 @@ def chi_hom_quotient(m: IsotropyModel, p: Presentation) -> int:
             total *= chi_hom_quotient(factor, p)
         return total
     if isinstance(m, CustomIsotropy):
+        cls = presentation_class(p)
         if cls is not None:
             value = m.chi_for(cls)
             if value is not None:

@@ -46,11 +46,9 @@ RESERVED_SEPARATOR = "⊗"  # ⊗
 
 
 class Cell(Value):
-    __slots__ = ("id", "dim")
+    """An open cell: its string ``id`` and its integer dimension ``dim``."""
 
-    def __init__(self, id: str, dim: int):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "dim", dim)
+    __slots__ = ("id", "dim")
 
 
 class CellSpace(Value):
@@ -59,7 +57,7 @@ class CellSpace(Value):
     __slots__ = ("cells",)
 
     def __init__(self, cells: Iterable[Cell] = ()):
-        object.__setattr__(self, "cells", tuple(cells))
+        super().__init__(tuple(cells))
 
     @classmethod
     def from_dims(cls, dims: Mapping[str, int]) -> "CellSpace":
@@ -100,14 +98,10 @@ def chi(space: CellSpace) -> int:
 
 
 class ConstructibleFunction(Value):
-    """An integer value per cell, ``values[k]`` on cell k; the function is
-    constant on each cell."""
+    """An integer value per cell of ``space``, ``values[k]`` on cell k (a
+    tuple in cell order); the function is constant on each cell."""
 
     __slots__ = ("space", "values")
-
-    def __init__(self, space: CellSpace, values: tuple[int, ...]):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "values", values)
 
     @classmethod
     def constant(cls, space: CellSpace, c: int) -> "ConstructibleFunction":
@@ -193,21 +187,18 @@ def product(*spaces: CellSpace) -> CellSpace:
 
 
 class CellMap(Value):
-    """A cell-to-cell map with trivialized fibers.
+    """A cell-to-cell map from cell space ``source`` to ``target`` with
+    trivialized fibers.
 
-    ``assign[k]`` is the position in the target of the cell that source
-    cell k goes to, a cell of dimension at most its own.  The fiber over a
+    ``assign`` is a tuple in source cell order: ``assign[k]`` is the
+    position in the target of the cell that source cell k goes to, a cell
+    of dimension at most its own.  The fiber over a
     point of target cell c meets source cell s (with assign(s) = c) in one
     open cell of dimension dim(s) - dim(c); maps violating the dimension
     inequality cannot arise that way and are rejected by ``validate_map``.
     """
 
     __slots__ = ("source", "target", "assign")
-
-    def __init__(self, source: CellSpace, target: CellSpace, assign: tuple[int, ...]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "assign", assign)
 
 
 def validate_map(source: CellSpace, target: CellSpace, assign: Mapping[str, str]) -> CellMap:

@@ -31,11 +31,10 @@ from .records import Value
 
 
 class OrbitGroupoid(Value):
-    __slots__ = ("space", "isotropy")
+    """A labeled orbit space: a cell space and ``isotropy``, a tuple of
+    isotropy models in cell order."""
 
-    def __init__(self, space: CellSpace, isotropy: tuple[IsotropyModel, ...]):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "isotropy", isotropy)
+    __slots__ = ("space", "isotropy")
 
 
 def validate_groupoid(space: CellSpace, isotropy: Mapping[str, IsotropyModel]) -> OrbitGroupoid:

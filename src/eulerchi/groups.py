@@ -60,8 +60,7 @@ class Presentation(Value):
     __slots__ = ("generators", "relators")
 
     def __init__(self, generators: int, relators: tuple[tuple[int, ...], ...] = ()):
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relators", relators)
+        super().__init__(generators, relators)
 
     @classmethod
     def trivial(cls) -> "Presentation":
@@ -540,11 +539,9 @@ def conjugation(g: FiniteGroup, a: int) -> tuple[int, ...]:
 
 
 class ConjOrbits(Value):
-    __slots__ = ("count", "reps")
+    """The number of conjugation orbits and a tuple of representatives."""
 
-    def __init__(self, count: int, reps: tuple[HomTuple, ...]):
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "reps", reps)
+    __slots__ = ("count", "reps")
 
 
 def conj_orbit_count(tuples: Sequence[HomTuple], g: FiniteGroup) -> ConjOrbits:
@@ -642,10 +639,6 @@ class CosetAction(Value):
 
     __slots__ = ("reps", "gens")
 
-    def __init__(self, reps: tuple[int, ...], gens: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "reps", reps)
-        object.__setattr__(self, "gens", gens)
-
 
 def coset_action(g: FiniteGroup, subgroup: Sequence[int]) -> CosetAction:
     """The coset action, built on the generators only; a complex over it
@@ -707,10 +700,6 @@ class SnfResult(Value):
     """Free rank and torsion of a finitely generated abelian group."""
 
     __slots__ = ("rank", "torsion")
-
-    def __init__(self, rank: int, torsion: tuple[int, ...]):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "torsion", torsion)
 
 
 def abelianize_snf(p: Presentation) -> SnfResult:

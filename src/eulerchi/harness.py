@@ -102,19 +102,11 @@ def _keys_within(max_group: int) -> list[str]:
 
 
 class CaseSpec(Record):
-    """Everything needed to rebuild one random instance."""
+    """Everything needed to rebuild one random instance: the key of its
+    group, its ``strata`` as a list of (subgroup elements, dimension)
+    pairs, and its presentation."""
 
     __slots__ = ("group_key", "strata", "presentation")
-
-    def __init__(
-        self,
-        group_key: str,
-        strata: list[tuple[list[int], int]],  # (subgroup elements, dimension)
-        presentation: Presentation,
-    ):
-        self.group_key = group_key
-        self.strata = strata
-        self.presentation = presentation
 
     def to_jsonable(self) -> dict:
         p = self.presentation
@@ -221,12 +213,6 @@ class CheckResult(Record):
     """A failed check: its case (-1 for the trailer) and both sides."""
 
     __slots__ = ("case", "name", "lhs", "rhs")
-
-    def __init__(self, case: int, name: str, lhs: int, rhs: int):
-        self.case = case
-        self.name = name
-        self.lhs = lhs
-        self.rhs = rhs
 
 
 class SuiteResult(Record):

@@ -18,12 +18,6 @@ from .records import Record
 class Assertion(Record):
     __slots__ = ("name", "lhs", "rhs", "passed")
 
-    def __init__(self, name: str, lhs: Any, rhs: Any, passed: bool):
-        self.name = name
-        self.lhs = lhs
-        self.rhs = rhs
-        self.passed = passed
-
 
 class Report(Record):
     __slots__ = ("command", "inputs", "result", "breakdown", "assertions", "warnings")
@@ -36,10 +30,8 @@ class Report(Record):
         self.assertions: list[Assertion] = []
         self.warnings: list[str] = []
 
-    def check(self, name: str, lhs: Any, rhs: Any) -> bool:
-        ok = lhs == rhs
-        self.assertions.append(Assertion(name, lhs, rhs, ok))
-        return ok
+    def check(self, name: str, lhs: Any, rhs: Any) -> None:
+        self.assertions.append(Assertion(name, lhs, rhs, lhs == rhs))
 
     def all_pass(self) -> bool:
         return all(a.passed for a in self.assertions)

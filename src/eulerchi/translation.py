@@ -460,12 +460,10 @@ def anchor_map(p: Presentation, x: RigidGComplex) -> CellMap:
 
 
 class ExtensionPrediction(Value):
-    __slots__ = ("predicted", "factor_b", "factor_h")
+    """``predicted`` is ``factor_b * factor_h``: the fiber's free-abelian
+    chi times the base action's."""
 
-    def __init__(self, predicted: int, factor_b: int, factor_h: int):
-        object.__setattr__(self, "predicted", predicted)
-        object.__setattr__(self, "factor_b", factor_b)
-        object.__setattr__(self, "factor_h", factor_h)
+    __slots__ = ("predicted", "factor_b", "factor_h")
 
 
 def validate_extension(bundle_fiber: IsotropyModel, h: FiniteGroup, x: RigidGComplex, ell: int) -> dict:

@@ -95,6 +95,13 @@ def test_mutable_records_compare_by_field_and_do_not_hash():
     assert (t.checks_run, t.failures) == ({}, [])
 
 
+def test_records_take_one_value_per_field():
+    for values in (("a",), ("a", 0, 1)):
+        with pytest.raises(TypeError, match=r"^Cell\(id, dim\) takes 2 values, got "):
+            Cell(*values)
+    assert SO3Isotropy() == SO3Isotropy()
+
+
 def test_cell_space_resolves_ids_to_positions():
     space = CellSpace([Cell("v", 0), Cell("e", 1)])
     assert space.cells == (Cell("v", 0), Cell("e", 1))

@@ -143,3 +143,30 @@ def test_module_level_imports_are_used():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{name}.py:{line}: {alias}" for alias, line in bound.items() if alias not in read]
     assert unused == []
+
+
+# Record classes that write their own ``__init__``: one converts a value,
+# two give a field a default, two start fields as fresh containers.
+OWN_INIT = {"CellSpace", "Presentation", "CustomIsotropy", "SuiteResult", "Report"}
+
+
+def test_records_are_constructed_in_one_module():
+    """``object.__setattr__`` is called only in ``records``, and a record
+    class writes its own ``__init__`` only where ``Record``'s cannot do."""
+    setters, own_init = [], set()
+    for name, path in MODULES.items():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (
+                name != "records"
+                and isinstance(node, ast.Attribute)
+                and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            ):
+                setters.append(f"{name}.py:{node.lineno}")
+            if isinstance(node, ast.ClassDef) and {ast.unparse(b) for b in node.bases} & {"Record", "Value"}:
+                if any(isinstance(s, ast.FunctionDef) and s.name == "__init__" for s in node.body):
+                    own_init.add(node.name)
+    assert setters == []
+    assert own_init == OWN_INIT
