@@ -3,17 +3,19 @@
 A finite group is an n x n table over 0..n-1 with the identity pinned at
 index 0.  Every table from outside the program enters through
 ``validate_group``, the one place a table is checked, at every order.  It
-accepts a table after one pass over the entries (integers in range), the
-identity row and column, and then, for the greedy generators less those
-the others already reach, their rows (permutations) and Light's
-associativity test.  That proves a group: associativity makes every row a
-product of generator rows, hence a permutation, so every element has a
-right inverse.  A group keeps the greedy set.  Only a table that fails
-runs the full sweep, whose fixed order of checks words the refusal:
-entries, identity row and column, every row and column a permutation, then
-associativity with a witness triple from the greedy set.  Tables built
-here from valid groups (standard constructors, direct products, subgroups)
-are groups by construction.
+accepts a table after a type pass over each row, the identity row and
+column, and one row composition per element: the greedy closure of 0
+under right multiplication by the greedy generators, whose rows are
+permutations, proves each newly reached row the composition of a proved
+row and a generator row, so every row lies in the permutation group G' the
+generator rows generate.  Left multiplication by each generator then
+commuting with right multiplication by each makes G' act regularly, and
+with it the table associative.  A group keeps the greedy set.  Only a
+table that fails runs the full sweep, whose fixed order of checks words
+the refusal: entries, identity row and column, every row and column a
+permutation, then associativity with a witness triple from the greedy set.
+Tables built here from valid groups (standard constructors, direct
+products, subgroups) are groups by construction.
 
 A presentation is a generator count plus relator words; a word is a list of
 nonzero signed integers, 1-based generator indices with sign meaning
@@ -41,7 +43,7 @@ subgroup closures.
 from __future__ import annotations
 
 import itertools
-from operator import eq, itemgetter
+from operator import countOf, eq, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import ResourceLimitExceeded, ValidationError
@@ -153,34 +155,67 @@ def product_presentation(p1: Presentation, p2: Presentation) -> Presentation:
 
 def _group_generators(rows: tuple[tuple[int, ...], ...]) -> list[int] | None:
     """The greedy generating set of a square table proved a group, or None.
-    The proof does not check every row and column: integer entries in
-    range, 0 a two-sided identity, then permutation rows and Light's test
-    for the greedy generators less those the others already reach.  Light's
-    test makes the elements it passes closed under the product, hence the
-    right-multiplication closure of 0 under the kept generators too; that
-    closure holds every dropped generator, so it is the whole table.  With
-    associativity the row of a*b is the row of a composed with the row of
-    b, so every row is a permutation and every element has a right
-    inverse."""
+    The proof composes one row per element and never reads an unproved
+    entry as an index:
+
+    1. every entry is an int (the comparisons below are exact only for
+       ints, since 0.0 and False equal 0);
+    2. row 0 and column 0 are the identity;
+    3. the greedy closure of 0 under right multiplication: each greedy
+       generator's row is a permutation, and each element z first reached
+       as x*g, from a row x already proved, has row z = row x composed with
+       row g.  Every row is then in the group G' the generator rows
+       generate, so every entry is in range;
+    4. every generator row commutes with right multiplication by every
+       generator (``_translations_commute``).
+
+    By 4, every element of G' commutes with right multiplication by each
+    generator, so one that fixes 0 fixes everything reached from 0, which
+    is every element: G' acts regularly.  The row of x*y and row x
+    composed with row y both lie in G' and agree at 0, so they are equal,
+    which is associativity; rows are permutations, so every element has a
+    right inverse.  Steps 3 and 4 cost n^2 and |gens|^2 * n lookups."""
     n = len(rows)
-    # one pass over the entries; the set comparisons below are exact only
-    # for ints, since 0.0 and False equal 0
-    if set(map(type, itertools.chain.from_iterable(rows))) != {int}:
+    if any(countOf(map(type, row), int) != n for row in rows):
         return None
     identity = tuple(range(n))
-    if not set().union(*rows) <= set(identity):
-        return None
     if rows[0] != identity or tuple(map(itemgetter(0), rows)) != identity:
         return None
-    gens = _generators(rows)
-    kept = gens
-    for g in gens:
-        others = [h for h in kept if h != g]
-        if g in _close(rows, others, {0}):
-            kept = others
-    if any(len(set(rows[g])) != n for g in kept):
-        return None
-    return gens if _associativity_failure(rows, kept) is None else None
+    elements = set(identity)
+    reached, gens, times = {0}, [], []
+    for a in range(1, n):
+        if a in reached:
+            continue
+        if set(rows[a]) != elements:
+            return None
+        gens.append(a)
+        times.append(itemgetter(*rows[a]))  # row_x -> row of x*a; n >= 2 here
+        reached.add(a)
+        frontier = list(reached)
+        while frontier:
+            row_x = rows[frontier.pop()]
+            for g, times_g in zip(gens, times):
+                z = row_x[g]
+                if z not in reached:
+                    if rows[z] != times_g(row_x):
+                        return None
+                    reached.add(z)
+                    frontier.append(z)
+    return gens if _translations_commute(rows, gens) else None
+
+
+def _translations_commute(rows: Sequence[Sequence[int]], gens: Sequence[int]) -> bool:
+    """Whether s*(y*k) == (s*y)*k for all y and every pair s, k of
+    ``gens``: left multiplication by each generator commutes with right
+    multiplication by each.  The rows read must be proved permutations."""
+    for k in gens:
+        column = tuple(map(itemgetter(k), rows))  # y -> y*k
+        then_k = itemgetter(*column)  # row s -> (s*(y*k) for y)
+        for s in gens:
+            row_s = rows[s]
+            if then_k(row_s) != itemgetter(*row_s)(column):
+                return False
+    return True
 
 
 def _refuse(rows: tuple[tuple[int, ...], ...]) -> None:
@@ -222,7 +257,8 @@ def _associativity_failure(
     are closed under the product, so checking g over a generating set
     proves associativity in O(n^2 * |gens|) (Clifford & Preston 1961,
     section 1.2).  Returns the first failing triple (x, g, y), generator
-    by generator, or None."""
+    by generator, or None.  Only the sweep runs it, for the witness its
+    refusal names; ``_group_generators`` proves a group without it."""
     for g in gens:
         times_g = itemgetter(*rows[g])  # row_x -> (x*(g*y) for y); n >= 2 here
         for x, row_x in enumerate(rows):
@@ -232,17 +268,6 @@ def _associativity_failure(
     return None
 
 
-def _close(rows: Sequence[Sequence[int]], gens: Sequence[int], reached: set[int]) -> set[int]:
-    """``reached``, closed in place under right multiplication by ``gens``."""
-    frontier = list(reached)
-    while frontier:
-        row = rows[frontier.pop()]
-        new = {row[g] for g in gens} - reached
-        reached |= new
-        frontier.extend(new)
-    return reached
-
-
 def _generators(rows: Sequence[Sequence[int]]) -> list[int]:
     """A generating set, chosen greedily in index order: every element is
     reached from 0 by right multiplication by generators."""
@@ -250,7 +275,12 @@ def _generators(rows: Sequence[Sequence[int]]) -> list[int]:
     for a in range(1, len(rows)):
         if a not in reached:
             gens.append(a)
-            _close(rows, gens, reached)
+            frontier = list(reached)
+            while frontier:
+                row = rows[frontier.pop()]
+                new = {row[g] for g in gens} - reached
+                reached |= new
+                frontier.extend(new)
     return gens
 
 
@@ -327,10 +357,11 @@ class FiniteGroup:
 def validate_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
     """Validate a multiplication table at any order and wrap it: the one
     place a table is checked.  A group is accepted by ``_group_generators``:
-    integer entries in range, a two-sided identity 0, then permutation rows
-    and Light's test for the greedy generators less the redundant ones,
-    which proves associativity and with it that every row is a permutation.
-    The group keeps the greedy set.  Any other table goes through the full
+    integer entries, a two-sided identity 0, each row reached by the greedy
+    closure proved a composition of permutation rows, and the generator
+    rows commuting with right multiplication by the generators, which
+    proves associativity and that every row is a permutation.  The group
+    keeps the greedy set.  Any other table goes through the full
     sweep, which raises ValidationError naming the first failed axiom in a
     fixed order (with a witness triple from the greedy set for
     associativity)."""

@@ -196,6 +196,18 @@ def test_empty_table_rejected():
         ([[0, 1], [1, False]], r"entry at \(1,1\) out of range"),
         # x*y = y is associative, and its rows are permutations
         ([[0, 1], [0, 1]], "column 0 is not the identity"),
+        # S3's table with an entry the greedy closure reads (its generators
+        # are 1 and 2) out of range: -1 would wrap as a Python index
+        (
+            [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+             [3, -1, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]],
+            r"table entry at \(3,1\) out of range 0..5",
+        ),
+        (
+            [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+             [3, 2, 5, 4, 0, 1], [4, 5, 6, 0, 3, 2], [5, 4, 3, 2, 1, 0]],
+            r"table entry at \(4,2\) out of range 0..5",
+        ),
     ],
 )
 def test_malformed_tables_rejected(table, message):
@@ -213,7 +225,7 @@ STANDARD_GROUPS = (
 )
 
 
-def _sweep_not_reached(rows):
+def _sweep_not_reached(*args):
     raise AssertionError("a valid table reached the sweep")
 
 
@@ -331,11 +343,11 @@ def relabelled(table, rng: random.Random) -> list[list[int]]:
 
 
 def test_relabelled_symmetric_corruptions_are_refused_as_the_sweep_words_them():
-    """Seeded corruptions of relabelled S5 and S6, whose proofs run on
-    pruned generating sets, and intercalates flipped through an involution,
-    which keep every row and column a permutation: each refusal is worded
-    as the full sweep words it on its own, and each accepted table passes
-    the full sweep."""
+    """Seeded corruptions of relabelled S5 and S6, whose proofs compose rows
+    along other closures than the lexicographic tables', and intercalates
+    flipped through an involution, which keep every row and column a
+    permutation: each refusal is worded as the full sweep words it on its
+    own, and each accepted table passes the full sweep."""
     rng = random.Random(25)
     refusals = []
     for n, corruptions, flips in ((5, 12, 3), (6, 6, 2)):
@@ -398,31 +410,78 @@ def test_validated_group_keeps_the_proofs_generators(monkeypatch):
     assert len(tr.orbit_space(tr.validate_complex(g, x.space, action))) == 1
 
 
-def test_the_proof_runs_on_the_pruned_generators(monkeypatch):
-    """On a relabelled S6 whose greedy generating set has three elements,
-    Light's test runs once, on two of them that generate the group, and the
-    group keeps the greedy set.  Lexicographic S5's greedy set, the adjacent
-    transpositions, has no redundant element."""
-    rng = random.Random(2)
-    s6 = relabelled(symmetric_group(6).table, rng)
-    greedy = tuple(groups._generators(s6))
-    assert len(greedy) == 3
-    runs = []
-    light = groups._associativity_failure
-
-    def spy(rows, gens):
-        runs.append(tuple(gens))
-        return light(rows, gens)
-
-    monkeypatch.setattr(groups, "_associativity_failure", spy)
+def test_the_proof_keeps_the_greedy_generators_without_the_sweep(monkeypatch):
+    """A relabelled S6 whose greedy generating set has three elements and
+    lexicographic S5, whose greedy set is the adjacent transpositions, are
+    accepted with their greedy sets, and the proof reaches neither the
+    sweep nor its associativity witness."""
+    monkeypatch.setattr(groups, "_refuse", _sweep_not_reached)
+    monkeypatch.setattr(groups, "_associativity_failure", _sweep_not_reached)
+    s6 = relabelled(symmetric_group(6).table, random.Random(2))
     g = validate_group(s6)
-    assert len(runs) == 1 and len(runs[0]) == 2 and set(runs[0]) < set(greedy)
-    assert subgroup_closure(g, runs[0]) == list(g.elements())
-    assert g.generators() == greedy
-    runs.clear()
+    assert len(g.generators()) == 3
+    assert g.generators() == tuple(groups._generators(s6))
     s5 = symmetric_group(5)
     assert validate_group(s5.table).generators() == s5.generators() == (1, 2, 6, 24)
-    assert runs == [(1, 2, 6, 24)]
+
+
+def transversal(perms, n):
+    """Rows sigma_x with sigma_x(0) = x, built breadth-first from the
+    identity at 0: the first x and p in ``perms`` to reach z = sigma_x(p(0))
+    give sigma_z = sigma_x . p.  Row 0 and column 0 are the identity and
+    every row is a permutation; the table is a group exactly when ``perms``
+    generate a regular group.  None when some point is never reached."""
+    sigma = {0: tuple(range(n))}
+    queue = [0]
+    for x in queue:
+        for p in perms:
+            row = tuple(sigma[x][y] for y in p)
+            if row[0] not in sigma:
+                sigma[row[0]] = row
+                queue.append(row[0])
+    return [list(sigma[x]) for x in range(n)] if len(sigma) == n else None
+
+
+def test_generator_rows_must_commute_with_right_multiplication(monkeypatch):
+    """A table whose rows are permutations, with a two-sided identity, whose
+    greedy closure composes every row correctly, is still refused when a
+    generator row does not commute with right multiplication by a
+    generator.  Seeded transversal tables are accepted exactly when the
+    brute-force axiom check accepts them, and each refusal is worded as the
+    sweep words it."""
+    commute = groups._translations_commute
+    results = []
+
+    def spy(rows, gens):
+        results.append(commute(rows, gens))
+        return results[-1]
+
+    monkeypatch.setattr(groups, "_translations_commute", spy)
+    with pytest.raises(ValidationError, match="column 1 is not a permutation"):
+        validate_group([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
+    assert results == [False]
+    rng = random.Random(32)
+    tables = accepted = refused_by_commuting = 0
+    for _ in range(3000):
+        n = rng.randint(2, 8)
+        t = transversal([rng.sample(range(n), n) for _ in range(rng.randint(1, 3))], n)
+        if t is None:
+            continue
+        tables += 1
+        results.clear()
+        try:
+            g = validate_group(t)
+        except ValidationError as err:
+            assert not brute_is_group(t), t
+            with pytest.raises(ValidationError) as sweep:
+                groups._refuse(tuple(map(tuple, t)))
+            assert str(err) == str(sweep.value)
+            refused_by_commuting += results == [False]
+        else:
+            assert brute_is_group(t), t
+            assert g.table == tuple(map(tuple, t))
+            accepted += 1
+    assert tables > 1000 and 500 < accepted < tables and refused_by_commuting > 10
 
 
 def test_argument_checks_without_table_validation():
