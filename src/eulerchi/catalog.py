@@ -7,7 +7,8 @@ of homomorphisms from a finitely presented group into the entry.
 Finite entries compute it by direct enumeration.  Torus entries reduce to
 the abelianization: a homomorphism from a group into a torus factors
 through the abelianization, so chi is 0 when the abelianization has free
-rank and the torsion-point count otherwise.  The two nonabelian
+rank and the torus positive dimension, and the torsion-point count
+otherwise (the torus of dimension 0 is a point).  The two nonabelian
 positive-dimensional entries, the rotation groups of the plane-with-
 reflections and of 3-space, carry only the values their conjugation
 quotients pin down: the one-generator free case (a closed interval,
@@ -102,13 +103,13 @@ def hom_chi_abelian(m: TorusIsotropy, p: Presentation) -> int:
     so this equals the quotient chi).
 
     Homomorphisms factor through the abelianization Z^r + sum Z/d_i; a free
-    factor contributes a copy of the torus (chi 0) and each torsion factor
-    contributes its d_i^n torsion points.
+    factor contributes a copy of the torus (chi 0, or 1 for the point T^0)
+    and each torsion factor contributes its d_i^n torsion points.
     """
     if not isinstance(m, TorusIsotropy):
         raise ValidationError("hom_chi_abelian expects a torus entry")
     snf = groups.abelianize_snf(p)
-    if snf.rank >= 1:
+    if snf.rank >= 1 and m.n >= 1:
         return 0
     total = 1
     for d in snf.torsion:

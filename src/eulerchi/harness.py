@@ -246,12 +246,13 @@ def _case_checks(spec: CaseSpec, rng: random.Random) -> list[Check]:
         one = ConstructibleFunction.constant(anchor().source, 1)
         return cells.integrate(cells.pushforward(anchor(), one))
 
+    orbit_space = tr.orbit_space(x)
     max_ell = 3 if x.group.order ** 3 <= ORDER_ELL_TUPLES else 2
     checks: list[Check] = [
         ("three_way_strata_vs_lambda", strata, anchor_chi),
         ("three_way_strata_vs_noniter", strata, partial(tr.chi_gamma_noniter, p, x)),
         ("trivial_gamma_is_orbit_chi", partial(tr.chi_gamma_strata, Presentation.trivial(), x),
-         lambda: cells.chi(tr.orbit_space(x))),
+         partial(cells.chi, orbit_space)),
         *((f"order_{ell}_vs_noniter", partial(tr.chi_order_ell, x, ell),
            partial(tr.chi_gamma_noniter, Presentation.free_abelian(ell), x))
           for ell in range(max_ell + 1)),
@@ -271,7 +272,7 @@ def _case_checks(spec: CaseSpec, rng: random.Random) -> list[Check]:
         checks.append(("additivity", strata, halves))
 
     # levelset formulation on a random function over the orbit space
-    f = random_function(rng, tr.orbit_space(x))
+    f = random_function(rng, orbit_space)
     checks.append(
         ("integral_formulations", partial(cells.integrate, f), partial(cells.integrate_levelset, f))
     )

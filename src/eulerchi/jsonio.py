@@ -9,7 +9,8 @@ complex's group) it may be given inline or as a path string, resolved
 relative to the referring file and decoded as a top-level file is.  Errors
 name the offending field.  A loader checks only the JSON shape and ends with
 the validator of what it builds (``validate_space`` and the like): the one
-check of an input.
+check of an input.  One reader, ``_load_cells``, reads every list of cells,
+a groupoid's ``strata`` among them.
 
 The id separator "⊗" is reserved for generated ids (products, inertia
 cells) and rejected in all input ids, so no generated id can be read back
@@ -85,16 +86,20 @@ def _check_input_id(cid: Any, where: str) -> str:
 # cell spaces, functions, maps
 
 
+def _load_cells(entries: Any, where: str) -> CellSpace:
+    """The cells of a list of ``{"id", "dim"}`` entries, named ``where`` in errors."""
+    if not isinstance(entries, list):
+        raise ValidationError(f"{where}: expected a list")
+    return cells.validate_space(
+        Cell(_check_input_id(_require(e, "id", f"{where}[{i}]"), f"{where}[{i}].id"),
+             _require(e, "dim", f"{where}[{i}]"))
+        for i, e in enumerate(entries)
+    )
+
+
 def load_cell_space(obj: Any, base: Path | None = None) -> CellSpace:
     obj, _ = _resolve(obj, base)
-    raw = _require(obj, "cells", "cell space")
-    if not isinstance(raw, list):
-        raise ValidationError("cells: expected a list")
-    out = []
-    for i, entry in enumerate(raw):
-        cid = _check_input_id(_require(entry, "id", f"cells[{i}]"), f"cells[{i}].id")
-        out.append(Cell(cid, _require(entry, "dim", f"cells[{i}]")))
-    return cells.validate_space(out)
+    return _load_cells(_require(obj, "cells", "cell space"), "cells")
 
 
 def load_function(obj: Any, base: Path | None = None) -> ConstructibleFunction:
@@ -242,18 +247,10 @@ def _load_isotropy(obj: Any, base: Path | None, depth: int) -> catalog.IsotropyM
 def load_groupoid(obj: Any, base: Path | None = None) -> groupoid.OrbitGroupoid:
     obj, base = _resolve(obj, base)
     strata = _require(obj, "strata", "groupoid")
-    if not isinstance(strata, list):
-        raise ValidationError("strata: expected a list")
-    out = []
-    iso = {}
-    for i, entry in enumerate(strata):
-        cid = _check_input_id(_require(entry, "id", f"strata[{i}]"), f"strata[{i}].id")
-        dim = _require(entry, "dim", f"strata[{i}]")
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
-            raise ValidationError(f"strata[{i}].dim: expected a non-negative integer")
-        out.append(Cell(cid, dim))
-        iso[cid] = load_isotropy(_require(entry, "isotropy", f"strata[{i}]"), base)
-    return groupoid.validate_groupoid(cells.validate_space(out), iso)
+    space = _load_cells(strata, "strata")
+    iso = {c.id: load_isotropy(_require(e, "isotropy", f"strata[{i}]"), base)
+           for i, (c, e) in enumerate(zip(space.cells, strata))}
+    return groupoid.validate_groupoid(space, iso)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +260,7 @@ def load_groupoid(obj: Any, base: Path | None = None) -> groupoid.OrbitGroupoid:
 def load_complex(obj: Any, base: Path | None = None) -> translation.RigidGComplex:
     obj, base = _resolve(obj, base)
     group = load_group(_require(obj, "group", "complex"), base)
-    space = load_cell_space({"cells": _require(obj, "cells", "complex")}, base)
+    space = _load_cells(_require(obj, "cells", "complex"), "cells")
     raw_action = _require(obj, "action", "complex")
     if not isinstance(raw_action, dict):
         raise ValidationError("action: expected an object keyed by element index")

@@ -15,8 +15,8 @@ indices 0..n-1 per generator of its group (``RigidGComplex.gens``), one
 dimension per cell (``dims``) and a function from a cell index to its id
 (``cell_id``); each stabilizer is a bitmask over the elements.  No builder
 forms a cell: ids are formed where a value names cells, for orbit
-representatives and, on first use of ``space``, for every cell;
-``validate_complex`` and ``product_complex`` hand on the space they hold.
+representatives and, on first use of ``space``, for every cell; only
+``validate_complex`` hands on a space, the one it was given.
 ``validate_complex`` checks a string-keyed action where it enters
 (``jsonio.load_complex``); complexes derived here are trusted.
 
@@ -59,7 +59,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import catalog, groups
 from .catalog import FiniteIsotropy, IsotropyModel
-from .cells import Cell, CellMap, CellSpace, RESERVED_SEPARATOR, product as space_product
+from .cells import Cell, CellMap, CellSpace, RESERVED_SEPARATOR
 from .errors import CrossCheckError, RecursionCapExceeded, ResourceLimitExceeded, ValidationError
 from .groupoid import OrbitGroupoid, chi_gamma
 from .groups import FiniteGroup, HomTuple, Presentation
@@ -250,9 +250,9 @@ def restrict_complex(x: RigidGComplex, keep: Iterable[int]) -> RigidGComplex:
 
 
 def product_complex(x: RigidGComplex, y: RigidGComplex) -> RigidGComplex:
-    """Product action of the product group on the product space."""
+    """Product action of the product group on the product space, its ids
+    and dims those of ``cells.product`` (named on demand, not rechecked)."""
     group = groups.direct_product(x.group, y.group)
-    space = space_product(x.space, y.space)
     n, m, xperms, yperms = len(y.dims), y.group.order, x.perms, y.perms
     # cell (i, j) of the product sits at index i * n + j, and element
     # (a, b) at index a * m + b
@@ -260,9 +260,10 @@ def product_complex(x: RigidGComplex, y: RigidGComplex) -> RigidGComplex:
         tuple(pa[i] * n + pb[j] for i in range(len(x.dims)) for j in range(n))
         for pa, pb in ((xperms[e // m], yperms[e % m]) for e in group.generators())
     )
-    xy = RigidGComplex(group, gens, tuple(c.dim for c in space.cells), cell_id=space.ids().__getitem__)
-    xy._space = space
-    return xy
+    return RigidGComplex(
+        group, gens, tuple(a + b for a in x.dims for b in y.dims),
+        cell_id=lambda k: f"{x.cell_id(k // n)}{RESERVED_SEPARATOR}{y.cell_id(k % n)}",
+    )
 
 
 def _orbit_chi(x: RigidGComplex, fixed: Sequence[int], perms: Sequence[Sequence[int]]) -> int:

@@ -94,6 +94,21 @@ def test_torus_sees_only_the_abelianization():
     assert chi_hom_quotient(T1, q) == abs(2 * 6 - 0 * (-3)) == 12
 
 
+def test_zero_dimensional_torus_is_a_point():
+    """Hom(Gamma, T^0) is one point whatever the abelianization's free
+    rank, so T^0 has the trivial group's value, and a product with it has
+    its other factor's."""
+    t0, c2 = TorusIsotropy(0), FiniteIsotropy(cyclic_group(2))
+    point = FiniteIsotropy(groups.trivial_group())
+    for p in (
+        Presentation.trivial(), Z, Presentation.free_abelian(2), Presentation.cyclic(3),
+        Presentation(2, ((1, 1, -2, -2, -2),)),
+    ):
+        assert chi_hom_quotient(t0, p) == chi_hom_quotient(point, p) == 1
+        assert chi_hom_quotient(ProductIsotropy((t0, c2)), p) == chi_hom_quotient(c2, p)
+    assert chi_hom_quotient(ProductIsotropy((t0, c2)), Z) == 2
+
+
 def test_rotation_groups_one_generator():
     assert chi_hom_quotient(SO3, Z) == 1
     assert chi_hom_quotient(O2, Z) == 2

@@ -131,6 +131,22 @@ def test_gamma_chi_values():
         assert json.loads(r.stdout)["result"] == expected
 
 
+@pytest.mark.parametrize(
+    "stratum,message",
+    [
+        ({"id": "a", "dim": -1}, "cells[0].dim: expected a non-negative integer, got -1"),
+        ({"id": "a"}, "strata[0]: missing field 'dim'"),
+    ],
+)
+def test_groupoid_strata_are_read_as_cells(tmp_path, capsys, stratum, message):
+    """A groupoid's strata go through the one cell reader: its shape errors
+    name the strata, and ``validate_space`` words a bad dimension."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"strata": [{**stratum, "isotropy": {"kind": "SO3"}}]}))
+    assert cli.main(["gamma-chi", str(path), "--gamma", '{"kind":"trivial"}']) == 1
+    assert capsys.readouterr().err == f"eulerchi: invalid input: {message}\n"
+
+
 def test_gamma_chi_unsupported_exits_2():
     r = run_cli("gamma-chi", str(DATA / "so3_r3.json"), "--gamma", '{"kind":"cyclic","order":2}')
     assert r.returncode == 2

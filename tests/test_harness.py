@@ -67,6 +67,23 @@ def test_case_checks_read_no_cell_space(monkeypatch):
     assert names.count("three_way_strata_vs_lambda") == 200 and "additivity" in names
 
 
+def test_trailer_checks_read_no_cell_space(monkeypatch):
+    """The Morita, multiplicativity and iterate checks hold over 20 seeded
+    draws with ``RigidGComplex.space`` raising: a product complex names its
+    cells from its factors' ids on demand, so building one reads no space."""
+
+    def no_space(x):
+        raise AssertionError("a trailer check read a complex's cell space")
+
+    monkeypatch.setattr(tr.RigidGComplex, "space", property(no_space))
+    rng = random.Random(42)
+    for _ in range(20):
+        for name, lhs, rhs in (
+            harness.morita_check(rng, 24), harness.multiplicativity_check(rng), harness.iterate_check(rng),
+        ):
+            assert lhs() == rhs(), name
+
+
 def test_case_specs_rebuild_identically():
     rng = random.Random(5)
     for _ in range(20):

@@ -652,9 +652,10 @@ def test_lazy_space_matches_an_eager_reference():
 
 
 def test_loaded_and_product_complexes_form_each_cell_once(monkeypatch):
-    """``validate_complex`` and ``product_complex`` hand the space they
-    hold (the loaded one, that of ``cells.product``) to the complex they
-    return, so reading its ``space`` forms no cell a second time."""
+    """``validate_complex`` hands the loaded space to the complex it
+    returns, so reading its ``space`` forms no cell a second time; a
+    product forms no cell when built, and one per pair of factor cells
+    when its ``space`` is first read."""
     x = harness.build_complex(harness.CaseSpec("S3", [([0], 0), ([0], 1)], Z))
     obj, y = complex_obj(x), coset_complex(S3, [0])
     assert len(y.space) == 6
@@ -671,7 +672,8 @@ def test_loaded_and_product_complexes_form_each_cell_once(monkeypatch):
     assert len(loaded.space) == formed == 12
     formed = 0
     xy = product_complex(loaded, y)
-    assert len(xy.space) == formed == 72
+    assert formed == 0
+    assert len(xy.space) == formed == len(loaded.dims) * len(y.dims) == 72
 
 
 def _reference_order_ell_walk(x: RigidGComplex, ell: int) -> tuple[int, list[int]]:
@@ -744,6 +746,49 @@ def test_order_ell_on_a_point_counts_classes_of_commuting_tuples():
         values[key] = [chi_order_ell(pt, d) for d in (1, 2)]
         assert values[key] == list(_commuting_tuples_over_order(g.table)), key
     assert {k: values[k] for k in POINT_VALUES} == POINT_VALUES
+
+
+def _centre_orders(x: RigidGComplex) -> set[int]:
+    """The distinct centre orders |Z(K)| over the subgroups K reached from
+    x's cell stabilizers by K -> C_K(a), a in K, read from the table."""
+    table = x.group.table
+
+    def cent(k: frozenset, a: int) -> frozenset:
+        return frozenset(b for b in k if table[a][b] == table[b][a])
+
+    reached = [frozenset(g for g in x.group.elements() if m >> g & 1) for m in set(x.stabilizer_masks())]
+    seen = set(reached)
+    for k in reached:
+        for a in k:
+            c = cent(k, a)
+            if c not in seen:
+                seen.add(c)
+                reached.append(c)
+    return {sum(1 for a in k if cent(k, a) == k) for k in seen}
+
+
+def test_order_ell_values_obey_the_centre_order_recurrence():
+    """One depth of the walk sends K to the centralizers C_K(a) of its class
+    representatives, and a proper one has a larger centre, so the order-ell
+    values satisfy the recurrence whose characteristic polynomial is
+    prod (t - |Z(K)|) over the distinct centre orders reached.  No route or
+    check relates values at different orders otherwise."""
+    xs = {key: point_complex(harness.group_by_key(key)) for key in ("Q8", "S3", "S4", "D4")}
+    xs |= {i: harness.build_complex(spec) for i, (_, spec) in enumerate(harness.draw_cases(random.Random(7), 40))}
+    checked, widest = 0, 0
+    for key, x in xs.items():
+        lams = sorted(_centre_orders(x))
+        widest = max(widest, len(lams))
+        coeffs = [1]  # of prod (t - lam), lowest degree first
+        for lam in lams:
+            coeffs = [a - lam * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        a = [chi_order_ell(x, ell, cap=len(lams) + 3) for ell in range(len(lams) + 4)]
+        for ell in range(4):
+            assert sum(c * a[ell + k] for k, c in enumerate(coeffs)) == 0, (key, ell, lams, a)
+            checked += 1
+        if key == "Q8":
+            assert lams == [2, 4] and a[:5] == [1, 5, 22, 92, 376]
+    assert checked == 176 and widest == 5
 
 
 def _class_sum(p: Presentation, x: RigidGComplex) -> int:
