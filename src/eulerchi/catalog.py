@@ -73,12 +73,6 @@ class CustomIsotropy(Value):
     ):
         super().__init__(name, chi_table, cell_models)
 
-    def chi_for(self, cls: str) -> int | None:
-        for key, value in self.chi_table:
-            if key == cls:
-                return value
-        return None
-
 
 IsotropyModel = (
     FiniteIsotropy | TorusIsotropy | SO3Isotropy | O2Isotropy | ProductIsotropy | CustomIsotropy
@@ -86,6 +80,12 @@ IsotropyModel = (
 
 SO3 = SO3Isotropy()
 O2 = O2Isotropy()
+
+# The values the rotation groups' conjugation quotients pin down, by
+# presentation class: at Z the classes of rotations of 3-space form a closed
+# interval, and those of O(2) an interval of rotations and a point of
+# reflections.
+_ROTATION_CHI = {SO3Isotropy: {"trivial": 1, "Z": 1}, O2Isotropy: {"trivial": 1, "Z": 2}}
 
 
 def trivial_isotropy() -> FiniteIsotropy:
@@ -127,33 +127,18 @@ def chi_hom_quotient(m: IsotropyModel, p: Presentation) -> int:
         return _finite_chi(m.group, p)
     if isinstance(m, TorusIsotropy):
         return hom_chi_abelian(m, p)
-    if isinstance(m, SO3Isotropy):
-        cls = presentation_class(p)
-        if cls == "trivial":
-            return 1
-        if cls == "Z":
-            return 1  # conjugation classes of rotations form a closed interval
-        raise UnsupportedCombination(m, p)
-    if isinstance(m, O2Isotropy):
-        cls = presentation_class(p)
-        if cls == "trivial":
-            return 1
-        if cls == "Z":
-            return 2  # rotation classes form an interval, reflections a point
-        raise UnsupportedCombination(m, p)
     if isinstance(m, ProductIsotropy):
         total = 1
         for factor in m.factors:
             total *= chi_hom_quotient(factor, p)
         return total
-    if isinstance(m, CustomIsotropy):
-        cls = presentation_class(p)
-        if cls is not None:
-            value = m.chi_for(cls)
-            if value is not None:
-                return value
+    values = dict(m.chi_table) if isinstance(m, CustomIsotropy) else _ROTATION_CHI.get(type(m))
+    if values is None:
+        raise ValidationError(f"unknown isotropy model {m!r}")
+    cls = presentation_class(p)
+    if cls not in values:
         raise UnsupportedCombination(m, p)
-    raise ValidationError(f"unknown isotropy model {m!r}")
+    return values[cls]
 
 
 def is_user_supplied(m: IsotropyModel) -> bool:

@@ -14,8 +14,9 @@ with it the table associative.  A group keeps the greedy set.  Only a
 table that fails runs the full sweep, whose fixed order of checks words
 the refusal: entries, identity row and column, every row and column a
 permutation, then associativity with a witness triple from the greedy set.
-Tables built here from valid groups (standard constructors, direct
-products, subgroups) are groups by construction.
+Tables built here (standard constructors, direct products, subgroups)
+come from one builder, ``_table``, which tabulates a product over labels
+whose first is the identity; those are groups by construction.
 
 A presentation is a generator count plus relator words; a word is a list of
 nonzero signed integers, 1-based generator indices with sign meaning
@@ -287,8 +288,9 @@ def _generators(rows: Sequence[Sequence[int]]) -> list[int]:
 class FiniteGroup:
     """A finite group given by its multiplication table; identity is 0.
 
-    The table is trusted, not checked: a table from outside the program
-    goes through ``validate_group``.  Besides the table and its inverses
+    The table is trusted, not checked: it is built in two places,
+    ``_table`` for the groups constructed here and ``validate_group`` for a
+    table from outside the program.  Besides the table and its inverses
     (``inverses[a]`` is a^-1) a group keeps only the enumeration's
     centralizer bitmasks and its greedy generating set, which
     ``validate_group`` passes in.
@@ -388,77 +390,56 @@ def validate_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
 # standard constructions
 
 
+def _table(elements: Iterable, mul) -> FiniteGroup:
+    """The group on ``elements`` under ``mul``, trusted: element i is the
+    i-th label, so the first label must be the identity.  A product
+    outside the labels raises KeyError.  Every table built here goes
+    through it; a table from outside goes through ``validate_group``."""
+    labels = list(elements)
+    index = {x: i for i, x in enumerate(labels)}
+    return FiniteGroup(tuple(tuple(index[mul(a, b)] for b in labels) for a in labels))
+
+
 def trivial_group() -> FiniteGroup:
-    return FiniteGroup(((0,),))
+    return cyclic_group(1)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValidationError(f"cyclic order must be >= 1, got {n}")
-    return FiniteGroup(tuple(tuple((a + b) % n for b in range(n)) for a in range(n)))
+    return _table(range(n), lambda a, b: (a + b) % n)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n with elements enumerated in lexicographic one-line order, so the
     identity permutation sits at index 0.  mul(p, q) applies q first."""
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = tuple(
-        tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms
-    )
-    return FiniteGroup(table)
+    return _table(itertools.permutations(range(n)), lambda p, q: tuple(map(p.__getitem__, q)))
 
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: element i + n*j is r^i s^j."""
     if n < 1:
         raise ValidationError("dihedral parameter must be >= 1")
-    order = 2 * n
-
-    def mul(x: int, y: int) -> int:
-        i, j = x % n, x // n
-        k, l = y % n, y // n
-        rot = (i + (k if j == 0 else -k)) % n
-        return rot + n * ((j + l) % 2)
-
-    return FiniteGroup(tuple(tuple(mul(a, b) for b in range(order)) for a in range(order)))
+    elements = ((i, j) for j in range(2) for i in range(n))  # (i, j) is r^i s^j
+    return _table(elements, lambda x, y: ((x[0] - y[0] if x[1] else x[0] + y[0]) % n, (x[1] + y[1]) % 2))
 
 
 def quaternion_group() -> FiniteGroup:
-    """Q8 with elements ordered 1, -1, i, -i, j, -j, k, -k."""
-    # (sign, axis) with axis 0=1, 1=i, 2=j, 3=k
-    def unpack(x: int) -> tuple[int, int]:
-        return (-1 if x % 2 else 1, x // 2)
+    """Q8 with elements ordered 1, -1, i, -i, j, -j, k, -k: the unit
+    quaternions a + bi + cj + dk as (a, b, c, d) under Hamilton's product."""
 
-    def pack(sign: int, axis: int) -> int:
-        return 2 * axis + (0 if sign == 1 else 1)
+    def mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+        (a, b, c, d), (e, f, g, h) = x, y
+        return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+                a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
 
-    axis_mul = {
-        (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-        (1, 0): (1, 1), (2, 0): (1, 2), (3, 0): (1, 3),
-        (1, 1): (-1, 0), (2, 2): (-1, 0), (3, 3): (-1, 0),
-        (1, 2): (1, 3), (2, 3): (1, 1), (3, 1): (1, 2),
-        (2, 1): (-1, 3), (3, 2): (-1, 1), (1, 3): (-1, 2),
-    }
-
-    def mul(x: int, y: int) -> int:
-        sx, ax = unpack(x)
-        sy, ay = unpack(y)
-        s, a = axis_mul[(ax, ay)]
-        return pack(sx * sy * s, a)
-
-    return FiniteGroup(tuple(tuple(mul(a, b) for b in range(8)) for a in range(8)))
+    return _table([tuple(s * (k == u) for k in range(4)) for u in range(4) for s in (1, -1)], mul)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Direct product with pair (a, b) at index a * |h| + b."""
-    n, m = g.order, h.order
-    table = tuple(
-        tuple(g.mul(a1, a2) * m + h.mul(b1, b2) for a2 in range(n) for b2 in range(m))
-        for a1 in range(n)
-        for b1 in range(m)
-    )
-    return FiniteGroup(table)
+    pairs = itertools.product(g.elements(), h.elements())
+    return _table(pairs, lambda x, y: (g.table[x[0]][y[0]], h.table[x[1]][y[1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -651,12 +632,10 @@ def subgroup_group(g: FiniteGroup, elements: Sequence[int]) -> tuple[FiniteGroup
         )
     if len(elems) == g.order:
         return g, elems
-    pos = {e: i for i, e in enumerate(elems)}
     try:
-        table = tuple(tuple(pos[g.mul(a, b)] for b in elems) for a in elems)
+        return _table(elems, g.mul), elems
     except KeyError as exc:
         raise ValidationError(f"subgroup_group: set not closed under product (missing {exc})") from None
-    return FiniteGroup(table), elems
 
 
 class CosetAction(Value):

@@ -163,15 +163,70 @@ def test_associativity_checked_above_order_256():
     assert_witness_fails(table, str(err.value))
 
 
-def test_s3_from_permutation_composition():
-    perms = list(itertools.permutations(range(3)))
+# Each builder's documented element order, against a table built here
+# without the builder: harness subgroups are element-index lists, so an
+# order is a contract that ``verify``'s draws depend on.
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symmetric_group_from_permutation_composition(n):
+    perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     table = [
-        [index[tuple(p[q[i]] for i in range(3))] for q in perms] for p in perms
+        [index[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms
     ]
     g = validate_group(table)
-    assert g.order == 6
-    assert g.table == S3.table
+    assert g.order == len(perms)
+    assert g.table == symmetric_group(n).table
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cyclic_group_adds_mod_n(n):
+    assert cyclic_group(n).table == tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_dihedral_group_acts_on_the_n_gon(n):
+    """Element i + n*j acts on Z/n by v -> i + (-1)^j v, faithfully for
+    n >= 3, and a product acts as the composition."""
+    acts = [tuple((i + (-1) ** j * v) % n for v in range(n)) for j in range(2) for i in range(n)]
+    index = {f: x for x, f in enumerate(acts)}
+    assert len(index) == 2 * n
+    table = tuple(tuple(index[tuple(f[v] for v in h)] for h in acts) for f in acts)
+    assert dihedral_group(n).table == table
+
+
+def test_small_dihedral_groups_are_written_out():
+    assert dihedral_group(1).table == ((0, 1), (1, 0))
+    assert dihedral_group(2).table == ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+
+
+def test_quaternion_group_from_complex_matrices():
+    """Q8 in the order 1, -1, i, -i, j, -j, k, -k, with i = diag(i, -i),
+    j = [[0, 1], [-1, 0]] and k = ij as 2x2 complex matrices."""
+
+    def matmul(x, y):
+        return tuple(tuple(sum(x[r][t] * y[t][c] for t in range(2)) for c in range(2)) for r in range(2))
+
+    def neg(x):
+        return tuple(tuple(-v for v in row) for row in x)
+
+    one, i, j = ((1, 0), (0, 1)), ((1j, 0), (0, -1j)), ((0, 1), (-1, 0))
+    units = [u for x in (one, i, j, matmul(i, j)) for u in (x, neg(x))]
+    index = {u: n for n, u in enumerate(units)}
+    assert len(index) == 8
+    table = tuple(tuple(index[matmul(x, y)] for y in units) for x in units)
+    assert quaternion_group().table == table
+
+
+@pytest.mark.parametrize(
+    "g, h", [(S3, Q8), (cyclic_group(2), symmetric_group(4))], ids=["S3xQ8", "C2xS4"]
+)
+def test_direct_product_places_pair_a_b_at_a_times_h_plus_b(g, h):
+    m = h.order
+    table = direct_product(g, h).table
+    for a, b, c, d in itertools.product(g.elements(), h.elements(), g.elements(), h.elements()):
+        assert table[a * m + b][c * m + d] == g.table[a][c] * m + h.table[b][d]
 
 
 def test_empty_table_rejected():

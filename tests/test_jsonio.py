@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from eulerchi import jsonio
+from eulerchi import catalog, jsonio
 from eulerchi.catalog import FiniteIsotropy, O2Isotropy, SO3Isotropy, TorusIsotropy
 from eulerchi.cells import RESERVED_SEPARATOR, CellSpace, chi
 from eulerchi.errors import ValidationError
@@ -98,7 +98,7 @@ def test_isotropy_kinds():
     custom = jsonio.load_isotropy(
         {"kind": "custom", "name": "pin", "chi": {"Z": 4}}
     )
-    assert custom.chi_for("Z") == 4
+    assert catalog.chi_hom_quotient(custom, Presentation.free(1)) == 4
 
 
 def test_group_order_mismatch():

@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -89,43 +90,88 @@ def test_reports_match_golden(name):
         assert run(argv, _where(name)) == golden[" ".join(argv)], argv
 
 
-# Exit-0 golden cases whose headline only the CLI's route computes: Z/2
-# has no order-ell value, gamma-chi has a second route only at Gamma = Z
-# (``test_catalog`` recomputes those four from cell models), and an
-# extension's prediction none.
-ONE_ROUTE = {
-    "inertia": {f"inertia {f} --gamma {GAMMAS[1]}" for f in ("q8_point.json", "s3_point.json")},
-    "atlas": {f"atlas {f} {f} --gamma {GAMMAS[1]}" for f in ("q8_point.json", "s3_point.json")},
-    "gamma_chi": {
-        f"gamma-chi {f} --gamma {g}"
-        for f in ("so2_s2.json", "so2_x_a.json", "so2_x_aprime.json")
-        for g in (GAMMAS[0], GAMMAS[1], GAMMAS[3])
-    } | {f"gamma-chi so3_r3.json --gamma {GAMMAS[0]}"},
-    "extension": {"extension o2_extension.json"},
+# Exit-0 golden cases whose headline only the CLI's route computes: an
+# extension's prediction.  gamma-chi at Gamma = Z is recomputed from cell
+# models in ``test_catalog``, so it is neither here nor below.
+ONE_ROUTE = {"extension": {"extension o2_extension.json"}}
+
+# |Hom(Gamma, C)| for a subgroup C, given as its members in a group table,
+# counted from the table for each Gamma the Burnside count meets.
+HOM_COUNT = {
+    GAMMAS[0]: lambda table, members: 1,
+    GAMMAS[1]: lambda table, members: sum(table[b][b] == 0 for b in members),
+    GAMMAS[3]: lambda table, members: sum(table[b][c] == table[c][b] for b in members for c in members),
 }
+# Gamma^ab as (free rank, invariant factors), written out for each Gamma
+ABELIANIZED = {GAMMAS[0]: (0, ()), GAMMAS[1]: (0, (2,)), GAMMAS[2]: (1, ()), GAMMAS[3]: (2, ())}
+
+
+def _burnside(table, gamma: str) -> int:
+    """|Hom(Gamma, K)/K| for K given by its table: conjugation by a fixes
+    exactly the homomorphisms into the centralizer C_K(a), so the orbit
+    count is (1/|K|) * sum over a of |Hom(Gamma, C_K(a))|."""
+    n = len(table)
+    total = sum(
+        HOM_COUNT[gamma](table, [b for b in range(n) if table[a][b] == table[b][a]]) for a in range(n)
+    )
+    assert total % n == 0
+    return total // n
+
+
+def _label_chi(label, gamma: str) -> int:
+    """chi of the homomorphism quotient into one gamma-chi label: Burnside
+    for a finite group; for the torus T^n, 0 when Gamma^ab has free rank
+    and otherwise its d^n torsion points per invariant factor d; 1 for
+    SO(3) at trivial Gamma."""
+    if isinstance(label, catalog.FiniteIsotropy):
+        return _burnside(label.group.table, gamma)
+    if isinstance(label, catalog.TorusIsotropy):
+        rank, torsion = ABELIANIZED[gamma]
+        return 0 if rank else math.prod(torsion) ** label.n
+    assert isinstance(label, catalog.SO3Isotropy) and gamma == GAMMAS[0], (label, gamma)
+    return 1
 
 
 def _second_route(argv: list[str]):
-    """The headline of an order-ell, inertia or atlas case by a route the
-    command does not take, as a zero-argument callable: the Burnside count
-    over homomorphisms for the walk, and the walk at order r for Gamma = Z^r
-    (trivial at r = 0), summed over the pieces.  None where there is none."""
+    """The headline of an order-ell, inertia, atlas or gamma-chi case by a
+    route the command does not take, as a zero-argument callable: the
+    Burnside count over homomorphisms for the walk; the walk at order r
+    for Gamma = Z^r (trivial at r = 0), summed over the pieces; the
+    Burnside count from the table for a point at Z/2; and the strata's
+    label values from the tables and Gamma^ab, summed with their signs.
+    None where there is none."""
     if argv[0] == "order-ell":
         return lambda: tr.chi_gamma_noniter(
             Presentation.free_abelian(int(argv[3])), jsonio.load_file(DATA / argv[1], jsonio.load_complex)[0]
         )
-    gamma = json.loads(argv[-1])
-    if gamma["kind"] not in ("trivial", "free_abelian"):
+    if argv[0] == "extension" or argv[0] == "gamma-chi" and argv[-1] == GAMMAS[2]:
         return None
-    return lambda: sum(
-        tr.chi_order_ell(jsonio.load_file(DATA / f, jsonio.load_complex)[0], gamma.get("rank", 0))
-        for f in argv[1:-2]
-    )
+    if argv[0] == "gamma-chi":
+
+        def strata() -> int:
+            g = jsonio.load_file(DATA / argv[1], jsonio.load_groupoid)[0]
+            return sum(
+                (-1) ** c.dim * _label_chi(label, argv[-1]) for c, label in zip(g.space.cells, g.isotropy)
+            )
+
+        return strata
+    pieces = argv[1:-2]
+    if argv[-1] == GAMMAS[1]:
+
+        def points() -> int:
+            xs = [jsonio.load_file(DATA / f, jsonio.load_complex)[0] for f in pieces]
+            assert all(x.dims == (0,) for x in xs)
+            return sum(_burnside(x.group.table, argv[-1]) for x in xs)
+
+        return points
+    rank = json.loads(argv[-1]).get("rank", 0)
+    return lambda: sum(tr.chi_order_ell(jsonio.load_file(DATA / f, jsonio.load_complex)[0], rank) for f in pieces)
 
 
 def _primitives(monkeypatch, route) -> tuple[object, set[str]]:
-    """route's value, and which of the homomorphism enumeration and the
-    centralizer masks it calls, with the catalog's chi cache cleared."""
+    """route's value, and which of the homomorphism enumeration, the
+    centralizer masks and the abelianization it calls, with the catalog's
+    chi cache cleared."""
     catalog._finite_chi.cache_clear()
     called = set()
 
@@ -140,15 +186,17 @@ def _primitives(monkeypatch, route) -> tuple[object, set[str]]:
         m.setattr(groups, "hom_enumerate", spy("hom_enumerate", groups.hom_enumerate))
         m.setattr(groups.FiniteGroup, "centralizer_mask",
                   spy("centralizer_mask", groups.FiniteGroup.centralizer_mask))
+        m.setattr(groups, "abelianize_snf", spy("abelianize_snf", groups.abelianize_snf))
         value = route()
     return value, called
 
 
 def test_golden_headlines_have_a_second_route(monkeypatch):
-    """Every exit-0 order-ell, inertia and atlas golden headline that has a
-    second route is recomputed by it, and the two sides share neither the
-    homomorphism enumeration nor the centralizer masks.  The exit-0 cases
-    left with one route are named in ``ONE_ROUTE``."""
+    """Every exit-0 order-ell, inertia, atlas and gamma-chi golden headline
+    that has a second route is recomputed by it, and the two sides share
+    none of the homomorphism enumeration, the centralizer masks and the
+    abelianization.  The exit-0 cases left with one route are named in
+    ``ONE_ROUTE``."""
     recomputed, single = 0, {}
     for name in ("order_ell", "inertia", "atlas", "gamma_chi", "extension"):
         golden = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
@@ -156,7 +204,7 @@ def test_golden_headlines_have_a_second_route(monkeypatch):
             key = " ".join(argv)
             if golden[key]["exit"] != 0:
                 continue
-            second = None if name in ("gamma_chi", "extension") else _second_route(argv)
+            second = _second_route(argv)
             if second is None:
                 if name != "gamma_chi" or json.loads(argv[-1]) != json.loads(GAMMAS[2]):
                     single.setdefault(name, set()).add(key)
@@ -168,7 +216,7 @@ def test_golden_headlines_have_a_second_route(monkeypatch):
             assert not cli_calls & calls, (key, cli_calls, calls)
             assert cli_calls | calls, key
             recomputed += 1
-    assert recomputed == 20
+    assert recomputed == 34
     assert single == ONE_ROUTE
 
 

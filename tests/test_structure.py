@@ -4,11 +4,13 @@ Every import of a package module sits at module level, so a module's
 dependencies are read from its head; the one exception is the CLI's late
 import of the harness, which only ``verify`` needs.  The modules import
 each other without a cycle, every name a module imports is used in it, and
-no module reads a private name that it does not define itself.
+no module reads a private name that it does not define itself.  A group
+table is wrapped as a ``FiniteGroup`` in two places only.
 """
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "eulerchi"
 MODULES = {path.stem: path for path in sorted(SRC.glob("*.py"))}
@@ -31,22 +33,23 @@ def _targets(node: ast.AST) -> set[str]:
     return {within.split(".")[0]} if within else {alias.name for alias in node.names}
 
 
+def _scoped(name: str) -> Iterator[tuple[str | None, ast.AST]]:
+    """Every node of module ``name`` with the function or class it sits in
+    (None at module level)."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+    def visit(node: ast.AST, scope: str | None) -> Iterator[tuple[str | None, ast.AST]]:
+        for child in ast.iter_child_nodes(node):
+            yield scope, child
+            yield from visit(child, child.name if isinstance(child, scopes) else scope)
+
+    return visit(ast.parse(MODULES[name].read_text(encoding="utf-8")), None)
+
+
 def _imports(name: str) -> list[tuple[str | None, set[str]]]:
     """Per package import in module ``name``: the function or class it sits
     in (None at module level) and the modules it names."""
-    tree = ast.parse(MODULES[name].read_text(encoding="utf-8"))
-    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    out = []
-
-    def visit(node: ast.AST, scope: str | None) -> None:
-        for child in ast.iter_child_nodes(node):
-            targets = _targets(child)
-            if targets:
-                out.append((scope, targets))
-            visit(child, child.name if isinstance(child, scopes) else scope)
-
-    visit(tree, None)
-    return out
+    return [(scope, targets) for scope, node in _scoped(name) if (targets := _targets(node))]
 
 
 def test_package_imports_sit_at_module_level():
@@ -170,3 +173,16 @@ def test_records_are_constructed_in_one_module():
                     own_init.add(node.name)
     assert setters == []
     assert own_init == OWN_INIT
+
+
+def test_finite_groups_are_built_in_two_places():
+    """A ``FiniteGroup`` is constructed once in ``groups._table``, which
+    builds every table the package tabulates itself, and once in
+    ``groups.validate_group``, which proves a table from outside."""
+    sites = [
+        f"{name}.{scope}"
+        for name in MODULES
+        for scope, node in _scoped(name)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "FiniteGroup"
+    ]
+    assert sorted(sites) == ["groups._table", "groups.validate_group"]
