@@ -29,12 +29,18 @@ the later one's candidates to a centralizer bitmask instead of being
 evaluated.  The output is defined to equal the brute-force filter of the
 full tuple space and is emitted in lexicographic order.
 
+A group pays for its table once, in the proof or the builder.  Its
+inverses come from the walk that closes 0 under its generators,
+inv(x*g) = inv(g)*inv(x), one lookup per element, and its hash reads one
+row, so a cache keyed by groups does not hash n^2 entries per lookup.
+
 Conjugates are read from the table as they are needed; no group keeps a
 table of conjugates.  The enumeration's centralizer bitmasks are built once
 per group: one row-and-column comparison per conjugacy class, conjugated
 across the class.  Conjugation by an element is one tuple over the elements
-(``conjugation``), built by its caller once per generator, and a tuple is
-conjugated by mapping it through that tuple.
+(``conjugation``), built once per generator.  A set of tuples of one length
+is conjugated a position at a time (``conjugation_indices``): each column
+is mapped through that tuple, and the columns are zipped back into tuples.
 
 ``orbits``, a breadth-first closure under permutations of indices, is the
 one orbit walk behind cell orbits, conjugation orbits of tuples and
@@ -242,7 +248,7 @@ def _refuse(rows: tuple[tuple[int, ...], ...]) -> None:
     for j, column in enumerate(zip(*rows)):
         if len(set(column)) != n:
             raise ValidationError(f"column {j} is not a permutation")
-    witness = _associativity_failure(rows, _generators(rows))
+    witness = _associativity_failure(rows, _closure(rows)[0])
     if witness is not None:
         x, g, y = witness
         raise ValidationError(
@@ -269,20 +275,35 @@ def _associativity_failure(
     return None
 
 
-def _generators(rows: Sequence[Sequence[int]]) -> list[int]:
-    """A generating set, chosen greedily in index order: every element is
-    reached from 0 by right multiplication by generators."""
-    reached, gens = {0}, []
-    for a in range(1, len(rows)):
-        if a not in reached:
-            gens.append(a)
-            frontier = list(reached)
-            while frontier:
-                row = rows[frontier.pop()]
-                new = {row[g] for g in gens} - reached
-                reached |= new
-                frontier.extend(new)
-    return gens
+def _closure(
+    rows: Sequence[Sequence[int]], gens: Sequence[int] | None = None
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The greedy generating set and every element's inverse, from one
+    walk: the closure of 0 under right multiplication, where each element
+    not yet reached, in index order, joins the generators (``gens``, when
+    given, must be that set).  An element z first reached as x*g has
+    inv(z) = inv(g)*inv(x), one lookup; a generator's inverse is its last
+    power before 0.  The rows read must be permutations; only on a group
+    are the inverses meaningful."""
+    inv: list = [None] * len(rows)
+    inv[0] = 0
+    reached, chosen, pairs = [0], [], []
+    for a in range(1, len(rows)) if gens is None else gens:
+        if inv[a] is not None:
+            continue
+        last = a
+        while rows[last][a]:
+            last = rows[last][a]
+        chosen.append(a)
+        pairs.append((a, rows[last]))  # inv(x*a) = inv(a)*inv(x), read from row inv(a)
+        for x in reached:
+            row, ix = rows[x], inv[x]
+            for g, row_ig in pairs:
+                z = row[g]
+                if inv[z] is None:
+                    inv[z] = row_ig[ix]
+                    reached.append(z)
+    return tuple(chosen), tuple(inv)
 
 
 class FiniteGroup:
@@ -293,7 +314,10 @@ class FiniteGroup:
     table from outside the program.  Besides the table and its inverses
     (``inverses[a]`` is a^-1) a group keeps only the enumeration's
     centralizer bitmasks and its greedy generating set, which
-    ``validate_group`` passes in.
+    ``validate_group`` passes in.  Once built, nothing reads the whole
+    table again: the generating set and the inverses come from one walk
+    of the generators' closure (``_closure``), one lookup per element, and
+    the hash reads only the last row, whose length is the order.
     """
 
     __slots__ = ("order", "table", "inverses", "_cent", "_gens")
@@ -301,10 +325,8 @@ class FiniteGroup:
     def __init__(self, table: Sequence[Sequence[int]], generators: Sequence[int] | None = None):
         self.table = tuple(map(tuple, table))
         self.order = len(self.table)
-        # a * a^-1 = 0: the inverse is the column holding 0 in row a
-        self.inverses = tuple(self.table[a].index(0) for a in range(self.order))
+        self._gens, self.inverses = _closure(self.table, generators)
         self._cent: tuple[int, ...] | None = None
-        self._gens = None if generators is None else tuple(generators)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -337,10 +359,8 @@ class FiniteGroup:
         return self._cent[a]
 
     def generators(self) -> tuple[int, ...]:
-        """The greedy generating set of ``_generators``, computed once; the
-        trivial group has none."""
-        if self._gens is None:
-            self._gens = tuple(_generators(self.table))
+        """The greedy generating set of ``_closure``; the trivial group
+        has none."""
         return self._gens
 
     def elements(self) -> range:
@@ -350,7 +370,8 @@ class FiniteGroup:
         return isinstance(other, FiniteGroup) and self.table == other.table
 
     def __hash__(self) -> int:
-        return hash(self.table)
+        # equal tables have equal last rows, and a row's length is the order
+        return hash(self.table[-1])
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
@@ -556,28 +577,44 @@ class ConjOrbits(Value):
     __slots__ = ("count", "reps")
 
 
+def conjugation_indices(
+    g: FiniteGroup, tuples: Sequence[HomTuple], index: dict[HomTuple, int]
+) -> list[list[int]]:
+    """Per generator a of g, position k holds ``index[a t a^-1]`` for the
+    k-th tuple t of ``tuples``, which all have one length.  The tuples are
+    conjugated a position at a time: each column is mapped through
+    ``conjugation(g, a)`` and the columns are zipped back into tuples.  A
+    conjugate missing from ``index`` raises KeyError."""
+    columns = list(zip(*tuples))
+    out = []
+    for a in g.generators():
+        by_a = conjugation(g, a).__getitem__
+        conjugates = zip(*[map(by_a, column) for column in columns]) if columns else tuples
+        out.append(list(map(index.__getitem__, conjugates)))
+    return out
+
+
 def conj_orbit_count(tuples: Sequence[HomTuple], g: FiniteGroup) -> ConjOrbits:
-    """Orbits of simultaneous conjugation on a set of tuples.
+    """Orbits of simultaneous conjugation on a set of tuples of one length.
 
     Conjugation by each generator permutes the indices of the sorted
-    tuples, and ``orbits`` walks them.  The input must be closed under
-    conjugation (checked on the generators; a refusal names the least
-    missing conjugate).  Representatives are the tuples at each orbit's
-    first index, the lexicographic minima, in sorted order.
+    tuples (``conjugation_indices``), and ``orbits`` walks them.  The input
+    must be closed under conjugation (checked on the generators; a refusal
+    names the least missing conjugate).  Representatives are the tuples at
+    each orbit's first index, the lexicographic minima, in sorted order.
     """
     ts = sorted(tuples)
-    for t in ts:
-        for e in t:
-            if not 0 <= e < g.order:
-                raise ValidationError(f"conj_orbit_count: element {e} out of range")
+    entries = itertools.chain.from_iterable
+    if min(entries(ts), default=0) < 0 or max(entries(ts), default=0) >= g.order:
+        e = next(e for e in entries(ts) if not 0 <= e < g.order)
+        raise ValidationError(f"conj_orbit_count: element {e} out of range")
     index = {t: i for i, t in enumerate(ts)}
     if len(index) != len(ts):
         raise ValidationError("conj_orbit_count: duplicate tuples in input")
+    if len(set(map(len, ts))) > 1:
+        raise ValidationError("conj_orbit_count: tuples of different lengths")
     try:
-        perms = [
-            [index[tuple(map(c.__getitem__, t))] for t in ts]
-            for c in [conjugation(g, a) for a in g.generators()]
-        ]
+        perms = conjugation_indices(g, ts, index)
     except KeyError:
         stray = min(
             u

@@ -55,7 +55,10 @@ enters (``jsonio.load_extension``).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from collections import Counter
+from itertools import compress, repeat
+from operator import eq, mul, or_
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import catalog, groups
 from .catalog import FiniteIsotropy, IsotropyModel
@@ -356,8 +359,9 @@ class InertiaComplex(RigidGComplex):
     permutations.  ``pairs[k]`` is the cell at index k as its (index into
     ``tuples``, base cell index) pair.  The tuples that fit a cell depend
     only on its stabilizer, so they are listed once per distinct
-    stabilizer bitmask.  It is built by ``RigidGComplex.__init__`` like
-    any complex, so it forms no id until one is read: cell k's id is
+    stabilizer bitmask, from the tuples' image sets (``_image_masks``).
+    It is built by ``RigidGComplex.__init__`` like any complex, so it forms
+    no id until one is read: cell k's id is
     ``"<tuple index><separator><base cell id>"``.
     """
 
@@ -365,9 +369,10 @@ class InertiaComplex(RigidGComplex):
 
     def __init__(self, p: Presentation, x: RigidGComplex):
         homs = groups.hom_enumerate(p, x.group)
-        needs = [sum(1 << e for e in set(t)) for t in homs]
+        needs = list(_image_masks(homs, x.group.order))
         masks = x.stabilizer_masks()
-        fits = {m: [i for i, n in enumerate(needs) if m & n == n] for m in set(masks)}
+        # per stabilizer m, the indices of the tuples whose images lie in m
+        fits = {m: list(compress(range(len(needs)), _within(m, needs))) for m in set(masks)}
         # (tuple index, cell index) of every pair, in cell order
         pairs = tuple((i, c) for c, m in enumerate(masks) for i in fits[m])
         super().__init__(
@@ -381,18 +386,35 @@ def _inertia_perms(
     x: RigidGComplex, tuples: Sequence[HomTuple], pairs: Sequence[tuple[int, int]]
 ) -> tuple[tuple[int, ...], ...]:
     """Per generator s of x's group, its permutation of the inertia cells
-    ``pairs``: s sends (t, c) to (s t s^-1, s c)."""
+    ``pairs``: s sends (t, c) to (s t s^-1, s c).  Only the tuples some
+    cell holds are conjugated, a position at a time
+    (``groups.conjugation_indices``)."""
     index = {t: i for i, t in enumerate(tuples)}
     pos = {pair: k for k, pair in enumerate(pairs)}
     used = sorted({i for i, _ in pairs})
-    out = []
-    for s, perm in zip(x.group.generators(), x.gens):
-        by_s = groups.conjugation(x.group, s)
-        conj = {i: index[tuple(map(by_s.__getitem__, tuples[i]))] for i in used}
-        # conjugate tuples stay homomorphisms and stabilize the translated
-        # cell, so the lookups below cannot miss
-        out.append(tuple(pos[conj[i], perm[c]] for i, c in pairs))
-    return tuple(out)
+    # conjugate tuples stay homomorphisms and stabilize the translated
+    # cell, so the lookups cannot miss
+    conj = groups.conjugation_indices(x.group, list(map(tuples.__getitem__, used)), index)
+    return tuple(
+        tuple(pos[by_s[i], perm[c]] for i, c in pairs)
+        for by_s, perm in zip((dict(zip(used, js)) for js in conj), x.gens)
+    )
+
+
+def _within(mask: int, sets: Sequence[int]) -> list[bool]:
+    """Per bitmask of ``sets``, whether it lies inside ``mask``."""
+    return list(map(eq, map(mask.__and__, sets), sets))
+
+
+def _image_masks(tuples: Sequence[HomTuple], order: int) -> Iterator[int]:
+    """Per tuple, the set of its images as a bitmask over the elements,
+    formed a position at a time from one bit per element.  The masks come
+    lazily, not as a list: each is as wide as the group."""
+    bit = [1 << e for e in range(order)].__getitem__
+    masks: Iterator[int] = repeat(0, len(tuples))
+    for column in zip(*tuples):
+        masks = map(or_, masks, map(bit, column))
+    return masks
 
 
 def lambda_chi(p: Presentation, x: RigidGComplex) -> int:
@@ -414,29 +436,32 @@ def chi_gamma_noniter(p: Presentation, x: RigidGComplex) -> int:
     (-1)^dim_i |C(t) & Stab_i| (Atiyah-Segal 1989; Hirzebruch-Hoefer 1990),
     from stabilizer and centralizer bitmasks.  Both C(t) and the cells t
     fixes depend only on the set of t's images, so the tuples are counted
-    per image set (as its bitmask ``need``) and each set's term is added
-    once, times its count.  A sum not divisible by |G| means x is not an
-    action (``CrossCheckError``).  The free abelian case of rank ell is
+    per image set (as its bitmask ``need``, formed a position at a time by
+    ``_image_masks``) and each set's term is added once, times its count;
+    the terms are summed per stabilizer bitmask, over the image sets inside
+    it.  A sum not divisible by |G| means x is not an action
+    (``CrossCheckError``).  The free abelian case of rank ell is
     ``chi_order_ell(x, ell)``.
     """
     g = x.group
     weight: dict[int, int] = {}  # signed cell count per stabilizer bitmask
     for mask, d in zip(x.stabilizer_masks(), x.dims):
         weight[mask] = weight.get(mask, 0) + (-1 if d % 2 else 1)
-    tuples: dict[int, int] = {}  # tuple count per image-set bitmask
-    for t in groups.hom_enumerate(p, g):
-        need = 0
-        for e in t:
-            need |= 1 << e
-        tuples[need] = tuples.get(need, 0) + 1
-    total = 0
-    for need, count in tuples.items():
+    tuples = Counter(_image_masks(groups.hom_enumerate(p, g), g.order))  # count per image set
+    needs, counts = list(tuples), list(tuples.values())
+    cent, cents = [g.centralizer_mask(a) for a in g.elements()], []
+    for need in needs:  # C(t): the AND of the centralizers of t's images
         c, rest = (1 << g.order) - 1, need
         while rest:
             low = rest & -rest
-            c &= g.centralizer_mask(low.bit_length() - 1)
+            c &= cent[low.bit_length() - 1]
             rest ^= low
-        total += count * sum(w * (m & c).bit_count() for m, w in weight.items() if m & need == need)
+        cents.append(c)
+    total = 0
+    for m, w in weight.items():  # the cells with stabilizer m, and the image sets inside m
+        inside = _within(m, needs)
+        fixing = map(int.bit_count, map(m.__and__, compress(cents, inside)))  # |C(t) & m|
+        total += w * sum(map(mul, compress(counts, inside), fixing))
     if total % g.order:
         raise CrossCheckError(f"chi_gamma_noniter: Burnside sum {total} is not divisible by |G| = {g.order}")
     return total // g.order

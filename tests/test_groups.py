@@ -9,7 +9,7 @@ from collections import namedtuple
 import pytest
 from hypothesis import given, strategies as st
 
-from eulerchi import groups, harness, translation as tr
+from eulerchi import catalog, groups, harness, translation as tr
 from eulerchi.errors import ResourceLimitExceeded, UnsupportedCombination, ValidationError
 from eulerchi.groups import (
     FiniteGroup,
@@ -452,13 +452,13 @@ def test_validated_group_keeps_the_proofs_generators(monkeypatch):
     """``validate_group`` hands the generating set its proof computed to the
     group, so neither a complex check nor an orbit walk computes it again."""
     s4 = symmetric_group(4)
-    gens = tuple(groups._generators(s4.table))
+    gens = groups._closure(s4.table)[0]
     g = validate_group(s4.table)
 
-    def computed_again(rows):
+    def computed_again(*args):
         raise AssertionError("generating set computed again")
 
-    monkeypatch.setattr(groups, "_generators", computed_again)
+    monkeypatch.setattr(groups, "_closure", computed_again)
     assert g.generators() == gens
     x = tr.coset_complex(g, [0, 1])
     action = action_maps(x)
@@ -475,9 +475,71 @@ def test_the_proof_keeps_the_greedy_generators_without_the_sweep(monkeypatch):
     s6 = relabelled(symmetric_group(6).table, random.Random(2))
     g = validate_group(s6)
     assert len(g.generators()) == 3
-    assert g.generators() == tuple(groups._generators(s6))
+    assert g.generators() == groups._closure(s6)[0]
     s5 = symmetric_group(5)
     assert validate_group(s5.table).generators() == s5.generators() == (1, 2, 6, 24)
+
+
+# --- inverses and hashing ---------------------------------------------------
+
+
+def shuffled_symmetric_table(n: int, rng: random.Random) -> list[list[int]]:
+    """S_n as a table of plain lists with its non-identity elements labelled
+    in a seeded order, relabelled as the benchmark's ``symmetric_table``
+    (bench/workloads.py) relabels it."""
+    perms = list(itertools.permutations(range(n)))
+    labels = list(range(1, len(perms)))
+    rng.shuffle(labels)
+    label = dict(zip(perms, [0] + labels))
+    table = [[0] * len(perms) for _ in perms]
+    for p in perms:
+        row = table[label[p]]
+        for q in perms:
+            row[label[q]] = label[tuple(map(p.__getitem__, q))]
+    return table
+
+
+def row_scan_inverses(g: FiniteGroup) -> tuple[int, ...]:
+    """a^-1 is the column holding 0 in row a."""
+    return tuple(row.index(0) for row in g.table)
+
+
+@pytest.mark.parametrize("n, seed", [(4, 4), (5, 5), (6, 6)])
+def test_inverses_of_relabelled_symmetric_groups_are_the_row_scan(n, seed):
+    g = validate_group(shuffled_symmetric_table(n, random.Random(seed)))
+    assert g.inverses == row_scan_inverses(g)
+
+
+def test_inverses_of_built_groups_are_the_row_scan():
+    """The harness groups, S5 and seeded subgroups of each, which come from
+    ``_table`` and walk their own greedy generators."""
+    rng = random.Random(35)
+    built = [build() for _, build in harness._GROUP_BUILDERS.values()] + [symmetric_group(5)]
+    for g in list(built):
+        for _ in range(4):
+            elems = subgroup_closure(g, rng.sample(range(g.order), min(2, g.order)))
+            built.append(subgroup_group(g, elems)[0])
+    for g in built:
+        assert g.inverses == row_scan_inverses(g), g
+
+
+def test_equal_tables_built_apart_hash_equal_and_share_the_chi_cache():
+    """A builder's group and ``validate_group`` of its table as lists, and
+    two ``subgroup_group`` calls on one set, are distinct objects with one
+    table: they hash equal, and the second answers from the chi cache."""
+    pairs = []
+    for g in (symmetric_group(4), quaternion_group(), dihedral_group(5), symmetric_group(5)):
+        pairs.append((g, validate_group([list(row) for row in g.table])))
+        elems = subgroup_closure(g, [1])
+        assert len(elems) < g.order  # a proper subgroup is built, not returned
+        pairs.append((subgroup_group(g, elems)[0], subgroup_group(g, elems)[0]))
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+        catalog._finite_chi.cache_clear()
+        first = catalog.chi_hom_quotient(catalog.FiniteIsotropy(a), Presentation.free_abelian(2))
+        second = catalog.chi_hom_quotient(catalog.FiniteIsotropy(b), Presentation.free_abelian(2))
+        info = catalog._finite_chi.cache_info()
+        assert first == second and (info.hits, info.misses) == (1, 1)
 
 
 def transversal(perms, n):
@@ -763,6 +825,31 @@ def test_orbit_count_refuses_duplicates():
         conj_orbit_count([(0, 0), (1, 1), (0, 0)], cyclic_group(2))
 
 
+def test_column_conjugation_edges():
+    """The trivial presentation's one empty tuple is one orbit, no tuples
+    are none, and the singletons of every element are the classes."""
+    for g in [build() for _, build in harness._GROUP_BUILDERS.values()] + [symmetric_group(5)]:
+        assert conj_orbit_count([()], g) == groups.ConjOrbits(1, ((),))
+        assert conj_orbit_count([], g) == groups.ConjOrbits(0, ())
+        classes = conjugacy_classes(g)
+        result = conj_orbit_count([(a,) for a in g.elements()], g)
+        assert result.count == len(classes) and result.reps == tuple((c.rep,) for c in classes)
+
+
+def test_orbit_count_refusals_keep_their_wording():
+    def refusal(tuples, g=S3):
+        with pytest.raises(ValidationError) as info:
+            conj_orbit_count(tuples, g)
+        return str(info.value)
+
+    # the first offender in sorted order, position by position, not the least
+    assert refusal([(0, 8), (0, 1), (3, -1)]) == "conj_orbit_count: element 8 out of range"
+    assert refusal([(2, 7), (1, 0), (1, -3)]) == "conj_orbit_count: element -3 out of range"
+    assert refusal([(0, 0), (1, 1), (0, 0)], cyclic_group(2)) == "conj_orbit_count: duplicate tuples in input"
+    assert refusal([(1,)]) == "conj_orbit_count: input not conjugation-closed (missing (2,))"
+    assert refusal([(0, 1), (0, 2), (0, 1, 2)]) == "conj_orbit_count: tuples of different lengths"
+
+
 @given(st.sampled_from([cyclic_group(4), cyclic_group(6)]), st.randoms(use_true_random=False))
 def test_abelian_every_closed_set_is_discrete(g, rnd):
     elems = [i for i in range(g.order) if rnd.random() < 0.5]
@@ -805,11 +892,12 @@ def test_centralizer_masks_match_rows_and_columns(monkeypatch):
 
         return refuse
 
+    # the groups are built first: a group's walk for its inverses is a groups function
+    built = [FiniteGroup(table) for table in tables]
     for name, fn in vars(groups).items():
         if inspect.isfunction(fn) and fn.__module__ == groups.__name__:
             monkeypatch.setattr(groups, name, called(name))
-    for table in tables:
-        g = FiniteGroup(table)
+    for g in built:
         masks = [g.centralizer_mask(a) for a in g.elements()]
         assert masks == [
             sum(1 << b for b, (ab, ba) in enumerate(zip(row, column)) if ab == ba)
