@@ -41,6 +41,7 @@ across the class.  Conjugation by an element is one tuple over the elements
 (``conjugation``), built once per generator.  A set of tuples of one length
 is conjugated a position at a time (``conjugation_indices``): each column
 is mapped through that tuple, and the columns are zipped back into tuples.
+``conj_orbit_count`` conjugates a set of mixed lengths one length at a time.
 
 ``orbits``, a breadth-first closure under permutations of indices, is the
 one orbit walk behind cell orbits, conjugation orbits of tuples and
@@ -275,20 +276,17 @@ def _associativity_failure(
     return None
 
 
-def _closure(
-    rows: Sequence[Sequence[int]], gens: Sequence[int] | None = None
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _closure(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The greedy generating set and every element's inverse, from one
     walk: the closure of 0 under right multiplication, where each element
-    not yet reached, in index order, joins the generators (``gens``, when
-    given, must be that set).  An element z first reached as x*g has
-    inv(z) = inv(g)*inv(x), one lookup; a generator's inverse is its last
-    power before 0.  The rows read must be permutations; only on a group
-    are the inverses meaningful."""
+    not yet reached, in index order, joins the generators.  An element z
+    first reached as x*g has inv(z) = inv(g)*inv(x), one lookup; a
+    generator's inverse is its last power before 0.  The rows read must be
+    permutations; only on a group are the inverses meaningful."""
     inv: list = [None] * len(rows)
     inv[0] = 0
     reached, chosen, pairs = [0], [], []
-    for a in range(1, len(rows)) if gens is None else gens:
+    for a in range(1, len(rows)):
         if inv[a] is not None:
             continue
         last = a
@@ -313,19 +311,19 @@ class FiniteGroup:
     ``_table`` for the groups constructed here and ``validate_group`` for a
     table from outside the program.  Besides the table and its inverses
     (``inverses[a]`` is a^-1) a group keeps only the enumeration's
-    centralizer bitmasks and its greedy generating set, which
-    ``validate_group`` passes in.  Once built, nothing reads the whole
-    table again: the generating set and the inverses come from one walk
-    of the generators' closure (``_closure``), one lookup per element, and
-    the hash reads only the last row, whose length is the order.
+    centralizer bitmasks and its greedy generating set.  Once built,
+    nothing reads the whole table again: the generating set and the
+    inverses come from one walk of the generators' closure (``_closure``),
+    one lookup per element, and the hash reads only the last row, whose
+    length is the order.
     """
 
     __slots__ = ("order", "table", "inverses", "_cent", "_gens")
 
-    def __init__(self, table: Sequence[Sequence[int]], generators: Sequence[int] | None = None):
+    def __init__(self, table: Sequence[Sequence[int]]):
         self.table = tuple(map(tuple, table))
         self.order = len(self.table)
-        self._gens, self.inverses = _closure(self.table, generators)
+        self._gens, self.inverses = _closure(self.table)
         self._cent: tuple[int, ...] | None = None
 
     def mul(self, a: int, b: int) -> int:
@@ -383,11 +381,10 @@ def validate_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
     integer entries, a two-sided identity 0, each row reached by the greedy
     closure proved a composition of permutation rows, and the generator
     rows commuting with right multiplication by the generators, which
-    proves associativity and that every row is a permutation.  The group
-    keeps the greedy set.  Any other table goes through the full
-    sweep, which raises ValidationError naming the first failed axiom in a
-    fixed order (with a witness triple from the greedy set for
-    associativity)."""
+    proves associativity and that every row is a permutation.  Any other
+    table goes through the full sweep, which raises ValidationError naming
+    the first failed axiom in a fixed order (with a witness triple from the
+    greedy set for associativity)."""
     if len(table) == 0:
         raise ValidationError("group table is empty (order must be >= 1)")
     n = len(table)
@@ -401,10 +398,9 @@ def validate_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
             raise ValidationError(f"table row {i} has length {len(row)}, expected {n}")
         rows.append(row)
     rows = tuple(rows)
-    gens = _group_generators(rows)
-    if gens is None:
+    if _group_generators(rows) is None:
         _refuse(rows)
-    return FiniteGroup(rows, gens)
+    return FiniteGroup(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -595,26 +591,30 @@ def conjugation_indices(
 
 
 def conj_orbit_count(tuples: Sequence[HomTuple], g: FiniteGroup) -> ConjOrbits:
-    """Orbits of simultaneous conjugation on a set of tuples of one length.
+    """Orbits of simultaneous conjugation on a set of tuples.
 
-    Conjugation by each generator permutes the indices of the sorted
-    tuples (``conjugation_indices``), and ``orbits`` walks them.  The input
-    must be closed under conjugation (checked on the generators; a refusal
-    names the least missing conjugate).  Representatives are the tuples at
-    each orbit's first index, the lexicographic minima, in sorted order.
+    Conjugation keeps a tuple's length, so the tuples are sorted by length
+    and then lexicographically, and each length's run is conjugated a
+    position at a time (``conjugation_indices``).  Conjugation by each
+    generator permutes the indices of the sorted tuples, and ``orbits``
+    walks them.  The input must be closed under conjugation (checked on
+    the generators; a refusal names the least missing conjugate).
+    Representatives are the tuples at each orbit's first index, the
+    lexicographic minima, in sorted order.
     """
     ts = sorted(tuples)
     entries = itertools.chain.from_iterable
     if min(entries(ts), default=0) < 0 or max(entries(ts), default=0) >= g.order:
         e = next(e for e in entries(ts) if not 0 <= e < g.order)
         raise ValidationError(f"conj_orbit_count: element {e} out of range")
+    ts.sort(key=len)  # stable: lexicographic within each length
     index = {t: i for i, t in enumerate(ts)}
     if len(index) != len(ts):
         raise ValidationError("conj_orbit_count: duplicate tuples in input")
-    if len(set(map(len, ts))) > 1:
-        raise ValidationError("conj_orbit_count: tuples of different lengths")
+    runs = [list(run) for _, run in itertools.groupby(ts, len)]
     try:
-        perms = conjugation_indices(g, ts, index)
+        # per generator, the runs' conjugate indices joined in the order of ts
+        perms = [list(entries(by_a)) for by_a in zip(*[conjugation_indices(g, run, index) for run in runs])]
     except KeyError:
         stray = min(
             u
@@ -625,7 +625,7 @@ def conj_orbit_count(tuples: Sequence[HomTuple], g: FiniteGroup) -> ConjOrbits:
         raise ValidationError(
             f"conj_orbit_count: input not conjugation-closed (missing {stray})"
         ) from None
-    reps = tuple(ts[i] for i, _ in orbits(perms, range(len(ts))))
+    reps = tuple(sorted(ts[i] for i, _ in orbits(perms, range(len(ts)))))
     return ConjOrbits(len(reps), reps)
 
 

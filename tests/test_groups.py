@@ -449,13 +449,14 @@ def test_s6_is_accepted_without_the_sweep(monkeypatch):
 
 
 def test_validated_group_keeps_the_proofs_generators(monkeypatch):
-    """``validate_group`` hands the generating set its proof computed to the
-    group, so neither a complex check nor an orbit walk computes it again."""
+    """A validated group finds its generating set once, when it is built:
+    nothing after construction, neither a complex check nor an orbit walk,
+    computes it again."""
     s4 = symmetric_group(4)
     gens = groups._closure(s4.table)[0]
     g = validate_group(s4.table)
 
-    def computed_again(*args):
+    def computed_again(rows):
         raise AssertionError("generating set computed again")
 
     monkeypatch.setattr(groups, "_closure", computed_again)
@@ -847,7 +848,20 @@ def test_orbit_count_refusals_keep_their_wording():
     assert refusal([(2, 7), (1, 0), (1, -3)]) == "conj_orbit_count: element -3 out of range"
     assert refusal([(0, 0), (1, 1), (0, 0)], cyclic_group(2)) == "conj_orbit_count: duplicate tuples in input"
     assert refusal([(1,)]) == "conj_orbit_count: input not conjugation-closed (missing (2,))"
-    assert refusal([(0, 1), (0, 2), (0, 1, 2)]) == "conj_orbit_count: tuples of different lengths"
+
+
+def test_tuples_of_different_lengths_are_conjugated_length_by_length():
+    """Conjugation keeps a tuple's length, so a set of mixed lengths has
+    the orbits of each length together, with representatives in sorted
+    order, and a refusal names the least missing conjugate over all."""
+    hom = {n: groups.hom_enumerate(Presentation.free_abelian(n), S3) for n in (1, 2)}
+    mixed = [()] + hom[1] + hom[2]
+    parts = [conj_orbit_count(ts, S3) for ts in ([()], hom[1], hom[2])]
+    reps = tuple(sorted(rep for part in parts for rep in part.reps))
+    assert conj_orbit_count(mixed, S3) == groups.ConjOrbits(sum(p.count for p in parts), reps)
+    assert reps[:3] == ((), (0,), (0, 0))
+    with pytest.raises(ValidationError, match=re.escape("(missing (0, 2))")):
+        conj_orbit_count([(1,), (0, 1)], S3)
 
 
 @given(st.sampled_from([cyclic_group(4), cyclic_group(6)]), st.randoms(use_true_random=False))

@@ -948,18 +948,13 @@ def test_an_order_deeper_than_the_stack_is_refused():
 # --- inertia complexes ---------------------------------------------------------------
 
 def test_inertia_trivial_presentation_mirrors_base():
-    x = free_circle()
-    ic = InertiaComplex(Presentation.trivial(), x)
-    assert len(ic.space) == len(x.space)
-    assert chi(orbit_space(ic)) == chi(orbit_space(x))
-
-
-def test_lambda_chi_of_the_trivial_presentation_is_the_orbit_space_chi():
     """The trivial presentation's one empty tuple has no position to
     conjugate: its inertia complex is the base, generator by generator."""
     for x in [free_circle(), swap_points(), point_complex(S3)] + _generated_complexes():
         ic = InertiaComplex(Presentation.trivial(), x)
+        assert len(ic.space) == len(x.space)
         assert ic.tuples == [()] and ic.gens == tuple(map(tuple, x.gens))
+        assert chi(orbit_space(ic)) == chi(orbit_space(x))
         assert lambda_chi(Presentation.trivial(), x) == chi(orbit_space(x))
 
 
