@@ -3,9 +3,9 @@
 from eulerchi import (
     Presentation,
     abelianize_snf,
-    conj_orbit_count,
     coset_action,
     hom_enumerate,
+    hom_orbit_reps,
     quaternion_group,
     subgroup_closure,
     symmetric_group,
@@ -21,20 +21,21 @@ print("validated a group of order", z2.order)
 # free group on one generator; a class has |G| / |centralizer| elements.
 s3 = symmetric_group(3)
 one = Presentation.free(1)
-classes = conj_orbit_count(hom_enumerate(one, s3), s3)
+classes = hom_orbit_reps(one, s3)
 print("\nconjugacy classes of S3 (rep, size):",
-      [(a, s3.order // s3.centralizer_mask(a).bit_count()) for (a,) in classes.reps])
+      [(a, s3.order // s3.centralizer_mask(a).bit_count()) for (a,) in classes])
 q8 = quaternion_group()
-print("conjugacy classes of Q8:", conj_orbit_count(hom_enumerate(one, q8), q8).count)
+print("conjugacy classes of Q8:", len(hom_orbit_reps(one, q8)))
 
 # Homomorphisms from a presented group are tuples of generator images
 # satisfying every relator.  Two commuting generators pick out the
-# commuting pairs.
-pairs = hom_enumerate(Presentation.free_abelian(2), s3)
-print("\ncommuting pairs in S3:", len(pairs))
-orbits = conj_orbit_count(pairs, s3)
-print("orbits under simultaneous conjugation:", orbits.count)
-print("first three representatives:", orbits.reps[:3])
+# commuting pairs; the orbit walk gives the least pair of each orbit
+# under simultaneous conjugation, without listing the others.
+commuting = Presentation.free_abelian(2)
+print("\ncommuting pairs in S3:", len(hom_enumerate(commuting, s3)))
+reps = hom_orbit_reps(commuting, s3)
+print("orbits under simultaneous conjugation:", len(reps))
+print("first three representatives:", tuple(reps[:3]))
 
 # Centralizers: a transposition commutes with 2 elements, a 3-cycle with 3.
 print("\ncentralizer sizes:", s3.centralizer_mask(1).bit_count(), s3.centralizer_mask(3).bit_count())

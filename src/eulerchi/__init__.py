@@ -45,18 +45,17 @@ from .errors import (
 )
 from .groupoid import OrbitGroupoid, chi_gamma, validate_groupoid
 from .groups import (
-    ConjOrbits,
     FiniteGroup,
     Presentation,
     SnfResult,
     Z,
     abelianize_snf,
-    conj_orbit_count,
     coset_action,
     cyclic_group,
     dihedral_group,
     direct_product,
     hom_enumerate,
+    hom_orbit_reps,
     presentation_class,
     product_presentation,
     quaternion_group,

@@ -4,7 +4,7 @@ Each entry answers one question exactly, for the presentation classes it
 covers: ``chi_hom_quotient``, chi of the conjugation quotient of the space
 of homomorphisms from a finitely presented group into the entry.
 
-Finite entries compute it by direct enumeration.  Torus entries reduce to
+Finite entries count orbit representatives.  Torus entries reduce to
 the abelianization: a homomorphism from a group into a torus factors
 through the abelianization, so chi is 0 when the abelianization has free
 rank and the torus positive dimension, and the torsion-point count
@@ -94,8 +94,7 @@ def trivial_isotropy() -> FiniteIsotropy:
 
 @lru_cache(maxsize=None)
 def _finite_chi(g: FiniteGroup, p: Presentation) -> int:
-    homs = groups.hom_enumerate(p, g)
-    return groups.conj_orbit_count(homs, g).count
+    return len(groups.hom_orbit_reps(p, g))
 
 
 def hom_chi_abelian(m: TorusIsotropy, p: Presentation) -> int:

@@ -41,11 +41,10 @@ across the class.  Conjugation by an element is one tuple over the elements
 (``conjugation``), built once per generator.  A set of tuples of one length
 is conjugated a position at a time (``conjugation_indices``): each column
 is mapped through that tuple, and the columns are zipped back into tuples.
-``conj_orbit_count`` conjugates a set of mixed lengths one length at a time.
 
 ``orbits``, a breadth-first closure under permutations of indices, is the
-one orbit walk behind cell orbits, conjugation orbits of tuples and
-subgroup closures.
+one orbit walk behind cell orbits and subgroup closures; ``hom_orbit_reps``
+walks the conjugation orbits of homomorphisms, their least tuples only.
 """
 
 from __future__ import annotations
@@ -470,6 +469,14 @@ def _is_commutator(w: tuple[int, ...]) -> bool:
     return len(w) == 4 and w[2] == -w[0] and w[3] == -w[1] and abs(w[0]) != abs(w[1])
 
 
+def _relator_words(relators: Iterable[tuple[int, ...]], ell: int) -> list[list[tuple[tuple[int, bool], ...]]]:
+    """Each relator as (generator index, inverted) pairs, filed under its highest generator."""
+    words: list[list] = [[] for _ in range(ell)]
+    for w in relators:
+        words[max(map(abs, w)) - 1].append(tuple((abs(l) - 1, l < 0) for l in w))
+    return words
+
+
 def hom_enumerate(p: Presentation, g: FiniteGroup) -> list[HomTuple]:
     """All homomorphisms p -> g as tuples of generator images, in
     lexicographic order.
@@ -489,13 +496,10 @@ def hom_enumerate(p: Presentation, g: FiniteGroup) -> list[HomTuple]:
         return [()]
     table, inv, n = g.table, g.inverses, g.order
     partners: list[list[int]] = [[] for _ in range(ell)]
-    words: list[list[tuple[tuple[int, bool], ...]]] = [[] for _ in range(ell)]
-    for w in p.relators:
-        if _is_commutator(w):
-            i, d = sorted((abs(w[0]) - 1, abs(w[1]) - 1))
-            partners[d].append(i)
-        else:
-            words[max(map(abs, w)) - 1].append(tuple((abs(l) - 1, l < 0) for l in w))
+    for w in filter(_is_commutator, p.relators):
+        i, d = sorted((abs(w[0]) - 1, abs(w[1]) - 1))
+        partners[d].append(i)
+    words = _relator_words((w for w in p.relators if not _is_commutator(w)), ell)
     everything = (1 << n) - 1
     out: list[HomTuple] = []
 
@@ -536,13 +540,56 @@ def hom_enumerate(p: Presentation, g: FiniteGroup) -> list[HomTuple]:
     return out
 
 
+def hom_orbit_reps(p: Presentation, g: FiniteGroup) -> list[HomTuple]:
+    """The least tuple of each conjugation orbit of Hom(p, g), in
+    lexicographic order: ``hom_enumerate``'s walk, relators included, but a
+    prefix carries its centralizer S, from g, and the next generator takes
+    the least a of each class {b a b^-1 : b in S} that passes the relators
+    (S fixes the prefix, so a class passes as one); the child's S is the b
+    with b a b^-1 = a.  Too deep a walk is refused (``ResourceLimitExceeded``)."""
+    ell = p.generators
+    if ell == 0:
+        return [()]
+    table, inv, words = g.table, g.inverses, _relator_words(p.relators, ell)
+    out: list[HomTuple] = []
+
+    def descend(prefix: HomTuple, cent: list[int]) -> None:
+        rels, last, seen = words[len(prefix)], len(prefix) + 1 == ell, set()
+        for a in g.elements():
+            if a in seen:
+                continue
+            t = prefix + (a,)
+            for w in rels:
+                acc = 0
+                for j, flip in w:
+                    acc = table[acc][inv[t[j]] if flip else t[j]]
+                if acc:
+                    break
+            else:
+                conjugates = [table[table[b][a]][inv[b]] for b in cent]
+                seen.update(conjugates)
+                if last:
+                    out.append(t)
+                else:
+                    descend(t, [b for b, c in zip(cent, conjugates) if c == a])
+
+    try:
+        descend((), list(g.elements()))
+    except RecursionError:
+        raise ResourceLimitExceeded(
+            "hom_orbit_reps", f"{ell} generators recurse deeper than the interpreter's stack allows"
+        ) from None
+    return out
+
+
 # ---------------------------------------------------------------------------
 # orbits, conjugation, centralizers, classes
 
 
 def orbits(perms: Sequence[Sequence[int]], points: Iterable[int]) -> list[tuple[int, set[int]]]:
     """The orbits meeting ``points`` (indices, increasing) of the group
-    generated by ``perms``, as (first point, orbit) pairs in point order.
+    generated by ``perms``, as (first point, orbit) pairs in point order:
+    cell orbits and subgroup closures, not conjugation orbits of tuples.
     An orbit is the breadth-first closure of its first point under
     ``perms``; every element of a finite group is a product of generators,
     so a generating set gives the whole orbit."""
@@ -567,12 +614,6 @@ def conjugation(g: FiniteGroup, a: int) -> tuple[int, ...]:
     return tuple(table[ax][ai] for ax in table[a])
 
 
-class ConjOrbits(Value):
-    """The number of conjugation orbits and a tuple of representatives."""
-
-    __slots__ = ("count", "reps")
-
-
 def conjugation_indices(
     g: FiniteGroup, tuples: Sequence[HomTuple], index: dict[HomTuple, int]
 ) -> list[list[int]]:
@@ -588,45 +629,6 @@ def conjugation_indices(
         conjugates = zip(*[map(by_a, column) for column in columns]) if columns else tuples
         out.append(list(map(index.__getitem__, conjugates)))
     return out
-
-
-def conj_orbit_count(tuples: Sequence[HomTuple], g: FiniteGroup) -> ConjOrbits:
-    """Orbits of simultaneous conjugation on a set of tuples.
-
-    Conjugation keeps a tuple's length, so the tuples are sorted by length
-    and then lexicographically, and each length's run is conjugated a
-    position at a time (``conjugation_indices``).  Conjugation by each
-    generator permutes the indices of the sorted tuples, and ``orbits``
-    walks them.  The input must be closed under conjugation (checked on
-    the generators; a refusal names the least missing conjugate).
-    Representatives are the tuples at each orbit's first index, the
-    lexicographic minima, in sorted order.
-    """
-    ts = sorted(tuples)
-    entries = itertools.chain.from_iterable
-    if min(entries(ts), default=0) < 0 or max(entries(ts), default=0) >= g.order:
-        e = next(e for e in entries(ts) if not 0 <= e < g.order)
-        raise ValidationError(f"conj_orbit_count: element {e} out of range")
-    ts.sort(key=len)  # stable: lexicographic within each length
-    index = {t: i for i, t in enumerate(ts)}
-    if len(index) != len(ts):
-        raise ValidationError("conj_orbit_count: duplicate tuples in input")
-    runs = [list(run) for _, run in itertools.groupby(ts, len)]
-    try:
-        # per generator, the runs' conjugate indices joined in the order of ts
-        perms = [list(entries(by_a)) for by_a in zip(*[conjugation_indices(g, run, index) for run in runs])]
-    except KeyError:
-        stray = min(
-            u
-            for c in [conjugation(g, a) for a in g.elements()]
-            for t in ts
-            if (u := tuple(map(c.__getitem__, t))) not in index
-        )
-        raise ValidationError(
-            f"conj_orbit_count: input not conjugation-closed (missing {stray})"
-        ) from None
-    reps = tuple(sorted(ts[i] for i, _ in orbits(perms, range(len(ts)))))
-    return ConjOrbits(len(reps), reps)
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,7 @@ def test_gamma_chi_goldens_at_one_free_generator_match_the_cell_models(monkeypat
     for module, names in [
         (catalog, ["chi_hom_quotient", "_finite_chi", "hom_chi_abelian"]),
         (groupoid, ["chi_hom_quotient", "integrand", "chi_gamma"]),
-        (groups, ["hom_enumerate", "conj_orbit_count", "orbits"]),
+        (groups, ["hom_enumerate", "hom_orbit_reps", "orbits"]),
     ]:
         for name in names:
             monkeypatch.setattr(module, name, refuse)

@@ -253,7 +253,7 @@ def test_stack_overflows_are_refused_with_exit_2(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == (
-        f"eulerchi: unsupported: hom_enumerate: {n} generators recurse deeper "
+        f"eulerchi: unsupported: hom_orbit_reps: {n} generators recurse deeper "
         "than the interpreter's stack allows at 'pt'\n"
     )
 

@@ -15,12 +15,12 @@ from eulerchi.groups import (
     FiniteGroup,
     Presentation,
     abelianize_snf,
-    conj_orbit_count,
     coset_action,
     cyclic_group,
     dihedral_group,
     direct_product,
     hom_enumerate,
+    hom_orbit_reps,
     presentation_class,
     product_presentation,
     quaternion_group,
@@ -110,6 +110,16 @@ def brute_orbits(tuples, g: FiniteGroup) -> int:
                     frontier.append(img)
         count += 1
     return count
+
+
+def brute_orbit_reps(p: Presentation, g: FiniteGroup) -> list[tuple[int, ...]]:
+    """Independent oracle: the least tuple of each conjugation orbit of
+    ``brute_homs``, each tuple conjugated by every element, in
+    lexicographic order."""
+    return sorted({
+        min(tuple(g.mul(g.mul(a, e), g.inverses[a]) for e in t) for a in g.elements())
+        for t in brute_homs(p, g)
+    })
 
 
 # --- table validation ------------------------------------------------------
@@ -743,6 +753,20 @@ def test_more_generators_than_the_stack_is_refused():
     assert hom_enumerate(Presentation.free(100), trivial_group()) == [(0,) * 100]
 
 
+def test_more_generators_than_the_stack_is_refused_by_the_orbit_walk():
+    """The orbit walk recurses once per generator too, and its refusal
+    names its own stage."""
+    n = sys.getrecursionlimit() + 100
+    with pytest.raises(ResourceLimitExceeded) as info:
+        hom_orbit_reps(Presentation.free(n), trivial_group())
+    reason = f"{n} generators recurse deeper than the interpreter's stack allows"
+    assert (info.value.stage, info.value.reason) == ("hom_orbit_reps", reason)
+    at = info.value.with_cell("pt")
+    assert (at.stage, at.reason, at.cell_id) == ("hom_orbit_reps", reason, "pt")
+    assert str(at) == f"hom_orbit_reps: {reason} at 'pt'"
+    assert hom_orbit_reps(Presentation.free(100), trivial_group()) == [(0,) * 100]
+
+
 def test_hom_output_is_lexicographic():
     homs = hom_enumerate(Presentation.free_abelian(2), Q8)
     assert homs == sorted(homs)
@@ -752,40 +776,34 @@ def test_hom_output_is_lexicographic():
 
 def test_orbits_of_hom_z_is_class_count():
     for g in SMALL_GROUPS:
-        homs = hom_enumerate(Presentation.free(1), g)
-        assert conj_orbit_count(homs, g).count == len(conjugacy_classes(g))
+        assert len(hom_orbit_reps(Presentation.free(1), g)) == len(conjugacy_classes(g))
 
 
 def test_orbits_abelian_group_trivial_conjugation():
-    g = cyclic_group(6)
-    homs = hom_enumerate(Presentation.free(1), g)
-    assert conj_orbit_count(homs, g).count == 6
+    assert len(hom_orbit_reps(Presentation.free(1), cyclic_group(6))) == 6
 
 
 def test_conj_orbits_match_an_all_element_partition():
-    """Orbits grown from the generators give the count and the
-    representatives (each orbit's least tuple) of the partition made by
-    conjugating each tuple by every element, on every harness group."""
+    """The walk's representatives, values and order, are the least tuples
+    of the partition made by conjugating every homomorphism by every
+    element, on 240 random pairs of a harness group and a presentation:
+    the harness's draws and commutators in every spelling, powers and
+    direct products."""
     rng = random.Random(11)
-    for key in harness._GROUP_BUILDERS:
-        g = harness.group_by_key(key)
+    keys = list(harness._GROUP_BUILDERS)
+    checked = 0
+    while checked < 240:
+        g = harness.group_by_key(rng.choice(keys))
         assert g.order <= 48
-        for _ in range(3):
-            p = harness.random_presentation(rng, max_rank=2)
-            tuples = hom_enumerate(p, g)
-            orbits = {
-                frozenset(tuple(g.mul(g.mul(a, e), g.inverses[a]) for e in t) for a in g.elements())
-                for t in tuples
-            }
-            result = conj_orbit_count(tuples, g)
-            assert result.count == len(orbits), (key, p)
-            assert result.reps == tuple(sorted(min(o) for o in orbits)), (key, p)
+        p = harness.random_presentation(rng, max_rank=2) if checked % 2 else _random_presentation(rng)
+        if g.order ** p.generators <= 15000:
+            assert hom_orbit_reps(p, g) == brute_orbit_reps(p, g), (g, p)
+            checked += 1
 
 
 def test_commuting_pairs_s3_orbits():
     pairs = hom_enumerate(Presentation.free_abelian(2), S3)
-    result = conj_orbit_count(pairs, S3)
-    assert result.count == 8 == brute_orbits(pairs, S3)
+    assert len(hom_orbit_reps(Presentation.free_abelian(2), S3)) == 8 == brute_orbits(pairs, S3)
     # cross-check: sum over classes of the centralizer's class count
     total = 0
     for cls in conjugacy_classes(S3):
@@ -795,80 +813,41 @@ def test_commuting_pairs_s3_orbits():
 
 
 def test_orbit_reps_are_minimal_and_sorted():
-    pairs = hom_enumerate(Presentation.free_abelian(2), S3)
-    result = conj_orbit_count(pairs, S3)
-    assert list(result.reps) == sorted(result.reps)
-    for rep in result.reps:
+    reps = hom_orbit_reps(Presentation.free_abelian(2), S3)
+    assert reps == sorted(reps)
+    for rep in reps:
         orbit = {tuple(map(groups.conjugation(S3, a).__getitem__, rep)) for a in S3.elements()}
         assert rep == min(orbit)
 
 
-def test_orbit_count_requires_closure():
-    # a single transposition, whose orbit has 3
-    with pytest.raises(ValidationError, match=re.escape("input not conjugation-closed (missing (2,))")):
-        conj_orbit_count([(1,)], S3)
-    # two open orbits: the least missing conjugate, (4,), lies in the later one
-    with pytest.raises(ValidationError, match=re.escape("input not conjugation-closed (missing (4,))")):
-        conj_orbit_count([(1,), (2,), (3,)], S3)
-
-
-@pytest.mark.parametrize("bad", [7, -1])
-def test_orbit_count_refuses_elements_out_of_range(bad):
-    # 7 would index past the table, and -1 would wrap to element 5
-    with pytest.raises(ValidationError, match=re.escape(f"conj_orbit_count: element {bad} out of range")):
-        conj_orbit_count([(bad,)], S3)
-    with pytest.raises(ValidationError, match=re.escape(f"conj_orbit_count: element {bad} out of range")):
-        conj_orbit_count([(0, 0), (0, bad)], S3)
-
-
-def test_orbit_count_refuses_duplicates():
-    with pytest.raises(ValidationError, match="^conj_orbit_count: duplicate tuples in input$"):
-        conj_orbit_count([(0, 0), (1, 1), (0, 0)], cyclic_group(2))
-
-
 def test_column_conjugation_edges():
-    """The trivial presentation's one empty tuple is one orbit, no tuples
-    are none, and the singletons of every element are the classes."""
+    """The trivial presentation's one empty tuple is one orbit, and the
+    one-generator free group's representatives are the classes'."""
     for g in [build() for _, build in harness._GROUP_BUILDERS.values()] + [symmetric_group(5)]:
-        assert conj_orbit_count([()], g) == groups.ConjOrbits(1, ((),))
-        assert conj_orbit_count([], g) == groups.ConjOrbits(0, ())
-        classes = conjugacy_classes(g)
-        result = conj_orbit_count([(a,) for a in g.elements()], g)
-        assert result.count == len(classes) and result.reps == tuple((c.rep,) for c in classes)
-
-
-def test_orbit_count_refusals_keep_their_wording():
-    def refusal(tuples, g=S3):
-        with pytest.raises(ValidationError) as info:
-            conj_orbit_count(tuples, g)
-        return str(info.value)
-
-    # the first offender in sorted order, position by position, not the least
-    assert refusal([(0, 8), (0, 1), (3, -1)]) == "conj_orbit_count: element 8 out of range"
-    assert refusal([(2, 7), (1, 0), (1, -3)]) == "conj_orbit_count: element -3 out of range"
-    assert refusal([(0, 0), (1, 1), (0, 0)], cyclic_group(2)) == "conj_orbit_count: duplicate tuples in input"
-    assert refusal([(1,)]) == "conj_orbit_count: input not conjugation-closed (missing (2,))"
-
-
-def test_tuples_of_different_lengths_are_conjugated_length_by_length():
-    """Conjugation keeps a tuple's length, so a set of mixed lengths has
-    the orbits of each length together, with representatives in sorted
-    order, and a refusal names the least missing conjugate over all."""
-    hom = {n: groups.hom_enumerate(Presentation.free_abelian(n), S3) for n in (1, 2)}
-    mixed = [()] + hom[1] + hom[2]
-    parts = [conj_orbit_count(ts, S3) for ts in ([()], hom[1], hom[2])]
-    reps = tuple(sorted(rep for part in parts for rep in part.reps))
-    assert conj_orbit_count(mixed, S3) == groups.ConjOrbits(sum(p.count for p in parts), reps)
-    assert reps[:3] == ((), (0,), (0, 0))
-    with pytest.raises(ValidationError, match=re.escape("(missing (0, 2))")):
-        conj_orbit_count([(1,), (0, 1)], S3)
+        assert hom_orbit_reps(Presentation.trivial(), g) == [()]
+        assert hom_orbit_reps(Presentation.free(1), g) == [(c.rep,) for c in conjugacy_classes(g)]
 
 
 @given(st.sampled_from([cyclic_group(4), cyclic_group(6)]), st.randoms(use_true_random=False))
 def test_abelian_every_closed_set_is_discrete(g, rnd):
-    elems = [i for i in range(g.order) if rnd.random() < 0.5]
-    tuples = [(e,) for e in elems]
-    assert conj_orbit_count(tuples, g).count == len(tuples)
+    # conjugation is trivial, so each homomorphism is an orbit of its own
+    p = harness.random_presentation(rnd)
+    assert hom_orbit_reps(p, g) == hom_enumerate(p, g)
+
+
+def test_orbit_counts_past_the_whole_enumeration():
+    """Counts the enumerate-then-conjugate pipeline took seconds or more
+    for.  On a free group the count is also Burnside's,
+    sum |C(a)|^r / |g| over the elements a."""
+    genus2 = Presentation(4, ((1, 2, -1, -2, 3, 4, -3, -4),))
+    s6 = symmetric_group(6)
+    assert len(hom_orbit_reps(genus2, symmetric_group(5))) == 33_693
+    assert len(hom_orbit_reps(genus2, symmetric_group(4))) == 1_851
+    assert len(hom_orbit_reps(Presentation.free_abelian(2), s6)) == 92
+    assert len(hom_orbit_reps(Presentation.free_abelian(3), s6)) == 717
+    for p, g, count in [(Presentation.free(6), Q8, 68_608), (Presentation.free(2), s6, 901)]:
+        burnside = sum(g.centralizer_mask(a).bit_count() ** p.generators for a in g.elements())
+        assert len(hom_orbit_reps(p, g)) == count == burnside // g.order
 
 
 # --- centralizers and classes ------------------------------------------------
@@ -1087,8 +1066,8 @@ def test_commuting_pairs_class_equation(g):
 
 @pytest.mark.parametrize(
     "count",
-    [conjugacy_classes, lambda g: conj_orbit_count(hom_enumerate(Presentation.free(1), g), g)],
-    ids=["conjugacy_classes", "conj_orbit_count"],
+    [conjugacy_classes, lambda g: hom_orbit_reps(Presentation.free(1), g)],
+    ids=["conjugacy_classes", "hom_orbit_reps"],
 )
 def test_conjugation_builds_no_order_squared_table(count):
     # a table of all |S6|^2 conjugates would take over 4 MB

@@ -177,7 +177,7 @@ def test_shrunk_counterexample_is_pinned(fault, seed, expected):
     assert harness.run_suite(seed=seed, cases=4, inject_fault=fault).failing_spec == expected
 
 
-LEDGER = ("hom_enumerate", "conj_orbit_count", "orbits", "subgroup_group", "conjugation")
+LEDGER = ("hom_enumerate", "hom_orbit_reps", "orbits", "subgroup_group", "conjugation")
 SHARED_ENUMERATION = {"hom_enumerate", "centralizer_mask"}
 SIDES = {
     "three_way_strata_vs_lambda": ("strata", "lambda"),
@@ -209,9 +209,11 @@ def _side_calls(monkeypatch, spec, name, side):
 
 
 def test_independence_ledger(monkeypatch):
-    """Every order-ell pair shares no primitive; both three-way pairs share
-    hom_enumerate, for every presentation class.  Conjugation is built only
-    on the strata and lambda sides."""
+    """Every order-ell pair shares no primitive, for every presentation
+    class.  In both three-way pairs the strata side walks orbit
+    representatives (hom_orbit_reps) and calls neither the enumeration nor
+    the centralizer masks, and the other side does not walk them.
+    Conjugation is built only on the lambda side."""
     rng = random.Random(0)
     by_class = {}
     while len(by_class) < 5:
@@ -230,7 +232,8 @@ def test_independence_ledger(monkeypatch):
                 assert not lhs & rhs, (family, name, lhs, rhs)
                 assert not lhs & SHARED_ENUMERATION, (family, name, lhs, rhs)
             else:
-                assert "hom_enumerate" in lhs & rhs, (family, name, lhs, rhs)
+                assert "hom_orbit_reps" in lhs - rhs, (family, name, lhs, rhs)
+                assert not lhs & SHARED_ENUMERATION, (family, name, lhs, rhs)
             routes = SIDES.get(name, ("order", "noniter"))
             conjugating |= {r for r, calls in zip(routes, (lhs, rhs)) if "conjugation" in calls}
-    assert conjugating == {"strata", "lambda"}
+    assert conjugating == {"lambda"}

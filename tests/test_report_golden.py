@@ -169,9 +169,9 @@ def _second_route(argv: list[str]):
 
 
 def _primitives(monkeypatch, route) -> tuple[object, set[str]]:
-    """route's value, and which of the homomorphism enumeration, the
-    centralizer masks and the abelianization it calls, with the catalog's
-    chi cache cleared."""
+    """route's value, and which of the homomorphism enumeration, the orbit
+    walk, the centralizer masks and the abelianization it calls, with the
+    catalog's chi cache cleared."""
     catalog._finite_chi.cache_clear()
     called = set()
 
@@ -184,6 +184,7 @@ def _primitives(monkeypatch, route) -> tuple[object, set[str]]:
 
     with monkeypatch.context() as m:
         m.setattr(groups, "hom_enumerate", spy("hom_enumerate", groups.hom_enumerate))
+        m.setattr(groups, "hom_orbit_reps", spy("hom_orbit_reps", groups.hom_orbit_reps))
         m.setattr(groups.FiniteGroup, "centralizer_mask",
                   spy("centralizer_mask", groups.FiniteGroup.centralizer_mask))
         m.setattr(groups, "abelianize_snf", spy("abelianize_snf", groups.abelianize_snf))
@@ -194,8 +195,8 @@ def _primitives(monkeypatch, route) -> tuple[object, set[str]]:
 def test_golden_headlines_have_a_second_route(monkeypatch):
     """Every exit-0 order-ell, inertia, atlas and gamma-chi golden headline
     that has a second route is recomputed by it, and the two sides share
-    none of the homomorphism enumeration, the centralizer masks and the
-    abelianization.  The exit-0 cases left with one route are named in
+    none of the homomorphism enumeration, the orbit walk, the centralizer
+    masks and the abelianization.  The exit-0 cases left with one route are named in
     ``ONE_ROUTE``."""
     recomputed, single = 0, {}
     for name in ("order_ell", "inertia", "atlas", "gamma_chi", "extension"):
