@@ -171,9 +171,11 @@ def product(*spaces: CellSpace) -> CellSpace:
     dimension their sum.  chi is multiplicative, and products compose:
     ``product(a, b, c) == product(product(a, b), c)``.
 
-    Only a product in which two cells would get the same id is refused;
+    No factors (one cell, its id empty) and an id formed twice are refused;
     factor ids may contain the separator, as a product's own ids do.
     """
+    if not spaces:
+        raise ValidationError("product: expected at least one factor")
     space = CellSpace(
         tuple(
             Cell(RESERVED_SEPARATOR.join(c.id for c in combo), sum(c.dim for c in combo))

@@ -3,8 +3,9 @@
 Exit codes: 0 on success; otherwise the ``exit_code`` that the raised error
 carries (see ``errors``), 1 for a file that cannot be read or written, and
 3, as for a ``CrossCheckError``, for a report whose checks disagree.
-Reports are deterministic for identical inputs and flags; ``--report json``
-emits the machine-readable form.  Input files are read only by ``jsonio``,
+Identical input files, nested ones included, and flags give identical
+reports (``report`` says what ``inputs`` pins); ``--report json`` emits
+the machine-readable form.  Input files are read only by ``jsonio``,
 once each; the report records what it read.
 
 The order-ell command takes its recursion cap from ``--cap``, else from the

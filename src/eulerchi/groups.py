@@ -38,9 +38,8 @@ Conjugates are read from the table as they are needed; no group keeps a
 table of conjugates.  The enumeration's centralizer bitmasks are built once
 per group: one row-and-column comparison per conjugacy class, conjugated
 across the class.  Conjugation by an element is one tuple over the elements
-(``conjugation``), built once per generator.  A set of tuples of one length
-is conjugated a position at a time (``conjugation_indices``): each column
-is mapped through that tuple, and the columns are zipped back into tuples.
+(``conjugation``), through which a caller maps a column of tuple entries
+at a time.
 
 ``orbits``, a breadth-first closure under permutations of indices, is the
 one orbit walk behind cell orbits and subgroup closures; ``hom_orbit_reps``
@@ -612,23 +611,6 @@ def conjugation(g: FiniteGroup, a: int) -> tuple[int, ...]:
     a x a^-1, read from row a and then column a^-1 of the table."""
     table, ai = g.table, g.inverses[a]
     return tuple(table[ax][ai] for ax in table[a])
-
-
-def conjugation_indices(
-    g: FiniteGroup, tuples: Sequence[HomTuple], index: dict[HomTuple, int]
-) -> list[list[int]]:
-    """Per generator a of g, position k holds ``index[a t a^-1]`` for the
-    k-th tuple t of ``tuples``, which all have one length.  The tuples are
-    conjugated a position at a time: each column is mapped through
-    ``conjugation(g, a)`` and the columns are zipped back into tuples.  A
-    conjugate missing from ``index`` raises KeyError."""
-    columns = list(zip(*tuples))
-    out = []
-    for a in g.generators():
-        by_a = conjugation(g, a).__getitem__
-        conjugates = zip(*[map(by_a, column) for column in columns]) if columns else tuples
-        out.append(list(map(index.__getitem__, conjugates)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -298,8 +298,9 @@ def load_extension(obj: Any, base: Path | None = None) -> dict:
 
 def load_file(path: str | Path, loader) -> tuple[Any, dict]:
     """Load a file with one of the load_* functions above, reading it once:
-    (value, the report's input record of the path and the bytes' digest).
-    A file that cannot be read raises its own OSError."""
+    (value, the report's input record of the path as given and the digest
+    of this file's bytes; a file it names by a nested path is read and not
+    digested).  A file that cannot be read raises its own OSError."""
     data, where = Path(path).read_bytes(), Path.cwd() / path
     try:
         value = loader(_decode(data, where))

@@ -1,10 +1,12 @@
 """Machine-readable run reports.
 
-Reports are JSON-first with a plain-text renderer.  They are deterministic:
-no timestamps, no absolute paths, inputs identified by content digest, keys
-sorted on output.  A report's assertions all passing is equivalent to the
-CLI exiting 0.  A report reads no files: its input records come from
-``jsonio.load_file`` and ``jsonio.load_gamma``, which read each input once.
+Reports are JSON-first with a plain-text renderer: no timestamps, keys
+sorted on output.  An input record is a path as given (an absolute one
+stays absolute) or an inline argument, with the digest of its bytes; a file
+an input names by a nested path is read but not digested.  A report's
+assertions all passing is equivalent to the CLI exiting 0.  A report reads
+no files: its input records come from ``jsonio.load_file`` and
+``jsonio.load_gamma``, which read each input once.
 """
 
 from __future__ import annotations

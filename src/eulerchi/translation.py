@@ -56,7 +56,7 @@ enters (``jsonio.load_extension``).
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import eq, mul, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -356,13 +356,13 @@ class InertiaComplex(RigidGComplex):
     inherits the dimension of c (the label factor is zero-dimensional for a
     finite group).  The group acts by simultaneous conjugation on t and the
     original action on c, stored like any complex's as its generators'
-    permutations.  ``pairs[k]`` is the cell at index k as its (index into
-    ``tuples``, base cell index) pair.  The tuples that fit a cell depend
-    only on its stabilizer, so they are listed once per distinct
-    stabilizer bitmask, from the tuples' image sets (``_image_masks``).
-    It is built by ``RigidGComplex.__init__`` like any complex, so it forms
-    no id until one is read: cell k's id is
-    ``"<tuple index><separator><base cell id>"``.
+    permutations.  The cells sit in one block per base cell, in cell
+    order: the tuples that fit its stabilizer, in tuple order, listed once
+    per distinct stabilizer bitmask from the tuples' image sets
+    (``_image_masks``).  ``pairs[k]`` is the cell at index k as its (index
+    into ``tuples``, base cell index) pair.  It is built by
+    ``RigidGComplex.__init__`` like any complex, so it forms no id until
+    one is read: cell k's id is ``"<tuple index><separator><base cell id>"``.
     """
 
     __slots__ = ("tuples", "pairs")
@@ -376,29 +376,40 @@ class InertiaComplex(RigidGComplex):
         # (tuple index, cell index) of every pair, in cell order
         pairs = tuple((i, c) for c, m in enumerate(masks) for i in fits[m])
         super().__init__(
-            x.group, _inertia_perms(x, homs, pairs), tuple(x.dims[c] for _, c in pairs),
+            x.group, _inertia_perms(x, homs, fits), tuple(x.dims[c] for _, c in pairs),
             cell_id=lambda k: f"{pairs[k][0]}{RESERVED_SEPARATOR}{x.cell_id(pairs[k][1])}",
         )
         self.tuples, self.pairs = homs, pairs
 
 
 def _inertia_perms(
-    x: RigidGComplex, tuples: Sequence[HomTuple], pairs: Sequence[tuple[int, int]]
+    x: RigidGComplex, tuples: Sequence[HomTuple], fits: Mapping[int, list[int]]
 ) -> tuple[tuple[int, ...], ...]:
-    """Per generator s of x's group, its permutation of the inertia cells
-    ``pairs``: s sends (t, c) to (s t s^-1, s c).  Only the tuples some
-    cell holds are conjugated, a position at a time
-    (``groups.conjugation_indices``)."""
-    index = {t: i for i, t in enumerate(tuples)}
-    pos = {pair: k for k, pair in enumerate(pairs)}
-    used = sorted({i for i, _ in pairs})
-    # conjugate tuples stay homomorphisms and stabilize the translated
-    # cell, so the lookups cannot miss
-    conj = groups.conjugation_indices(x.group, list(map(tuples.__getitem__, used)), index)
-    return tuple(
-        tuple(pos[by_s[i], perm[c]] for i, c in pairs)
-        for by_s, perm in zip((dict(zip(used, js)) for js in conj), x.gens)
-    )
+    """Per generator s of x's group, its permutation of the inertia cells,
+    one block per base cell c listing ``fits[masks[c]]``: s sends (t, c)
+    to (s t s^-1, s c).  Stab(s c) = s Stab(c) s^-1, so every cell with
+    stabilizer m lands at the same places in its target block, found once
+    per stabilizer; each cell adds its target block's start.  Only the
+    tuples some cell holds are indexed and conjugated, a column at a time."""
+    masks = x.stabilizer_masks()
+    starts = list(accumulate((len(fits[m]) for m in masks), initial=0))
+    rank = {m: {i: j for j, i in enumerate(held)} for m, held in fits.items()}
+    index = {tuples[i]: i for i in set().union(*fits.values())}
+    columns = list(zip(*index))
+    out = []
+    for a, perm in zip(x.group.generators(), x.gens):
+        by_a = groups.conjugation(x.group, a).__getitem__
+        # a conjugate of a tuple that fits c fits s c, so it is held too
+        conjugates = zip(*[map(by_a, column) for column in columns]) if columns else index
+        conj = dict(zip(index.values(), map(index.__getitem__, conjugates)))
+        places, image = {}, []
+        for c, m in enumerate(masks):
+            if m not in places:
+                to = rank[masks[perm[c]]]
+                places[m] = [to[conj[i]] for i in fits[m]]
+            image += map(starts[perm[c]].__add__, places[m])
+        out.append(tuple(image))
+    return tuple(out)
 
 
 def _within(mask: int, sets: Sequence[int]) -> list[bool]:

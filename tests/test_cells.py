@@ -240,6 +240,14 @@ def test_product_refuses_repeated_ids():
         product(repeated, CIRCLE)
 
 
+def test_product_refuses_no_factors():
+    """No factors would make one cell with the empty id, which
+    ``validate_space`` refuses; one factor is that factor."""
+    with pytest.raises(ValidationError, match="product: expected at least one factor"):
+        product()
+    assert product(CIRCLE) == CIRCLE
+
+
 def test_restrict_open_interval():
     # the open edge of a closed interval, on its own
     assert chi(CellSpace(c for c in CLOSED_INTERVAL.cells if c.id == "e")) == -1

@@ -986,6 +986,49 @@ def test_inertia_complex_conjugates_by_generators_only(monkeypatch):
     assert calls == list(s5.generators())
 
 
+def _placed_inertia_gens(ic: InertiaComplex, x: RigidGComplex) -> tuple[tuple[int, ...], ...]:
+    """Per generator s, the image of each inertia cell (t, c), placed by
+    conjugating t straight from the table and looking up the pair
+    (s t s^-1, s c) among ``ic.pairs``."""
+    table, inv = x.group.table, x.group.inverses
+    index = {t: i for i, t in enumerate(ic.tuples)}
+    pos = {pair: k for k, pair in enumerate(ic.pairs)}
+    return tuple(
+        tuple(
+            pos[index[tuple(table[table[s][e]][inv[s]] for e in ic.tuples[i])], perm[c]]
+            for i, c in ic.pairs
+        )
+        for s, perm in zip(x.group.generators(), x.gens)
+    )
+
+
+def test_inertia_permutations_match_a_direct_placement():
+    """Each generator's permutation of the inertia cells sends (t, c) to
+    (s t s^-1, s c), on harness complexes with their own presentations, Z
+    and the trivial one, an S5 point with Z^2, S5 on the cosets of S4 with
+    Z^3 (where one tuple fits several stabilizers), a complex with no cells
+    and an inertia complex of an inertia complex."""
+    s5 = symmetric_group(5)
+    cases = []
+    for _, spec in harness.draw_cases(random.Random(3), 100, 48, 60):
+        x = harness.build_complex(spec)
+        ps = [Z, Presentation.trivial()]
+        if x.group.order ** spec.presentation.generators <= 20_000:
+            ps.append(spec.presentation)
+        cases += [(p, x) for p in ps]
+    cosets = coset_complex(s5, range(24), dim=1)  # S4 fixes the point 0
+    empty = RigidGComplex(S3, ((),) * len(S3.generators()), (), cell_id=str)
+    cases += [(Presentation.free_abelian(2), point_complex(s5)), (Presentation.free_abelian(3), cosets)]
+    cases += [(Z, empty), (Presentation.trivial(), empty), (Z, InertiaComplex(Z, swap_points()))]
+    cases.append((Z, InertiaComplex(Z, point_complex(S3))))
+    assert len(cases) >= 200
+    for p, x in cases:
+        ic = InertiaComplex(p, x)
+        assert ic.gens == _placed_inertia_gens(ic, x), (p, x.gens)
+    big = InertiaComplex(Presentation.free_abelian(3), cosets)
+    assert len(big.dims) == 2_520 and len({i for i, _ in big.pairs}) < 2_520
+
+
 def test_lambda_chi_examples():
     assert lambda_chi(Presentation.trivial(), point_complex(S3)) == 1
     assert lambda_chi(Z, point_complex(S3)) == 3
