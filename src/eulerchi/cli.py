@@ -8,8 +8,11 @@ reports (``report`` says what ``inputs`` pins); ``--report json`` emits
 the machine-readable form.  Input files are read only by ``jsonio``,
 once each; the report records what it read.
 
-The order-ell command takes its recursion cap from ``--cap``, else from the
-EULERCHI_RECURSION_CAP environment variable, which no other command reads.
+Two limits are the commands' own: order-ell's recursion cap (``--cap``,
+else the EULERCHI_RECURSION_CAP environment variable, which no other
+command reads, else ``DEFAULT_RECURSION_CAP``) and integrate's
+``LEVELSET_VALUE_BOUND``.  The functions they call take any order and any
+value; the limits stay only for the commands' exit codes, 2 and 1.
 
 ``cmd_verify`` imports ``harness`` itself: every command is a fresh process,
 and only ``verify`` uses the harness, so the others skip compiling it.
@@ -24,8 +27,11 @@ import sys
 from pathlib import Path
 
 from . import catalog, cells, groupoid, jsonio, translation as tr
-from .errors import CrossCheckError, EulerchiError, ValidationError
+from .errors import CrossCheckError, EulerchiError, RecursionCapExceeded, ValidationError
 from .report import Report
+
+DEFAULT_RECURSION_CAP = 4
+LEVELSET_VALUE_BOUND = 10**6
 
 
 def _emit(report: Report, args) -> int:
@@ -61,6 +67,12 @@ def cmd_chi(args) -> int:
 def cmd_integrate(args) -> int:
     report = Report("integrate")
     f = _load(report, "function", args.function, jsonio.load_function)
+    bound = max(map(abs, f.values), default=0)
+    if bound > LEVELSET_VALUE_BOUND:
+        raise ValidationError(
+            f"level-set integration got a value of size {bound}; "
+            f"values beyond {LEVELSET_VALUE_BOUND} are refused (use integrate)"
+        )
     value = cells.integrate(f)
     report.result = value
     report.check("levelset_formulation", value, cells.integrate_levelset(f))
@@ -111,12 +123,17 @@ def cmd_order_ell(args) -> int:
     if cap is None:
         raw = os.environ.get("EULERCHI_RECURSION_CAP", "")
         try:
-            cap = int(raw) if raw else tr.DEFAULT_RECURSION_CAP
+            cap = int(raw) if raw else DEFAULT_RECURSION_CAP
         except ValueError:
             raise ValidationError(f"EULERCHI_RECURSION_CAP must be an integer, got {raw!r}") from None
     report = Report("order-ell")
     x = _load(report, "complex", args.complex, jsonio.load_complex)
-    report.result = tr.chi_order_ell(x, args.ell, cap)
+    if args.ell >= 0:  # a negative order is refused by the walk, ahead of the cap
+        if cap < 0:
+            raise ValidationError(f"recursion cap must be >= 0, got {cap}")
+        if args.ell > cap:
+            raise RecursionCapExceeded(args.ell, cap)
+    report.result = tr.chi_order_ell(x, args.ell)
     # depth d branches once per class of commuting d-tuples, whatever the complex: chi on a point
     point = tr.point_complex(x.group)
     tree = [{"depth": d, "branches": tr.chi_order_ell(point, d)} for d in (1, 2) if d <= args.ell]

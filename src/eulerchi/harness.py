@@ -40,6 +40,7 @@ from . import catalog, cells, groups, translation as tr
 # module late, for verify only, and a name bound here would keep whatever
 # ``cells`` held then, such as a profiler's wrapper
 from .cells import CellSpace, ConstructibleFunction
+from .errors import ValidationError
 from .groups import FiniteGroup, Presentation
 from .records import Record
 
@@ -374,7 +375,7 @@ def run_suite(
     extra_checks: bool = True,
 ) -> SuiteResult:
     if inject_fault is not None and inject_fault not in FAULTS:
-        raise ValueError(f"unknown fault {inject_fault!r}; known: {tuple(FAULTS)}")
+        raise ValidationError(f"unknown fault {inject_fault!r}; known: {tuple(FAULTS)}")
     master = random.Random(seed)
     result = SuiteResult(seed=seed, cases=cases)
 

@@ -60,7 +60,7 @@ def _resolve(obj_or_path: Any, base: Path | None) -> tuple[Any, Path | None]:
             path = base / path
         try:
             data = path.read_bytes()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             raise ValidationError(f"cannot read {path}: {exc}") from None
         obj_or_path = _decode(data, path)
     return obj_or_path if isinstance(obj_or_path, _File) else (obj_or_path, base)

@@ -63,12 +63,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from . import catalog, groups
 from .catalog import FiniteIsotropy, IsotropyModel
 from .cells import Cell, CellMap, CellSpace, RESERVED_SEPARATOR
-from .errors import CrossCheckError, RecursionCapExceeded, ResourceLimitExceeded, ValidationError
+from .errors import CrossCheckError, ResourceLimitExceeded, ValidationError
 from .groupoid import OrbitGroupoid, chi_gamma
 from .groups import FiniteGroup, HomTuple, Presentation
 from .records import Value
-
-DEFAULT_RECURSION_CAP = 4
 
 
 class RigidGComplex:
@@ -202,18 +200,16 @@ def _cells(x: RigidGComplex, indices: Iterable[int]) -> CellSpace:
     return CellSpace(tuple(Cell(x.cell_id(i), x.dims[i]) for i in indices))
 
 
-def point_complex(group: FiniteGroup, cell_id: str = "pt") -> RigidGComplex:
-    """The group acting (necessarily trivially) on a single point."""
-    return RigidGComplex(group, ((0,),) * len(group.generators()), (0,), cell_id=(cell_id,).__getitem__)
+def point_complex(group: FiniteGroup) -> RigidGComplex:
+    """The group acting (necessarily trivially) on a single point, ``pt``."""
+    return RigidGComplex(group, ((0,),) * len(group.generators()), (0,), cell_id=("pt",).__getitem__)
 
 
-def coset_complex(
-    group: FiniteGroup, subgroup: Sequence[int], dim: int = 0, prefix: str = "c"
-) -> RigidGComplex:
+def coset_complex(group: FiniteGroup, subgroup: Sequence[int], dim: int = 0) -> RigidGComplex:
     """The left translation action on cosets of a subgroup, one cell per
-    coset, all of the given dimension."""
+    coset, ``c0``, ``c1``, ..., all of the given dimension."""
     ca = groups.coset_action(group, subgroup)
-    return RigidGComplex(group, ca.gens, (dim,) * len(ca.reps), cell_id=lambda i: f"{prefix}{i}")
+    return RigidGComplex(group, ca.gens, (dim,) * len(ca.reps), cell_id=lambda i: f"c{i}")
 
 
 def cell_orbits(x: RigidGComplex) -> dict[int, set[int]]:
@@ -278,15 +274,13 @@ def _orbit_chi(x: RigidGComplex, fixed: Sequence[int], perms: Sequence[Sequence[
     return sum(-1 if dims[i] % 2 else 1 for i, _ in groups.orbits(perms, fixed))
 
 
-def chi_order_ell(
-    x: RigidGComplex, ell: int, cap: int = DEFAULT_RECURSION_CAP
-) -> int:
+def chi_order_ell(x: RigidGComplex, ell: int) -> int:
     """Order-ell characteristic, recursing over conjugacy classes.
 
     Order 0 is chi of the orbit space, the orbits of the whole group walked
     on its generators; order 1 is the classical one-generator sum, over
     conjugacy classes, of chi of the centralizer quotient of the class
-    representative's fixed set.  The recursion cap (default 4) bounds ell.
+    representative's fixed set.
 
     Every branch stays in x's own element and cell indices.  It carries its
     centralizer, a sorted list of x's elements, starting from the whole
@@ -311,10 +305,6 @@ def chi_order_ell(
     """
     if ell < 0:
         raise ValidationError("ell must be >= 0")
-    if cap < 0:
-        raise ValidationError(f"recursion cap must be >= 0, got {cap}")
-    if ell > cap:
-        raise RecursionCapExceeded(ell, cap)
     if ell == 0:
         return _orbit_chi(x, range(len(x.dims)), x.gens)
     table, inv = x.group.table, x.group.inverses

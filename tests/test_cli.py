@@ -270,6 +270,25 @@ def test_negative_recursion_cap_is_invalid_input():
     assert "recursion cap must be >= 0, got -2" in r.stderr
 
 
+def test_order_ell_refusals_keep_their_order(tmp_path, capsys, monkeypatch):
+    """The variable is parsed first, then the file is read, then a negative
+    order is refused ahead of a negative cap, and the cap itself comes last."""
+    point, missing = str(DATA / "s3_point.json"), str(tmp_path / "missing.json")
+    monkeypatch.delenv("EULERCHI_RECURSION_CAP", raising=False)
+    for argv, code, err in [
+        ([point, "--ell", "-1", "--cap", "-1"], 1, "eulerchi: invalid input: ell must be >= 0\n"),
+        ([point, "--ell", "0", "--cap", "-1"], 1, "eulerchi: invalid input: recursion cap must be >= 0, got -1\n"),
+        ([missing, "--ell", "5", "--cap", "-1"], 1, f"eulerchi: [Errno 2] No such file or directory: {missing!r}\n"),
+        ([missing, "--ell", "5"], 1, f"eulerchi: [Errno 2] No such file or directory: {missing!r}\n"),
+        ([point, "--ell", "5"], 2, "eulerchi: unsupported: order 5 exceeds the recursion cap 4\n"),
+    ]:
+        assert cli.main(["order-ell", *argv]) == code, argv
+        assert capsys.readouterr() == ("", err), argv
+    monkeypatch.setenv("EULERCHI_RECURSION_CAP", "many")
+    assert cli.main(["order-ell", missing, "--ell", "-1"]) == 1
+    assert capsys.readouterr() == ("", "eulerchi: invalid input: EULERCHI_RECURSION_CAP must be an integer, got 'many'\n")
+
+
 def test_bad_recursion_cap_variable_is_read_only_by_order_ell():
     env = {"EULERCHI_RECURSION_CAP": "many"}
     assert run_cli("--help", env_extra=env).returncode == 0
@@ -296,6 +315,22 @@ def test_gamma_missing_path_is_refused():
     r = run_cli("translation", str(DATA / "s3_point.json"), "--gamma", "no/such/file.json")
     assert r.returncode == 1
     assert "--gamma: 'no/such/file.json' is neither an existing file nor valid JSON" in r.stderr
+
+
+@pytest.mark.parametrize("nested", ["function", "gamma"])
+def test_a_nul_byte_in_a_path_is_refused_in_one_line(tmp_path, nested):
+    """A path read from JSON, nested in a file or given inline, may hold a
+    NUL byte, which no file name can: it is refused as a file that cannot
+    be read, in one line and not a traceback."""
+    if nested == "function":
+        f = tmp_path / "f.json"
+        f.write_text('{"space": "a\\u0000b", "values": {}}')
+        r = run_cli("integrate", str(f))
+    else:
+        r = run_cli("translation", str(DATA / "s3_point.json"), "--gamma", '"p\\u0000.json"')
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr.startswith("eulerchi: invalid input: cannot read ")
+    assert r.stderr.endswith(": embedded null byte\n") and r.stderr.count("\n") == 1
 
 
 def test_long_inline_gamma_is_not_a_file_name():

@@ -165,8 +165,8 @@ def test_atlas_single_and_doubled():
 
 def test_atlas_matches_whole_complex_decomposition():
     s3 = symmetric_group(3)
-    x = tr.coset_complex(s3, [0, 1], dim=1, prefix="a")
-    y = tr.point_complex(s3, "b")
+    x = tr.coset_complex(s3, [0, 1], dim=1)
+    y = tr.point_complex(s3)
     # saturated pieces of a disjoint union against the union itself
     cells = list(x.space.cells) + list(y.space.cells)
     action = {g: {**action_maps(x)[g], **action_maps(y)[g]} for g in s3.elements()}

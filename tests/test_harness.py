@@ -3,6 +3,7 @@ import random
 import pytest
 
 from eulerchi import catalog, cells, groups, harness, translation as tr
+from eulerchi.errors import ValidationError
 from eulerchi.groups import Presentation, presentation_class
 
 
@@ -46,7 +47,7 @@ def test_second_fault_flavor():
 
 
 def test_unknown_fault_rejected():
-    with pytest.raises(ValueError, match="unknown fault"):
+    with pytest.raises(ValidationError, match="unknown fault"):
         harness.run_suite(seed=0, cases=1, inject_fault="gremlins")
 
 

@@ -56,6 +56,7 @@ CASES = {
         ["integrate", "non_integer_value.json"],
         ["integrate", "value_for_non_cell.json"],
         ["integrate", "missing_value.json"],
+        ["integrate", "levelset_runaway.json"],
         ["pushforward", "assign_to_unknown_target.json", "one_on_source.json"],
         ["pushforward", "map_onto_higher_dim.json", "one_on_source.json"],
         ["gamma-chi", "duplicate_stratum_id.json", "--gamma", '{"kind":"trivial"}'],

@@ -186,3 +186,23 @@ def test_finite_groups_are_built_in_two_places():
         if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "FiniteGroup"
     ]
     assert sorted(sites) == ["groups._table", "groups.validate_group"]
+
+
+# The limits that only a command's exit code needs, and the refusal that
+# one of them raises.
+COMMAND_LIMITS = {"DEFAULT_RECURSION_CAP", "LEVELSET_VALUE_BOUND"}
+
+
+def test_command_limits_live_in_the_cli():
+    """The order-ell cap and the level-set value bound are assigned, and
+    ``RecursionCapExceeded`` is raised, only in ``cli``: the computations
+    they guard take any order and any value."""
+    sites = set()
+    for name in MODULES:
+        for _, node in _scoped(name):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                sites |= {(t.id, name) for t in targets if isinstance(t, ast.Name) and t.id in COMMAND_LIMITS}
+            elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "RecursionCapExceeded":
+                sites.add(("RecursionCapExceeded", name))
+    assert sites == {(limit, "cli") for limit in COMMAND_LIMITS | {"RecursionCapExceeded"}}

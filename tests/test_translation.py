@@ -641,7 +641,7 @@ def test_lazy_space_matches_an_eager_reference():
         rest = sorted(set(range(len(x.dims))) - set(half))
         for part in (half, rest):
             assert restrict_complex(x, part).space == CellSpace(x.space.cells[i] for i in part)
-        for y in (swap_points(), point_complex(Z2, "b")):
+        for y in (swap_points(), point_complex(Z2)):
             assert product_complex(x, y).space == cells.product(x.space, y.space)
         for p in (Z, Presentation.free_abelian(2)):
             ic = InertiaComplex(p, x)
@@ -782,7 +782,7 @@ def test_order_ell_values_obey_the_centre_order_recurrence():
         coeffs = [1]  # of prod (t - lam), lowest degree first
         for lam in lams:
             coeffs = [a - lam * b for a, b in zip([0] + coeffs, coeffs + [0])]
-        a = [chi_order_ell(x, ell, cap=len(lams) + 3) for ell in range(len(lams) + 4)]
+        a = [chi_order_ell(x, ell) for ell in range(len(lams) + 4)]
         for ell in range(4):
             assert sum(c * a[ell + k] for k, c in enumerate(coeffs)) == 0, (key, ell, lams, a)
             checked += 1
@@ -909,17 +909,12 @@ def test_order_two_s3_point():
 
 
 def test_order_ell_cap():
-    with pytest.raises(RecursionCapExceeded):
-        chi_order_ell(point_complex(Z2), 5)
-    assert chi_order_ell(point_complex(Z2), 5, cap=5) == 2 ** 5
-    with pytest.raises(ValidationError, match="recursion cap must be >= 0, got -1"):
-        chi_order_ell(point_complex(Z2), 0, cap=-1)
+    """The walk has no cap of its own: that is the order-ell command's."""
+    assert chi_order_ell(point_complex(Z2), 5) == 2 ** 5
 
 
 def test_recursion_cap_refusal_names_its_pair_and_takes_a_cell():
-    with pytest.raises(RecursionCapExceeded) as info:
-        chi_order_ell(point_complex(Z2), 5)
-    exc = info.value
+    exc = RecursionCapExceeded(5, 4)
     assert str(exc) == "order 5 exceeds the recursion cap 4"
     assert (exc.ell, exc.cap, exc.model, exc.presentation, exc.cell_id) == (
         5, 4, "order-ell recursion", "free_abelian(5)", None)
@@ -937,11 +932,11 @@ def test_an_order_deeper_than_the_stack_is_refused():
     ell = sys.getrecursionlimit()
     x = point_complex(groups.trivial_group())
     with pytest.raises(ResourceLimitExceeded) as info:
-        chi_order_ell(x, ell, cap=ell)
+        chi_order_ell(x, ell)
     assert isinstance(info.value, UnsupportedCombination)
     assert info.value.stage == "order-ell walk"
     assert str(info.value) == f"order-ell walk: order {ell} recurses deeper than the interpreter's stack allows"
-    assert chi_order_ell(x, 100, cap=100) == 1
+    assert chi_order_ell(x, 100) == 1
 
 
 # --- inertia complexes ---------------------------------------------------------------
@@ -1181,7 +1176,7 @@ def test_order_ell_walk_matches_the_stabilizer_count_up_to_eight(seed):
 
     x = build_complex(random_case(random.Random(seed), 48, 20))
     for ell in range(9):
-        assert chi_order_ell(x, ell, cap=8) == _stabilizer_count_order_ell(x, ell), ell
+        assert chi_order_ell(x, ell) == _stabilizer_count_order_ell(x, ell), ell
 
 
 @pytest.mark.parametrize("group,ell,expected", [
@@ -1196,7 +1191,7 @@ def test_order_ell_anchors_past_order_three(symmetric_points, group, ell, expect
     count.  Without its memo the walk would take about 35 s on Q8 at order
     11, so these also guard the memo."""
     x = symmetric_points[6] if group == "S6" else point_complex(quaternion_group())
-    assert chi_order_ell(x, ell, cap=ell) == expected
+    assert chi_order_ell(x, ell) == expected
     assert _stabilizer_count_order_ell(x, ell) == expected
 
 
