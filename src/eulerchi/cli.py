@@ -1,8 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 on success; otherwise the ``exit_code`` that the raised error
-carries (see ``errors``), 1 for a file that cannot be read or written, and
-3, as for a ``CrossCheckError``, for a report whose checks disagree.
+``main`` runs every command the same way: it parses the arguments and
+makes a ``Report`` named after the subcommand, the subcommand's ``cmd_*``
+function loads its inputs and fills that report, and ``_emit`` renders it,
+writes it to stdout (or as UTF-8 to ``--out``) and picks the exit code: 0,
+or 3, as for a ``CrossCheckError``, when the report's checks disagree.  An
+error raised on the way ends the run with one ``eulerchi:`` line on stderr,
+nothing on stdout, and the ``exit_code`` the error carries (see
+``errors``); a file that cannot be read or written and a report that
+stdout cannot encode give 1.
 Identical input files, nested ones included, and flags give identical
 reports (``report`` says what ``inputs`` pins); ``--report json`` emits
 the machine-readable form.  Input files are read only by ``jsonio``,
@@ -45,7 +51,13 @@ def _emit(report: Report, args) -> int:
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError as exc:  # raised before any of the text is written
+            raise EulerchiError(
+                f"stdout's encoding, {exc.encoding}, cannot encode the report; "
+                "use --out FILE, which writes UTF-8"
+            ) from None
     return 0 if report.all_pass() else CrossCheckError.exit_code
 
 
@@ -54,18 +66,15 @@ def _load(report: Report, label: str, path: str, loader):
     return value
 
 
-def cmd_chi(args) -> int:
-    report = Report("chi")
+def cmd_chi(args, report: Report) -> None:
     space = _load(report, "space", args.space, jsonio.load_cell_space)
     report.result = cells.chi(space)
     report.breakdown = [
         {"cell": c.id, "dim": c.dim, "sign": -1 if c.dim % 2 else 1} for c in space.cells
     ]
-    return _emit(report, args)
 
 
-def cmd_integrate(args) -> int:
-    report = Report("integrate")
+def cmd_integrate(args, report: Report) -> None:
     f = _load(report, "function", args.function, jsonio.load_function)
     bound = max(map(abs, f.values), default=0)
     if bound > LEVELSET_VALUE_BOUND:
@@ -76,21 +85,17 @@ def cmd_integrate(args) -> int:
     value = cells.integrate(f)
     report.result = value
     report.check("levelset_formulation", value, cells.integrate_levelset(f))
-    return _emit(report, args)
 
 
-def cmd_pushforward(args) -> int:
-    report = Report("pushforward")
+def cmd_pushforward(args, report: Report) -> None:
     m = _load(report, "map", args.map, jsonio.load_cell_map)
     f = _load(report, "function", args.function, jsonio.load_function)
     pushed = cells.pushforward(m, f)
     report.result = dict(sorted(zip(pushed.space.ids(), pushed.values)))
     report.check("fubini", cells.integrate(pushed), cells.integrate(f))
-    return _emit(report, args)
 
 
-def cmd_gamma_chi(args) -> int:
-    report = Report("gamma-chi")
+def cmd_gamma_chi(args, report: Report) -> None:
     g = _load(report, "groupoid", args.groupoid, jsonio.load_groupoid)
     p, report.inputs["gamma"] = jsonio.load_gamma(args.gamma)
     f = groupoid.integrand(g, p)
@@ -102,11 +107,9 @@ def cmd_gamma_chi(args) -> int:
     for c, label in zip(g.space.cells, g.isotropy):
         if catalog.is_user_supplied(label):
             report.warnings.append(f"stratum {c.id}: user-supplied catalog entry")
-    return _emit(report, args)
 
 
-def cmd_translation(args) -> int:
-    report = Report("translation")
+def cmd_translation(args, report: Report) -> None:
     x = _load(report, "complex", args.complex, jsonio.load_complex)
     p, report.inputs["gamma"] = jsonio.load_gamma(args.gamma)
     routes = {"strata": tr.chi_gamma_strata, "inertia": tr.lambda_chi, "noniter": tr.chi_gamma_noniter}
@@ -115,10 +118,9 @@ def cmd_translation(args) -> int:
     if args.method == "all":
         report.check("strata_vs_inertia", values["strata"], values["inertia"])
         report.check("strata_vs_noniter", values["strata"], values["noniter"])
-    return _emit(report, args)
 
 
-def cmd_order_ell(args) -> int:
+def cmd_order_ell(args, report: Report) -> None:
     cap = args.cap
     if cap is None:
         raw = os.environ.get("EULERCHI_RECURSION_CAP", "")
@@ -126,7 +128,6 @@ def cmd_order_ell(args) -> int:
             cap = int(raw) if raw else DEFAULT_RECURSION_CAP
         except ValueError:
             raise ValidationError(f"EULERCHI_RECURSION_CAP must be an integer, got {raw!r}") from None
-    report = Report("order-ell")
     x = _load(report, "complex", args.complex, jsonio.load_complex)
     if args.ell >= 0:  # a negative order is refused by the walk, ahead of the cap
         if cap < 0:
@@ -138,11 +139,9 @@ def cmd_order_ell(args) -> int:
     point = tr.point_complex(x.group)
     tree = [{"depth": d, "branches": tr.chi_order_ell(point, d)} for d in (1, 2) if d <= args.ell]
     report.breakdown = {"ell": args.ell, "recursion": tree}
-    return _emit(report, args)
 
 
-def cmd_inertia(args) -> int:
-    report = Report("inertia")
+def cmd_inertia(args, report: Report) -> None:
     x = _load(report, "complex", args.complex, jsonio.load_complex)
     p, report.inputs["gamma"] = jsonio.load_gamma(args.gamma)
     ic = tr.InertiaComplex(p, x)
@@ -153,11 +152,9 @@ def cmd_inertia(args) -> int:
         "cells": len(ic.pairs),
         "orbit_cells": len(reps),
     }
-    return _emit(report, args)
 
 
-def cmd_atlas(args) -> int:
-    report = Report("atlas")
+def cmd_atlas(args, report: Report) -> None:
     pieces = []
     for i, path in enumerate(args.pieces):
         pieces.append(_load(report, f"piece{i}", path, jsonio.load_complex))
@@ -168,11 +165,9 @@ def cmd_atlas(args) -> int:
     report.warnings.append(
         "chart images asserted disjoint by the caller; not verifiable from the pieces"
     )
-    return _emit(report, args)
 
 
-def cmd_extension(args) -> int:
-    report = Report("extension")
+def cmd_extension(args, report: Report) -> None:
     ext = _load(report, "extension", args.extension, jsonio.load_extension)
     pred = tr.abelian_extension_chi(ext["fiber"], ext["complex"], ext["ell"])
     report.result = pred.predicted
@@ -184,13 +179,11 @@ def cmd_extension(args) -> int:
     report.warnings.append(
         "prediction assumes an abelian extension; nonabelian extensions genuinely differ"
     )
-    return _emit(report, args)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, report: Report) -> None:
     from . import harness
 
-    report = Report("verify")
     fault = os.environ.get("EULERCHI_INJECT_FAULT") or None
     if args.cases < 1:
         raise ValidationError(f"--cases must be >= 1, got {args.cases}")
@@ -226,7 +219,6 @@ def cmd_verify(args) -> int:
             encoding="utf-8",
         )
         report.warnings.append(f"counterexample written to {dump}")
-    return _emit(report, args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,10 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: make its report, named after the subcommand, have
+    ``args.func`` fill it, and ``_emit`` it.  An error instead prints one
+    ``eulerchi:`` line to stderr and returns the error's exit code."""
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        report = Report(args.command)
+        args.func(args, report)
+        return _emit(report, args)
     except EulerchiError as exc:
         print(f"eulerchi: {exc.prefix}{exc}", file=sys.stderr)
         return exc.exit_code

@@ -737,6 +737,34 @@ def test_result_past_the_digit_limit_is_refused_in_one_line(tmp_path):
             assert r.stderr.count("\n") == 1
 
 
+ASCII_STDOUT = {"PYTHONIOENCODING": "ascii"}
+
+
+def test_report_that_stdout_cannot_encode_is_refused_in_one_line(tmp_path):
+    # a non-ASCII cell id reaches the breakdown, a non-ASCII path the inputs
+    (tmp_path / "f.json").write_text('{"cells": [{"id": "\\u00e9", "dim": 0}]}', encoding="utf-8")
+    (tmp_path / "é.json").write_text((DATA / "closed_interval.json").read_text(encoding="utf-8"), encoding="utf-8")
+    for name in ("f.json", "é.json"):
+        for fmt in ("text", "json"):
+            r = run_cli("--report", fmt, "chi", str(tmp_path / name), env_extra=ASCII_STDOUT)
+            assert (r.returncode, r.stdout) == (1, ""), r.stderr
+            assert r.stderr == (
+                "eulerchi: stdout's encoding, ascii, cannot encode the report; "
+                "use --out FILE, which writes UTF-8\n"
+            )
+
+
+def test_ascii_report_and_out_file_pass_an_ascii_stdout(tmp_path):
+    (tmp_path / "f.json").write_text('{"cells": [{"id": "\\u00e9", "dim": 0}]}', encoding="utf-8")
+    r = run_cli("chi", str(DATA / "closed_interval.json"), env_extra=ASCII_STDOUT)
+    assert (r.returncode, r.stderr) == (0, ""), r.stderr
+    assert "result: 1" in r.stdout
+    out = tmp_path / "report.txt"
+    r = run_cli("--out", str(out), "chi", str(tmp_path / "f.json"), env_extra=ASCII_STDOUT)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "", "")
+    assert 'breakdown: [{"cell": "é", "dim": 0, "sign": 1}]' in out.read_text(encoding="utf-8")
+
+
 # files each bundled file refers to by path, once per reference
 NESTED = {
     "ones_on_square.json": ["square.json"],

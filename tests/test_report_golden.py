@@ -1,11 +1,12 @@
-"""Byte-for-byte regression of the JSON reports.
+"""Byte-for-byte regression of the reports.
 
 Each case runs ``eulerchi.cli.main`` in-process, from the bundled data
 directory so that input paths are bare file names, and compares the
 ``--report json`` stdout, the stderr and the exit code with the file under
 ``tests/golden/`` named after the subcommand.  The ``refusals`` cases run
 from ``tests/refusals/``, whose inputs each carry one fault, and pin the
-message and exit code of each refusal.
+message and exit code of each refusal.  The ``text`` cases pin the
+default ``--report text`` form, one exit-0 case per subcommand.
 
 To regenerate the golden files from the code on ``PYTHONPATH``:
 
@@ -61,6 +62,22 @@ CASES = {
         ["pushforward", "map_onto_higher_dim.json", "one_on_source.json"],
         ["gamma-chi", "duplicate_stratum_id.json", "--gamma", '{"kind":"trivial"}'],
         ["translation", "non_homomorphic_action.json", "--gamma", '{"kind":"trivial"}'],
+    ],
+    # the default format, one exit-0 case per subcommand; the last --report wins
+    "text": [
+        ["--report", "text", *argv]
+        for argv in (
+            ["chi", "closed_interval.json"],
+            ["integrate", "ones_on_square.json"],
+            ["pushforward", "square_to_interval.json", "ones_on_square.json"],
+            ["gamma-chi", "so2_s2.json", "--gamma", GAMMAS[1]],
+            ["translation", "s3_point.json", "--gamma", GAMMAS[2]],
+            ["order-ell", "s3_point.json", "--ell", "2"],
+            ["inertia", "s3_point.json", "--gamma", GAMMAS[2]],
+            ["atlas", "s3_point.json", "q8_point.json", "--gamma", GAMMAS[3]],
+            ["extension", "o2_extension.json"],
+            ["verify", "--seed", "42", "--cases", "20"],
+        )
     ],
 }
 

@@ -206,3 +206,22 @@ def test_command_limits_live_in_the_cli():
             elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "RecursionCapExceeded":
                 sites.add(("RecursionCapExceeded", name))
     assert sites == {(limit, "cli") for limit in COMMAND_LIMITS | {"RecursionCapExceeded"}}
+
+
+def test_main_makes_and_emits_every_report():
+    """``Report(...)`` and ``_emit(...)`` are called only in ``cli.main``,
+    and each ``cli.cmd_*`` takes exactly ``(args, report)``: a command
+    fills the report that ``main`` made for it."""
+    sites = [
+        f"{name}.{scope}:{ast.unparse(node.func)}"
+        for name in MODULES
+        for scope, node in _scoped(name)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("Report", "_emit")
+    ]
+    assert sorted(sites) == ["cli.main:Report", "cli.main:_emit"]
+    commands = {
+        node.name: [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)]
+        for _, node in _scoped("cli")
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+    }
+    assert commands and all(params == ["args", "report"] for params in commands.values()), commands
