@@ -8,7 +8,8 @@ or 3, as for a ``CrossCheckError``, when the report's checks disagree.  An
 error raised on the way ends the run with one ``eulerchi:`` line on stderr,
 nothing on stdout, and the ``exit_code`` the error carries (see
 ``errors``); a file that cannot be read or written and a report that
-stdout cannot encode give 1.
+stdout, or UTF-8 for ``--out``, cannot encode give 1, and leave an existing
+``--out`` file as it was.
 Identical input files, nested ones included, and flags give identical
 reports (``report`` says what ``inputs`` pins); ``--report json`` emits
 the machine-readable form.  Input files are read only by ``jsonio``,
@@ -20,8 +21,10 @@ command reads, else ``DEFAULT_RECURSION_CAP``) and integrate's
 ``LEVELSET_VALUE_BOUND``.  The functions they call take any order and any
 value; the limits stay only for the commands' exit codes, 2 and 1.
 
-``cmd_verify`` imports ``harness`` itself: every command is a fresh process,
-and only ``verify`` uses the harness, so the others skip compiling it.
+Every command is a fresh process, so this module imports at its head only
+what every command runs (``errors``, ``report``, ``jsonio`` and ``cells``),
+and each ``cmd_*`` imports the rest itself: ``chi`` compiles neither
+``groups`` nor ``translation``, and only ``verify`` compiles ``harness``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import catalog, cells, groupoid, jsonio, translation as tr
+from . import cells, jsonio
 from .errors import CrossCheckError, EulerchiError, RecursionCapExceeded, ValidationError
 from .report import Report
 
@@ -49,7 +52,11 @@ def _emit(report: Report, args) -> int:
             "digits, the interpreter's limit for integer string conversion"
         ) from None
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:  # encoded before the file is opened, so a refusal leaves it as it was
+            data = text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise EulerchiError(f"--out: the report cannot be encoded as UTF-8: {exc}") from None
+        Path(args.out).write_bytes(data)
     else:
         try:
             sys.stdout.write(text)
@@ -96,6 +103,8 @@ def cmd_pushforward(args, report: Report) -> None:
 
 
 def cmd_gamma_chi(args, report: Report) -> None:
+    from . import catalog, groupoid
+
     g = _load(report, "groupoid", args.groupoid, jsonio.load_groupoid)
     p, report.inputs["gamma"] = jsonio.load_gamma(args.gamma)
     f = groupoid.integrand(g, p)
@@ -110,6 +119,8 @@ def cmd_gamma_chi(args, report: Report) -> None:
 
 
 def cmd_translation(args, report: Report) -> None:
+    from . import translation as tr
+
     x = _load(report, "complex", args.complex, jsonio.load_complex)
     p, report.inputs["gamma"] = jsonio.load_gamma(args.gamma)
     routes = {"strata": tr.chi_gamma_strata, "inertia": tr.lambda_chi, "noniter": tr.chi_gamma_noniter}
@@ -121,6 +132,8 @@ def cmd_translation(args, report: Report) -> None:
 
 
 def cmd_order_ell(args, report: Report) -> None:
+    from . import translation as tr
+
     cap = args.cap
     if cap is None:
         raw = os.environ.get("EULERCHI_RECURSION_CAP", "")
@@ -142,6 +155,8 @@ def cmd_order_ell(args, report: Report) -> None:
 
 
 def cmd_inertia(args, report: Report) -> None:
+    from . import translation as tr
+
     x = _load(report, "complex", args.complex, jsonio.load_complex)
     p, report.inputs["gamma"] = jsonio.load_gamma(args.gamma)
     ic = tr.InertiaComplex(p, x)
@@ -155,6 +170,8 @@ def cmd_inertia(args, report: Report) -> None:
 
 
 def cmd_atlas(args, report: Report) -> None:
+    from . import translation as tr
+
     pieces = []
     for i, path in enumerate(args.pieces):
         pieces.append(_load(report, f"piece{i}", path, jsonio.load_complex))
@@ -168,6 +185,8 @@ def cmd_atlas(args, report: Report) -> None:
 
 
 def cmd_extension(args, report: Report) -> None:
+    from . import translation as tr
+
     ext = _load(report, "extension", args.extension, jsonio.load_extension)
     pred = tr.abelian_extension_chi(ext["fiber"], ext["complex"], ext["ell"])
     report.result = pred.predicted

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from . import cells
 from .catalog import IsotropyModel, chi_hom_quotient
-from .cells import CellSpace, ConstructibleFunction, integrate
+from .cells import CellSpace, ConstructibleFunction
 from .errors import UnsupportedCombination, ValidationError
 from .groups import Presentation
 from .records import Value
@@ -67,4 +68,4 @@ def chi_gamma(g: OrbitGroupoid, p: Presentation) -> int:
     For a translation groupoid this is ``translation.chi_gamma_strata``;
     ``translation`` and ``verify`` check it against the Burnside count.
     """
-    return integrate(integrand(g, p))
+    return cells.integrate(integrand(g, p))

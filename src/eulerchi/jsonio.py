@@ -10,7 +10,10 @@ relative to the referring file and decoded as a top-level file is.  Errors
 name the offending field.  A loader checks only the JSON shape and ends with
 the validator of what it builds (``validate_space`` and the like): the one
 check of an input.  One reader, ``_load_cells``, reads every list of cells,
-a groupoid's ``strata`` among them.
+a groupoid's ``strata`` among them.  A loader of a group, presentation,
+isotropy model, groupoid or complex imports the module that builds it
+itself, so a command that reads only cells never compiles those modules;
+a refusal escapes the control characters of a path it names.
 
 The id separator "⊗" is reserved for generated ids (products, inertia
 cells) and rejected in all input ids, so no generated id can be read back
@@ -22,11 +25,14 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
-from . import catalog, cells, groupoid, groups, translation
+from . import cells
 from .cells import Cell, CellMap, CellSpace, ConstructibleFunction, RESERVED_SEPARATOR
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    from . import catalog, groupoid, groups, translation
 
 
 class _File(NamedTuple):
@@ -37,18 +43,28 @@ class _File(NamedTuple):
     base: Path
 
 
+# control characters (C0, DEL and C1) as \xNN escapes
+_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
+
+
+def _shown(path: Path) -> str:
+    """The path as a refusal names it: a control character, which would
+    break the one-line message, is escaped, and every other character kept."""
+    return str(path).translate(_ESCAPES)
+
+
 def _decode(data: bytes, path: Path) -> _File:
     """Parse a file's bytes as read_text(encoding="utf-8") would give them."""
     try:
         text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8: {exc}") from None
+        raise ValidationError(f"{_shown(path)}: not UTF-8: {exc}") from None
     try:
         return _File(json.loads(text), path.parent)
     except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+        raise ValidationError(f"{_shown(path)}: invalid JSON: {exc}") from None
     except RecursionError:
-        raise ValidationError(f"{path}: JSON nested too deeply") from None
+        raise ValidationError(f"{_shown(path)}: JSON nested too deeply") from None
 
 
 def _resolve(obj_or_path: Any, base: Path | None) -> tuple[Any, Path | None]:
@@ -61,7 +77,7 @@ def _resolve(obj_or_path: Any, base: Path | None) -> tuple[Any, Path | None]:
         try:
             data = path.read_bytes()
         except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-            raise ValidationError(f"cannot read {path}: {exc}") from None
+            raise ValidationError(f"cannot read {_shown(path)}: {exc}") from None
         obj_or_path = _decode(data, path)
     return obj_or_path if isinstance(obj_or_path, _File) else (obj_or_path, base)
 
@@ -126,6 +142,8 @@ def load_cell_map(obj: Any, base: Path | None = None) -> CellMap:
 
 
 def load_group(obj: Any, base: Path | None = None) -> groups.FiniteGroup:
+    from . import groups
+
     obj, _ = _resolve(obj, base)
     order = _require(obj, "order", "group")
     table = _require(obj, "table", "group")
@@ -144,6 +162,8 @@ def _count(obj: Any, key: str, what: str, least: int) -> int:
 
 
 def load_presentation(obj: Any, base: Path | None = None) -> groups.Presentation:
+    from . import groups
+
     obj, _ = _resolve(obj, base)
     kind = _require(obj, "kind", "presentation")
     if kind == "trivial":
@@ -208,6 +228,8 @@ def load_isotropy(obj: Any, base: Path | None = None) -> catalog.IsotropyModel:
 
 
 def _load_isotropy(obj: Any, base: Path | None, depth: int) -> catalog.IsotropyModel:
+    from . import catalog
+
     obj, base = _resolve(obj, base)
     kind = _require(obj, "kind", "isotropy")
     if kind == "finite":
@@ -245,6 +267,8 @@ def _load_isotropy(obj: Any, base: Path | None, depth: int) -> catalog.IsotropyM
 
 
 def load_groupoid(obj: Any, base: Path | None = None) -> groupoid.OrbitGroupoid:
+    from . import groupoid
+
     obj, base = _resolve(obj, base)
     strata = _require(obj, "strata", "groupoid")
     space = _load_cells(strata, "strata")
@@ -258,6 +282,8 @@ def load_groupoid(obj: Any, base: Path | None = None) -> groupoid.OrbitGroupoid:
 
 
 def load_complex(obj: Any, base: Path | None = None) -> translation.RigidGComplex:
+    from . import translation
+
     obj, base = _resolve(obj, base)
     group = load_group(_require(obj, "group", "complex"), base)
     space = _load_cells(_require(obj, "cells", "complex"), "cells")
@@ -284,6 +310,8 @@ def load_complex(obj: Any, base: Path | None = None) -> translation.RigidGComple
 
 def load_extension(obj: Any, base: Path | None = None) -> dict:
     """Extension description: fiber model, acting group, base complex, order."""
+    from . import translation
+
     obj, base = _resolve(obj, base)
     ell = _require(obj, "ell", "extension")
     if not isinstance(ell, int) or isinstance(ell, bool) or ell < 0:
@@ -305,5 +333,5 @@ def load_file(path: str | Path, loader) -> tuple[Any, dict]:
     try:
         value = loader(_decode(data, where))
     except _NestedTooDeep as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+        raise ValidationError(f"{_shown(where)}: {exc}") from None
     return value, {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}

@@ -49,6 +49,18 @@ def test_cli_import_leaves_numpy_out():
     assert r.stdout.strip() == "False"
 
 
+def _fresh(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 def test_cli_import_leaves_out_dataclasses_and_the_harness():
     # every command is a fresh process: importing the CLI builds no
     # generated records, and only verify loads the harness; the harness,
@@ -67,16 +79,54 @@ def test_cli_import_leaves_out_dataclasses_and_the_harness():
         "        and any(v is stand_in for v in vars(m).values())]\n"
         "assert not held, held\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    r = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    r = _fresh(script)
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["result"]["passed"] is True
+
+
+def _modules_after(*argv) -> set[str]:
+    """The package modules a fresh process holds after one command."""
+    r = _fresh(
+        "import os, sys\n"
+        "from eulerchi import cli\n"
+        f"assert cli.main(['--out', os.devnull, *{list(argv)!r}]) == 0\n"
+        "print(*sorted(n for n in sys.modules if n.startswith('eulerchi.')))\n"
+    )
+    assert r.returncode == 0, r.stderr
+    return set(r.stdout.split())
+
+
+# the modules a command on cells alone never runs
+NOT_CELLS = {"groups", "translation", "catalog", "groupoid", "harness"}
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["chi", "closed_interval.json"], NOT_CELLS),
+        (["integrate", "ones_on_square.json"], NOT_CELLS),
+        (["pushforward", "square_to_interval.json", "ones_on_square.json"], NOT_CELLS),
+        (["gamma-chi", "so2_s2.json", "--gamma", '{"kind":"trivial"}'], {"translation", "harness"}),
+    ],
+)
+def test_each_command_imports_only_the_modules_it_runs(argv, absent):
+    files = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    held = _modules_after(*files)
+    assert {"eulerchi.cli", "eulerchi.cells", "eulerchi.jsonio"} <= held
+    assert not held & {f"eulerchi.{m}" for m in absent}, held
+
+
+def test_package_import_loads_no_module_until_a_name_is_read():
+    r = _fresh(
+        "import sys, eulerchi\n"
+        "held = lambda: sorted(n for n in sys.modules if n.startswith('eulerchi.'))\n"
+        "assert held() == [], held()\n"
+        "catalog = eulerchi.catalog\n"
+        "assert catalog is sys.modules['eulerchi.catalog'], catalog\n"
+        "assert 'eulerchi.translation' not in sys.modules, held()\n"
+        "assert eulerchi.Z is sys.modules['eulerchi.groups'].Z\n"
+    )
+    assert r.returncode == 0, r.stderr
 
 
 def test_chi_bundled_interval():
@@ -331,6 +381,24 @@ def test_a_nul_byte_in_a_path_is_refused_in_one_line(tmp_path, nested):
     assert (r.returncode, r.stdout) == (1, "")
     assert r.stderr.startswith("eulerchi: invalid input: cannot read ")
     assert r.stderr.endswith(": embedded null byte\n") and r.stderr.count("\n") == 1
+    assert "\0" not in r.stderr and "\\x00" in r.stderr
+
+
+def test_a_newline_in_a_path_is_refused_in_one_line(tmp_path):
+    """A refusal names the path with its control characters escaped, for a
+    nested path that cannot be read and for a file that is not JSON."""
+    f = tmp_path / "f.json"
+    f.write_text('{"space": "a\\nb/c.json", "values": {}}')
+    bad = tmp_path / "a\nb.json"
+    bad.write_text("{")
+    for argv, start in [
+        (["integrate", str(f)], f"cannot read {tmp_path}/a\\x0ab/c.json: "),
+        (["chi", str(bad)], f"{tmp_path}/a\\x0ab.json: invalid JSON: "),
+    ]:
+        r = run_cli(*argv)
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr.startswith(f"eulerchi: invalid input: {start}"), r.stderr
+        assert r.stderr.count("\n") == 1, r.stderr
 
 
 def test_long_inline_gamma_is_not_a_file_name():
@@ -543,6 +611,21 @@ def test_report_out_file(tmp_path):
     r = run_cli("--report", "json", "--out", str(out), "chi", str(DATA / "closed_interval.json"))
     assert r.returncode == 0
     assert json.loads(out.read_text())["result"] == 1
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs a file name that is not UTF-8")
+def test_report_that_utf8_cannot_encode_leaves_the_out_file_as_it_was(tmp_path):
+    # argv decodes the name's 0xff byte to a lone surrogate, which the
+    # report's inputs record and UTF-8 cannot encode
+    name = os.fsdecode(b"b\xffd.json")
+    (tmp_path / name).write_bytes((DATA / "closed_interval.json").read_bytes())
+    out = tmp_path / "o.txt"
+    out.write_text("old\n")
+    r = run_cli("--out", str(out), "chi", str(tmp_path / name))
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr.startswith("eulerchi: --out: the report cannot be encoded as UTF-8: ")
+    assert r.stderr.count("\n") == 1, r.stderr
+    assert out.read_text() == "old\n"
 
 
 def test_custom_catalog_entry_warns(tmp_path):

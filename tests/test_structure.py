@@ -1,8 +1,11 @@
 """The package's import structure, read from its source with ``ast``.
 
-Every import of a package module sits at module level, so a module's
-dependencies are read from its head; the one exception is the CLI's late
-import of the harness, which only ``verify`` needs.  The modules import
+Every import of a package module in a core module sits at module level, so
+its dependencies are read from its head.  The edge modules ``cli`` and
+``jsonio`` import at their heads only what every command runs; each command
+and each loader imports the rest itself, so a command, which runs in a fresh
+process, compiles only the modules it runs.  ``LATE`` names each such import
+exactly, and no other import may sit inside a function.  The modules import
 each other without a cycle, every name a module imports is used in it, and
 no module reads a private name that it does not define itself.  A group
 table is wrapped as a ``FiniteGroup`` in two places only.
@@ -15,7 +18,21 @@ from typing import Iterator
 SRC = Path(__file__).resolve().parents[1] / "src" / "eulerchi"
 MODULES = {path.stem: path for path in sorted(SRC.glob("*.py"))}
 # (module, function) -> the package modules that function may import itself
-LATE = {("cli", "cmd_verify"): {"harness"}}
+LATE = {
+    ("cli", "cmd_gamma_chi"): {"catalog", "groupoid"},
+    ("cli", "cmd_translation"): {"translation"},
+    ("cli", "cmd_order_ell"): {"translation"},
+    ("cli", "cmd_inertia"): {"translation"},
+    ("cli", "cmd_atlas"): {"translation"},
+    ("cli", "cmd_extension"): {"translation"},
+    ("cli", "cmd_verify"): {"harness"},
+    ("jsonio", "load_group"): {"groups"},
+    ("jsonio", "load_presentation"): {"groups"},
+    ("jsonio", "_load_isotropy"): {"catalog"},
+    ("jsonio", "load_groupoid"): {"groupoid"},
+    ("jsonio", "load_complex"): {"translation"},
+    ("jsonio", "load_extension"): {"translation"},
+}
 
 
 def _targets(node: ast.AST) -> set[str]:
